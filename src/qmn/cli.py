@@ -179,7 +179,6 @@ def build_parser():
     p.add_argument("--quiver")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--literal", action="store_true", help="also report the literal combinatorial recursion")
 
     pr = sub.add_parser("relu", help="momentum values and positive-gauge balancing")
     rsub = pr.add_subparsers(dest="sub", required=True)
@@ -312,16 +311,7 @@ def cmd_net(args):
         y = rng.standard_normal(len(net.output_vertices))
         analytic = grad.backprop(net, x, y, "mse")
         worst = float(_fd_worst_err(net, x, y, analytic))
-        out = {"max_rel_err": worst, "ok": bool(worst <= args.tol)}
-        if args.literal:
-            lit = grad.backprop_literal(net, x, y, "mse")
-            diff = max(
-                abs(lit.weights[a] - analytic.weights[a])
-                / max(abs(analytic.weights[a]), 1.0)
-                for a in analytic.weights
-            )
-            out["literal_max_rel_diff"] = float(diff)
-        return out
+        return {"max_rel_err": worst, "ok": bool(worst <= args.tol)}
     raise UsageError("unknown net subcommand")
 
 

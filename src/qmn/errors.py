@@ -55,10 +55,6 @@ class SingularPreActivation(QmnError):
         self.value = value
 
 
-class UndefinedDerivative(QmnError):
-    """Unreachable while the activation registry stays closed; kept for the contract."""
-
-
 class DivergenceDetected(QmnError):
     def __init__(self, epoch, loss):
         super().__init__(f"loss {loss:.3e} exceeded divergence limit at epoch {epoch}")

@@ -5,9 +5,7 @@ full-batch trainer.
 chain rule, validated against central finite differences.  `backprop_factored`
 recomputes the same gradient from the knowledge representation and its
 identity-activation evaluation, exercising the factorization through the
-moduli space.  `backprop_literal` follows the combinatorial recursion as
-usually written, including its f-vs-df reading at hidden vertices and the
-in-degree sum at sink seeds; it is kept for side-by-side comparison only.
+moduli space.
 """
 
 from dataclasses import dataclass
@@ -159,44 +157,6 @@ def backprop_factored(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
             values[v] = vals[v]
     z = np.array([values[v] for v in q.sinks])
     return _adjoint_sweep(net, ForwardTrace(values=values, pre=pre), loss.grad(z, y))
-
-
-def backprop_literal(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
-    """Literal transcription of the combinatorial recursion: hidden adjoints are
-    damped by the activation value (not its derivative) and sink seeds are
-    summed once per incoming arrow.  Retained for comparison; do not use for
-    training."""
-    loss = get_loss(loss)
-    q = net.quiver
-    z, trace = forward(net, x)
-    dz = loss.grad(z, y)
-    hidden = set(q.hidden)
-    sinks = set(q.sinks)
-    seed = dict(zip(q.sinks, dz))
-    da = {}
-    for v in reversed(q.topological):
-        if v in sinks:
-            da[v] = seed[v] * len(q.arrows_into(v))
-        else:
-            total = 0.0
-            for a in q.arrows_out_of(v):
-                t = a.target
-                if t in sinks:
-                    total += net.weights.weights[a.id] * da[t]
-                else:
-                    fval = ACTIVATIONS[net.activations[t]].fn(trace.pre[t])
-                    total += net.weights.weights[a.id] * da[t] * fval
-            da[v] = total
-    dw = {}
-    for a in q.arrows:
-        t, s = a.target, a.source
-        aval = trace.values[s]
-        if t in sinks:
-            dw[a.id] = seed[t] * aval
-        else:
-            dfval = ACTIVATIONS[net.activations[t]].dfn(trace.pre[t])
-            dw[a.id] = da[t] * dfval * aval
-    return GradientRep(q, dw, vertex_adjoints=da)
 
 
 def gradient_transform(g: dict, dw: GradientRep) -> GradientRep:

@@ -47,26 +47,6 @@ def null(a, tol=SUBSPACE_TOL):
     return vt[r:].T
 
 
-def intersect(a, b, tol=SUBSPACE_TOL):
-    """Basis of span(a) & span(b); inputs are orthonormal column bases."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    n = null(np.hstack([a, -b]), tol)
-    if n.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    return orth(a @ n[: a.shape[1]], tol)
-
-
-def preimage(m, k, tol=SUBSPACE_TOL):
-    """Basis of {v : m v in span(k)}; k has orthonormal columns."""
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] == 0:
-        # map into the zero space: preimage is everything
-        return np.eye(m.shape[1])
-    proj_out = m - k @ (k.T @ m) if k.shape[1] else m
-    return null(proj_out, tol)
-
-
 def contains(a, b, tol=1e-8):
     """True if span(b) is inside span(a); a orthonormal, b any basis matrix."""
     b = np.asarray(b, dtype=float)

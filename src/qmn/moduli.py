@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .errors import CodimensionMismatch, ShapeMismatch
 from .quiver import DEFAULT_PATH_CAP, Path, Quiver, all_hidden_paths
-from .rep import DoubleFramedTriple, rep_space_dim, gauge_dim
+from .rep import DoubleFramedTriple, deframe, rep_space_dim, gauge_dim
 
 
 @dataclass
@@ -123,57 +123,35 @@ def project(t: DoubleFramedTriple, cap: int = DEFAULT_PATH_CAP) -> ModuliPoint:
 # --- stability and simplicity -------------------------------------------
 
 
-def _generated_subspaces(t: DoubleFramedTriple):
-    """Smallest subrepresentation containing all framing images, as orthonormal
-    bases per hidden vertex."""
-    q = t.quiver
-    hq = q.hidden_quiver()
-    s = {i: linalg.orth(t.f[i]) for i in q.hidden}
-    for _ in range(sum(t.dims[i] for i in q.hidden) + 1):
-        changed = False
-        for a in hq.arrows:
-            image = t.hidden_matrices[a.id] @ s[a.source]
-            if image.shape[1] == 0:
-                continue
-            grown = linalg.orth(np.hstack([s[a.target], image]))
-            if grown.shape[1] > s[a.target].shape[1]:
-                s[a.target] = grown
-                changed = True
-        if not changed:
-            break
-    return s
-
-def _coobstruction_subspaces(t: DoubleFramedTriple):
-    """Largest subrepresentation killed by every coframing map."""
-    q = t.quiver
-    hq = q.hidden_quiver()
-    k = {i: linalg.null(t.h[i]) for i in q.hidden}
-    for _ in range(sum(t.dims[i] for i in q.hidden) + 1):
-        changed = False
-        for a in hq.arrows:
-            pre = linalg.preimage(t.hidden_matrices[a.id], k[a.target])
-            cut = linalg.intersect(k[a.source], pre)
-            if cut.shape[1] < k[a.source].shape[1]:
-                k[a.source] = cut
-                changed = True
-        if not changed:
-            break
-    return k
+def _path_spans(t: DoubleFramedTriple):
+    """Orthonormal bases, per hidden vertex, of the span of the path images
+    V_w f over paths ending there and of the path co-images (h V_w)^T over
+    paths starting there; one topological sweep each way."""
+    hq = t.quiver.hidden_quiver()
+    mats = t.hidden_matrices
+    images, coimages = {}, {}
+    for i in hq.topological:
+        images[i] = linalg.orth(
+            np.hstack([t.f[i]] + [mats[a.id] @ images[a.source] for a in hq.arrows_into(i)])
+        )
+    for i in reversed(hq.topological):
+        coimages[i] = linalg.orth(
+            np.hstack([t.h[i].T] + [mats[a.id].T @ coimages[a.target] for a in hq.arrows_out_of(i)])
+        )
+    return images, coimages
 
 
 def is_semistable(t: DoubleFramedTriple) -> bool:
     """True when the framing maps generate the whole hidden representation."""
-    s = _generated_subspaces(t)
-    return all(s[i].shape[1] == t.dims[i] for i in t.quiver.hidden)
+    images, _ = _path_spans(t)
+    return all(images[i].shape[1] == t.dims[i] for i in t.quiver.hidden)
 
 
 def is_simple(t: DoubleFramedTriple) -> bool:
     """Generated by the framing and with no subrepresentation killed by the
     coframing; equivalent to the rank vector of the projection being full."""
-    if not is_semistable(t):
-        return False
-    k = _coobstruction_subspaces(t)
-    return all(k[i].shape[1] == 0 for i in t.quiver.hidden)
+    spans = _path_spans(t)
+    return all(s[i].shape[1] == t.dims[i] for s in spans for i in t.quiver.hidden)
 
 
 # --- existence criterion ---------------------------------------------------
@@ -186,38 +164,23 @@ class ExistenceReport:
     single_cycle: bool  # one-point extension is a single undirected cycle
 
 
-def _one_point_cycle(q: Quiver, fr) -> bool:
+def _one_point_cycle(q: Quiver, dims: dict) -> bool:
     """Underlying graph of the one-point extension is a single cycle: connected,
     all degrees two, as many arrows as vertices."""
-    n = len(q.hidden) + 1
-    hq = q.hidden_quiver()
-    deg = {i: 0 for i in q.hidden}
-    deg["__inf__"] = 0
-    edges = []
-    for a in hq.arrows:
-        deg[a.source] += 1
-        deg[a.target] += 1
-        edges.append((a.source, a.target))
-    for i in q.hidden:
-        deg[i] += fr.u[i] + fr.w[i]
-        deg["__inf__"] += fr.u[i] + fr.w[i]
-        edges.extend([("__inf__", i)] * fr.u[i])
-        edges.extend([(i, "__inf__")] * fr.w[i])
-    if len(edges) != n or any(d != 2 for d in deg.values()):
+    dq = deframe(q, dims)
+    adj = {v: [] for v in dq.vertices}
+    for a in dq.arrows:
+        adj[a.source].append(a.target)
+        adj[a.target].append(a.source)
+    if len(dq.arrows) != len(dq.vertices) or any(len(n) != 2 for n in adj.values()):
         return False
-    # connectivity
-    adj = {v: set() for v in deg}
-    for x, y in edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    seen, stack = {"__inf__"}, ["__inf__"]
+    seen, stack = {dq.infinity}, [dq.infinity]
     while stack:
-        v = stack.pop()
-        for wv in adj[v]:
+        for wv in adj[stack.pop()]:
             if wv not in seen:
                 seen.add(wv)
                 stack.append(wv)
-    return len(seen) == n
+    return len(seen) == len(dq.vertices)
 
 
 def simple_rep_exists(q: Quiver, dims: dict) -> ExistenceReport:
@@ -234,7 +197,7 @@ def simple_rep_exists(q: Quiver, dims: dict) -> ExistenceReport:
     if not q.hidden:
         return ExistenceReport(False, "no hidden vertices", False)
     hq = q.hidden_quiver()
-    if _one_point_cycle(q, fr):
+    if _one_point_cycle(q, dims):
         thin = all(dims[i] == 1 for i in q.hidden)
         reason = "single-cycle extension: need thin hidden dimensions" if not thin else "single-cycle extension with thin dimensions"
         return ExistenceReport(thin, reason, True)

@@ -71,6 +71,7 @@ class Quiver:
         self.hidden = tuple(v for v in self.vertices if v not in ss)
 
         self.roles = self._resolve_roles(roles)
+        self._hidden_quiver = None
 
     def _toposort(self):
         indeg = {v: len(self._into[v]) for v in self.vertices}
@@ -126,12 +127,13 @@ class Quiver:
         raise KeyError(arrow_id)
 
     def hidden_quiver(self):
-        hs = set(self.hidden)
-        return HiddenQuiver(
-            parent=self,
-            vertices=self.hidden,
-            arrows=tuple(a for a in self.arrows if a.source in hs and a.target in hs),
-        )
+        """Full subquiver on the hidden vertices, built on first call and cached."""
+        if self._hidden_quiver is None:
+            hs = set(self.hidden)
+            self._hidden_quiver = Quiver(
+                self.hidden, (a for a in self.arrows if a.source in hs and a.target in hs)
+            )
+        return self._hidden_quiver
 
     def source_arrows_into(self, v):
         """Arrows from sources of Q into hidden vertex v, in declaration order."""
@@ -148,29 +150,6 @@ class Quiver:
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
-
-
-@dataclass(frozen=True)
-class HiddenQuiver:
-    parent: Quiver
-    vertices: tuple
-    arrows: tuple
-
-    def arrows_out_of(self, v):
-        return tuple(a for a in self.arrows if a.source == v)
-
-    def arrows_into(self, v):
-        return tuple(a for a in self.arrows if a.target == v)
-
-    def adjacency(self):
-        """Arrow-count matrix indexed by self.vertices order."""
-        import numpy as np
-
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        m = np.zeros((len(self.vertices), len(self.vertices)), dtype=int)
-        for a in self.arrows:
-            m[idx[a.source], idx[a.target]] += 1
-        return m
 
 
 @dataclass(frozen=True)
@@ -256,7 +235,7 @@ class Path:
         return f"{self.start}>{inner}>{self.end}"
 
 
-def enumerate_paths(hq: HiddenQuiver, start, end):
+def enumerate_paths(hq: Quiver, start, end):
     """All directed paths start->end in the hidden quiver, lazy path included.
 
     Output is sorted lexicographically by arrow-id sequence, so the lazy path
@@ -279,11 +258,10 @@ def enumerate_paths(hq: HiddenQuiver, start, end):
     return found
 
 
-def count_paths(hq: HiddenQuiver) -> dict:
+def count_paths(hq: Quiver) -> dict:
     """Path counts for all ordered vertex pairs, lazy paths included."""
-    order = [v for v in hq.parent.topological if v in set(hq.vertices)]
     counts = {(i, j): 0 for i in hq.vertices for j in hq.vertices}
-    for i in reversed(order):
+    for i in reversed(hq.topological):
         counts[(i, i)] += 1  # lazy
         for a in hq.arrows_out_of(i):
             for j in hq.vertices:
@@ -291,7 +269,7 @@ def count_paths(hq: HiddenQuiver) -> dict:
     return counts
 
 
-def all_hidden_paths(hq: HiddenQuiver, cap: int = DEFAULT_PATH_CAP) -> dict:
+def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> dict:
     """Paths for every ordered pair of hidden vertices, guarded by a count cap."""
     counts = count_paths(hq)
     total = sum(counts.values())

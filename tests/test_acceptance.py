@@ -105,7 +105,7 @@ def test_criterion_03_simplicity_iff_full_rank(diamond_quiver, ten_arrow_quiver)
     report(
         3,
         disagreements == 0,
-        f"fixpoint simplicity equals full-rank test on {total} exhaustive 0/1 triples",
+        f"sweep simplicity equals full-rank test on {total} exhaustive 0/1 triples",
     )
 
 

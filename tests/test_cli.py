@@ -136,11 +136,12 @@ def test_net_gradcheck(capsys, tmp_path):
     net = single_vertex_net(1.2, -0.8, activation="identity")
     npath = write_json(tmp_path, "net.json", io.network_to_json(net))
     code, out = run(
-        capsys, "--format", "json", "net", "gradcheck", "--net", npath, "--seed", "3", "--literal"
+        capsys, "--format", "json", "net", "gradcheck", "--net", npath, "--seed", "3"
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] and payload["max_rel_err"] < 1e-5
+    assert main(["net", "gradcheck", "--net", npath, "--literal"]) == 1
 
 
 def test_relu_momentum_and_balance(capsys, tmp_path):

@@ -5,16 +5,17 @@ from qmn.errors import DivergenceDetected, SingularPreActivation
 from qmn.examples import d4tilde_net, random_mlp_net, single_vertex_net
 from qmn.grad import (
     CrossEntropySoftmax,
+    GradientRep,
     backprop,
     backprop_factored,
-    backprop_literal,
     batch_loss,
+    get_loss,
     gradient_transform,
     softmax,
     train,
 )
 from qmn.moduli import project
-from qmn.network import NeuralNetwork, forward, knowledge_map, psi_hat
+from qmn.network import ACTIVATIONS, NeuralNetwork, forward, knowledge_map, psi_hat
 from qmn.thincat import ThinRep
 
 from conftest import fd_gradient
@@ -131,6 +132,43 @@ def test_backprop_factored_tanh_away_from_singularities():
         a = backprop(net, x, y).weights
         for aid in a:
             assert abs(b[aid] - a[aid]) / max(abs(a[aid]), 1.0) < 1e-8
+
+
+def backprop_literal(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
+    """Literal transcription of the combinatorial recursion as usually written:
+    hidden adjoints are damped by the activation value (not its derivative) and
+    sink seeds are summed once per incoming arrow.  Kept here as a recorded
+    reproduction finding: it agrees with the chain rule only on depth-one nets."""
+    loss = get_loss(loss)
+    q = net.quiver
+    z, trace = forward(net, x)
+    dz = loss.grad(z, y)
+    sinks = set(q.sinks)
+    seed = dict(zip(q.sinks, dz))
+    da = {}
+    for v in reversed(q.topological):
+        if v in sinks:
+            da[v] = seed[v] * len(q.arrows_into(v))
+        else:
+            total = 0.0
+            for a in q.arrows_out_of(v):
+                t = a.target
+                if t in sinks:
+                    total += net.weights.weights[a.id] * da[t]
+                else:
+                    fval = ACTIVATIONS[net.activations[t]].fn(trace.pre[t])
+                    total += net.weights.weights[a.id] * da[t] * fval
+            da[v] = total
+    dw = {}
+    for a in q.arrows:
+        t, s = a.target, a.source
+        aval = trace.values[s]
+        if t in sinks:
+            dw[a.id] = seed[t] * aval
+        else:
+            dfval = ACTIVATIONS[net.activations[t]].dfn(trace.pre[t])
+            dw[a.id] = da[t] * dfval * aval
+    return GradientRep(q, dw, vertex_adjoints=da)
 
 
 def test_literal_mode_matches_chain_rule_on_depth_one():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmn import linalg
 from qmn.errors import CodimensionMismatch
@@ -11,6 +12,7 @@ from qmn.examples import (
     quiver_a3,
     quiver_d4tilde,
     quiver_single_vertex,
+    random_dag_quiver,
     thin_dims,
 )
 from qmn.moduli import (
@@ -19,6 +21,7 @@ from qmn.moduli import (
     is_semistable,
     is_simple,
     moduli_dimension,
+    path_matrix,
     project,
     recover_thin_gauge,
     resolution_data,
@@ -171,7 +174,7 @@ def test_semistability_examples():
     "quiver_fn", [quiver_a3, quiver_single_vertex, quiver_d4tilde]
 )
 def test_simple_iff_full_rank_binary_weights(quiver_fn):
-    """Fixpoint simplicity agrees with the full-rank criterion exhaustively on
+    """Sweep simplicity agrees with the full-rank criterion exhaustively on
     0/1 weights (small quivers only here; the acceptance suite covers more)."""
     q = quiver_fn()
     arrows = [a.id for a in q.arrows]
@@ -186,12 +189,57 @@ def test_simple_iff_full_rank_binary_weights(quiver_fn):
         assert is_simple(t) == (project(t).rank_vector() == full)
 
 
+@st.composite
+def degenerate_triples(draw):
+    """Non-thin triples on a random DAG, each arrow block drawn as exact zero,
+    rank one, N(0, 1) or N(0, 1) * 10^k with k in [-3, 3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    hidden = set(q.hidden)
+    dims = {v: draw(st.integers(1, 4) if v in hidden else st.integers(1, 2)) for v in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        shape = (dims[a.target], dims[a.source])
+        kind = draw(st.sampled_from(["zero", "rank-one", "normal", "scaled"]))
+        if kind == "zero":
+            mats[a.id] = np.zeros(shape)
+        elif kind == "rank-one":
+            mats[a.id] = np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+        elif kind == "normal":
+            mats[a.id] = rng.standard_normal(shape)
+        else:
+            mats[a.id] = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-3, 3))
+    return split(Representation(q, dims, mats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_triples())
+def test_stability_matches_path_oracles(t):
+    """The sweep agrees with the enumerated-path definitions: semistable iff the
+    path images V_w f span every V_i, simple iff the rank vector is full."""
+    m = project(t)
+    spanned = True
+    for i in t.quiver.hidden:
+        images = [path_matrix(t, p) @ t.f[p.start] for p in m.in_paths(i)]
+        stacked = np.hstack(images) if images else np.zeros((t.dims[i], 0))
+        spanned &= linalg.num_rank(stacked) == t.dims[i]
+    assert is_semistable(t) == spanned
+    assert is_simple(t) == (m.rank_vector() == t.hidden_dims())
+
+
 def test_simple_rep_exists_a3_single_cycle():
     q = quiver_a3()
     report = simple_rep_exists(q, thin_dims(q))
     assert report.exists and report.single_cycle
     deep = simple_rep_exists(q, {"i": 1, "j": 2, "k": 1})
     assert deep.single_cycle and not deep.exists
+
+
+def test_single_cycle_independent_of_vertex_names():
+    for name in ("v", "__inf__", "infinity"):
+        q = Quiver(["s", name, "t"], [("a", "s", name), ("b", name, "t")])
+        report = simple_rep_exists(q, thin_dims(q))
+        assert report.single_cycle and report.exists
 
 
 def test_simple_rep_exists_d4tilde_thin():
