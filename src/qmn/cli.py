@@ -101,7 +101,10 @@ def _load_quiver_and_rep(args, thin_default=False):
 
 
 def _parse_inputs(text):
-    return np.array([float(x) for x in text.split(",")])
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError as exc:
+        raise QmnError(f"--input {text!r}: {exc}") from exc
 
 
 def _point_payload(point, assembled=False):
@@ -430,7 +433,7 @@ def main(argv=None) -> int:
     except (NoConvergence, DivergenceDetected, SingularPreActivation) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (QmnError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (QmnError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.format)

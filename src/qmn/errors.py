@@ -57,7 +57,7 @@ class SingularPreActivation(QmnError):
 
 class DivergenceDetected(QmnError):
     def __init__(self, epoch, loss):
-        super().__init__(f"loss {loss:.3e} exceeded divergence limit at epoch {epoch}")
+        super().__init__(f"loss {loss:.3e} at epoch {epoch} is not finite or exceeds the divergence limit")
         self.epoch = epoch
         self.loss = loss
 

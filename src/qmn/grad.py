@@ -194,18 +194,23 @@ def train(
     on_epoch=None,
 ) -> TrainResult:
     """Full-batch gradient descent; deterministic, gradients averaged over the
-    batch in input order."""
+    batch in input order.  Raises DivergenceDetected as soon as a recorded loss
+    is not finite or exceeds `divergence_limit`."""
     if lr < 0:
         raise ShapeMismatch("learning rate must be nonnegative")
+    if len(data) == 0:
+        raise ShapeMismatch("training data is empty")
     loss = get_loss(loss)
     weights = dict(net.weights.weights)
     history = []
     current = net
-    for epoch in range(epochs):
+    for epoch in range(epochs + 1):
         value = batch_loss(current, data, loss)
         history.append(value)
-        if value > divergence_limit:
+        if not np.isfinite(value) or value > divergence_limit:
             raise DivergenceDetected(epoch, value)
+        if epoch == epochs:
+            break
         if on_epoch is not None:
             on_epoch(epoch, current, value)
         grads = [backprop(current, x, y, loss) for x, y in data]
@@ -216,5 +221,4 @@ def train(
         current = NeuralNetwork(
             ThinRep(net.quiver, weights), dict(net.activations), net.bias
         )
-    history.append(batch_loss(current, data, loss))
     return TrainResult(network=current, losses=history)

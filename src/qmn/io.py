@@ -55,7 +55,11 @@ def representation_from_json(obj, quiver: Quiver = None) -> Representation:
         if "quiver" not in obj:
             raise QmnError("representation file has no embedded quiver and none was supplied")
         quiver = quiver_from_json(obj["quiver"])
-    return Representation(quiver, dict(obj["dims"]), dict(obj["weights"]))
+    try:
+        dims, weights = dict(obj["dims"]), dict(obj["weights"])
+    except KeyError as exc:
+        raise QmnError(f"malformed representation file: missing key {exc}") from exc
+    return Representation(quiver, dims, weights)
 
 
 def representation_to_json(r: Representation) -> dict:
@@ -108,13 +112,17 @@ def load_data_csv(path, n_inputs: int, n_outputs: int):
     """One sample per row: n_inputs feature columns then n_outputs label columns."""
     samples = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or all(not cell.strip() for cell in row):
                 continue
-            vals = [float(c) for c in row]
+            try:
+                vals = [float(c) for c in row]
+            except ValueError as exc:
+                raise QmnError(f"{path}, row {rows.line_num}: {exc}") from exc
             if len(vals) != n_inputs + n_outputs:
                 raise QmnError(
-                    f"data row has {len(vals)} columns, expected {n_inputs + n_outputs}"
+                    f"{path}, row {rows.line_num}: {len(vals)} columns, expected {n_inputs + n_outputs}"
                 )
             samples.append((np.array(vals[:n_inputs]), np.array(vals[n_inputs:])))
     return samples

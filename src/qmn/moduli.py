@@ -72,9 +72,16 @@ class ModuliPoint:
             m[ro : ro + w[p.end], co : co + u[p.start]] += b
         return m
 
+    def _block_index(self):
+        """Blocks keyed by (start, arrows), which determine a path."""
+        return {(p.start, p.arrows): b for p, b in self.blocks.items()}
+
     def vertex_block(self, i):
         """q^(i): all coordinates of paths through i, rows by out-paths, columns
         by in-paths."""
+        return self._vertex_block(i, self._block_index())
+
+    def _vertex_block(self, i, index):
         u, w = self.framing.u, self.framing.w
         ins = self.in_paths(i)
         outs = self.out_paths(i)
@@ -85,14 +92,14 @@ class ModuliPoint:
         for po in outs:
             c = 0
             for pi in ins:
-                comp = Path(pi.start, po.end, pi.arrows + po.arrows)
-                m[r : r + w[po.end], c : c + u[pi.start]] = self.blocks[comp]
+                m[r : r + w[po.end], c : c + u[pi.start]] = index[(pi.start, pi.arrows + po.arrows)]
                 c += u[pi.start]
             r += w[po.end]
         return m
 
     def rank_vector(self, tol=linalg.RANK_TOL):
-        return {i: linalg.num_rank(self.vertex_block(i), tol) for i in self.quiver.hidden}
+        index = self._block_index()
+        return {i: linalg.num_rank(self._vertex_block(i, index), tol) for i in self.quiver.hidden}
 
 
 def path_matrix(t: DoubleFramedTriple, p: Path):
@@ -104,19 +111,24 @@ def path_matrix(t: DoubleFramedTriple, p: Path):
 
 def project(t: DoubleFramedTriple, cap: int = DEFAULT_PATH_CAP) -> ModuliPoint:
     """Quotient map: blocks h_j V_w f_i for every hidden path w between framed
-    vertices; the lazy path at i contributes h_i f_i."""
+    vertices; the lazy path at i contributes h_i f_i.  Each image V_w f_i is one
+    arrow past the image of its prefix, which ends earlier in topological order."""
     q = t.quiver
     fr = t.framing
-    paths = all_hidden_paths(q.hidden_quiver(), cap)
+    hq = q.hidden_quiver()
+    paths = all_hidden_paths(hq, cap)
+    mats = t.hidden_matrices
     blocks = {}
     for i in q.hidden:
         if fr.u[i] == 0:
             continue
-        for j in q.hidden:
-            if fr.w[j] == 0:
-                continue
+        images = {(): t.f[i]}
+        for j in hq.topological:
             for p in paths[(i, j)]:
-                blocks[p] = t.h[j] @ path_matrix(t, p) @ t.f[i]
+                if p.arrows:
+                    images[p.arrows] = mats[p.arrows[-1]] @ images[p.arrows[:-1]]
+                if fr.w[j]:
+                    blocks[p] = t.h[j] @ images[p.arrows]
     return ModuliPoint(q, dict(t.dims), fr, paths, blocks)
 
 
@@ -248,21 +260,16 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
     q = m.quiver
     u, w = m.framing.u, m.framing.w
     dims = m.dims
-    basis, ins, outs, in_off, out_off = {}, {}, {}, {}, {}
+    basis, outs, out_off, qblock = {}, {}, {}, {}
+    index = m._block_index()
     for i in q.hidden:
-        ins[i] = m.in_paths(i)
         outs[i] = m.out_paths(i)
         off, offs = 0, {}
-        for p in ins[i]:
-            offs[p] = off
-            off += u[p.start]
-        in_off[i] = offs
-        off, offs = 0, {}
         for p in outs[i]:
-            offs[p] = off
+            offs[p.arrows] = off
             off += w[p.end]
         out_off[i] = offs
-        qi = m.vertex_block(i)
+        qi = qblock[i] = m._vertex_block(i, index)
         b = linalg.orth(qi, tol)
         if b.shape[1] > dims[i]:
             raise ShapeMismatch(
@@ -277,8 +284,7 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
         ncols = sum(w[p.end] for p in outs[i])
         shift = np.zeros((nrows, ncols))
         for p in outs[j]:
-            comp = Path(i, p.end, (a.id,) + p.arrows)
-            ro, co = out_off[j][p], out_off[i][comp]
+            ro, co = out_off[j][p.arrows], out_off[i][(a.id,) + p.arrows]
             shift[ro : ro + w[p.end], co : co + w[p.end]] = np.eye(w[p.end])
         red = basis[j].T @ shift @ basis[i]
         full = np.zeros((dims[j], dims[i]))
@@ -289,16 +295,15 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
     for i in q.hidden:
         fi = np.zeros((dims[i], u[i]))
         if u[i] > 0:
-            lazy = Path(i, i, ())
-            co = in_off[i][lazy]
-            qi = m.vertex_block(i)
-            red = basis[i].T @ qi[:, co : co + u[i]]
+            ins = m.in_paths(i)
+            lazy = next(k for k, p in enumerate(ins) if not p.arrows)
+            co = sum(u[p.start] for p in ins[:lazy])
+            red = basis[i].T @ qblock[i][:, co : co + u[i]]
             fi[: red.shape[0], :] = red
         f[i] = fi
         hi = np.zeros((w[i], dims[i]))
         if w[i] > 0:
-            lazy = Path(i, i, ())
-            ro = out_off[i][lazy]
+            ro = out_off[i][()]
             hi[:, : basis[i].shape[1]] = basis[i][ro : ro + w[i], :]
         h[i] = hi
     return DoubleFramedTriple(q, dict(dims), hidden_mats, f, h, m.framing)
@@ -315,16 +320,15 @@ def in_shift_matrix(m: ModuliPoint, arrow):
     ins_i, ins_j = m.in_paths(i), m.in_paths(j)
     off_i, off = {}, 0
     for p in ins_i:
-        off_i[p] = off
+        off_i[p.start, p.arrows] = off
         off += u[p.start]
     off_j, off = {}, 0
     for p in ins_j:
-        off_j[p] = off
+        off_j[p.start, p.arrows] = off
         off += u[p.start]
     mat = np.zeros((sum(u[p.start] for p in ins_j), sum(u[p.start] for p in ins_i)))
     for p in ins_i:
-        comp = Path(p.start, j, p.arrows + (arrow.id,))
-        ro, co = off_j[comp], off_i[p]
+        ro, co = off_j[p.start, p.arrows + (arrow.id,)], off_i[p.start, p.arrows]
         mat[ro : ro + u[p.start], co : co + u[p.start]] = np.eye(u[p.start])
     return mat
 

@@ -4,7 +4,9 @@ Vertices and arrows are identified by strings.  A vertex with no in-arrows is a
 source, one with no out-arrows is a sink, and the hidden quiver is the full
 subquiver on the remaining vertices.  Framing data counts, per hidden vertex,
 the incoming dimension from sources (u) and the outgoing dimension to sinks
-(w), with slot order fixed by arrow declaration order.
+(w), with slot order fixed by arrow declaration order.  Hidden paths come from
+one walk per start vertex; their total is counted in linear time against a cap
+before any is enumerated.
 """
 
 from collections import deque
@@ -235,48 +237,39 @@ class Path:
         return f"{self.start}>{inner}>{self.end}"
 
 
-def enumerate_paths(hq: Quiver, start, end):
-    """All directed paths start->end in the hidden quiver, lazy path included.
+def _paths_from(hq: Quiver, start) -> dict:
+    """One walk from `start`: every path out of it, bucketed by end vertex, each
+    bucket sorted by arrow-id sequence so the lazy path comes first."""
+    found = {v: [] for v in hq.vertices}
 
-    Output is sorted lexicographically by arrow-id sequence, so the lazy path
-    (if any) comes first.
-    """
-    if start not in set(hq.vertices) or end not in set(hq.vertices):
-        raise QuiverValidationError("path endpoints must be hidden vertices")
-    found = []
-
-    def walk(v, acc):
-        if v == end:
-            found.append(Path(start, end, tuple(acc)))
+    def walk(v, arrows):
+        found[v].append(Path(start, v, arrows))
         for a in hq.arrows_out_of(v):
-            acc.append(a.id)
-            walk(a.target, acc)
-            acc.pop()
+            walk(a.target, arrows + (a.id,))
 
-    walk(start, [])
-    found.sort(key=lambda p: p.arrows)
+    walk(start, ())
+    for bucket in found.values():
+        bucket.sort(key=lambda p: p.arrows)
     return found
 
 
-def count_paths(hq: Quiver) -> dict:
-    """Path counts for all ordered vertex pairs, lazy paths included."""
-    counts = {(i, j): 0 for i in hq.vertices for j in hq.vertices}
-    for i in reversed(hq.topological):
-        counts[(i, i)] += 1  # lazy
-        for a in hq.arrows_out_of(i):
-            for j in hq.vertices:
-                counts[(i, j)] += counts[(a.target, j)]
-    return counts
+def enumerate_paths(hq: Quiver, start, end):
+    """All directed paths start->end in the hidden quiver, lazy path included,
+    sorted lexicographically by arrow-id sequence."""
+    if start not in set(hq.vertices) or end not in set(hq.vertices):
+        raise QuiverValidationError("path endpoints must be hidden vertices")
+    return _paths_from(hq, start)[end]
 
 
 def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> dict:
-    """Paths for every ordered pair of hidden vertices, guarded by a count cap."""
-    counts = count_paths(hq)
-    total = sum(counts.values())
+    """Paths for every ordered pair of hidden vertices, one walk per start
+    vertex.  The total is counted first, n(i) = 1 + sum of n(j) over arrows
+    i->j, and raises PathExplosion above the cap before anything is enumerated."""
+    n = {}
+    for i in reversed(hq.topological):
+        n[i] = 1 + sum(n[a.target] for a in hq.arrows_out_of(i))
+    total = sum(n.values())
     if total > cap:
         raise PathExplosion(total, cap)
-    return {
-        (i, j): enumerate_paths(hq, i, j)
-        for i in hq.vertices
-        for j in hq.vertices
-    }
+    found = {i: _paths_from(hq, i) for i in hq.vertices}
+    return {(i, j): found[i][j] for i in hq.vertices for j in hq.vertices}

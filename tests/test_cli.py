@@ -226,3 +226,40 @@ def test_csv_format_assembled(capsys, a3_files):
     code, out = run(capsys, "--format", "csv", "moduli", "coords", "--rep", rpath, "--assembled")
     assert code == 0
     assert out.strip() == "6.0"
+
+
+def run_invalid(capsys, *argv):
+    """Run the CLI on malformed input; return stderr after checking exit 2."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and "Traceback" not in err
+    return err
+
+
+def test_non_numeric_input_vector_is_invalid_input(capsys, tmp_path):
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(3.0, 2.0)))
+    err = run_invalid(capsys, "net", "eval", "--net", npath, "--input", "1,x")
+    assert "'x'" in err
+
+
+def test_non_numeric_csv_cell_names_file_and_row(capsys, tmp_path):
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1.0, 1.0)))
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("1.0,2.0\n2.0,oops\n")
+    err = run_invalid(capsys, "net", "train", "--net", npath, "--data", str(dpath))
+    assert f"{dpath}, row 2" in err and "'oops'" in err
+
+
+@pytest.mark.parametrize("missing", ["dims", "weights"])
+def test_rep_file_without_key_is_invalid_input(capsys, a3_files, tmp_path, missing):
+    _, rpath = a3_files
+    rep = json.loads(open(rpath).read())
+    del rep[missing]
+    bad = write_json(tmp_path, "bad.json", rep)
+    err = run_invalid(capsys, "moduli", "coords", "--rep", bad)
+    assert missing in err
+
+
+def test_rep_directory_is_invalid_input(capsys, tmp_path):
+    run_invalid(capsys, "moduli", "coords", "--rep", str(tmp_path))

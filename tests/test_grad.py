@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmn.errors import DivergenceDetected, SingularPreActivation
+from qmn.errors import DivergenceDetected, QmnError, SingularPreActivation
 from qmn.examples import d4tilde_net, random_mlp_net, single_vertex_net
 from qmn.grad import (
     CrossEntropySoftmax,
@@ -266,6 +266,20 @@ def test_train_detects_divergence():
     data = [(np.array([10.0]), np.array([0.0]))]
     with pytest.raises(DivergenceDetected):
         train(net, data, "mse", lr=10.0, epochs=200)
+
+
+def test_train_rejects_empty_data():
+    net = single_vertex_net(1.0, 1.0, activation="identity")
+    with pytest.raises(QmnError):
+        train(net, [], "mse", lr=0.05, epochs=3)
+
+
+def test_train_nan_loss_is_divergence():
+    net = single_vertex_net(1.0, 1.0, activation="identity")
+    data = [(np.array([1.0]), np.array([2.0])), (np.array([2.0]), np.array([np.nan]))]
+    with pytest.raises(DivergenceDetected) as exc:
+        train(net, data, "mse", lr=0.05, epochs=3)
+    assert exc.value.epoch == 0 and np.isnan(exc.value.loss)
 
 
 def test_train_loss_monotone_below_lipschitz_bound():

@@ -29,7 +29,7 @@ from qmn.moduli import (
     simple_rep_exists,
     verify_resolution_point,
 )
-from qmn.quiver import Path, Quiver, framing_data
+from qmn.quiver import Path, Quiver, enumerate_paths, framing_data
 from qmn.rep import Representation, act, random_gauge, random_triple, split
 
 
@@ -225,6 +225,26 @@ def test_stability_matches_path_oracles(t):
         spanned &= linalg.num_rank(stacked) == t.dims[i]
     assert is_semistable(t) == spanned
     assert is_simple(t) == (m.rank_vector() == t.hidden_dims())
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_triples())
+def test_project_blocks_match_path_matrix_oracle(t):
+    """Every block h_j V_w f_i built from prefix images agrees with the product
+    rebuilt from the identity, over exactly the framed-in -> framed-out paths."""
+    m = project(t)
+    fr = t.framing
+    hq = t.quiver.hidden_quiver()
+    expected = {
+        p
+        for i in hq.vertices
+        for j in hq.vertices
+        if fr.u[i] and fr.w[j]
+        for p in enumerate_paths(hq, i, j)
+    }
+    assert set(m.blocks) == expected
+    for p, b in m.blocks.items():
+        assert linalg.rel_err(b, t.h[p.end] @ path_matrix(t, p) @ t.f[p.start]) <= 1e-12
 
 
 def test_simple_rep_exists_a3_single_cycle():

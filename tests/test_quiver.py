@@ -8,7 +8,6 @@ from qmn.quiver import (
     Path,
     Quiver,
     all_hidden_paths,
-    count_paths,
     enumerate_paths,
     framing_data,
     validate,
@@ -120,30 +119,49 @@ def small_dags(draw):
     return Quiver(vertices, arrows)
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_dags())
-def test_path_counts_match_adjacency_powers(q):
-    """Total path counts equal the entries of sum_k A^k (brute-force oracle)."""
-    # the path functions run on the whole DAG, as if every vertex were hidden
+def adjacency_power_sum(q):
+    """Vertex index and sum_k A^k over the arrow-count adjacency matrix: entry
+    (i, j) counts the paths i -> j, lazy paths included."""
     n = len(q.vertices)
     idx = {v: i for i, v in enumerate(q.vertices)}
     a = np.zeros((n, n), dtype=int)
     for arrow in q.arrows:
         a[idx[arrow.source], idx[arrow.target]] += 1
-    counts = count_paths(q)
     total = np.eye(n, dtype=int)
     power = np.eye(n, dtype=int)
     for _ in range(n):
         power = power @ a
         total += power
-    for (i, j), c in counts.items():
-        assert c == total[idx[i], idx[j]]
-    # enumeration agrees with the counts and with breadth-first search
-    for i in q.vertices:
-        for j in q.vertices:
-            paths = enumerate_paths(q, i, j)
-            assert len(paths) == counts[(i, j)]
-            assert sorted(p.arrows for p in paths) == brute_force_paths(q, i, j)
+    return idx, total
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dags())
+def test_path_counts_match_adjacency_powers(q):
+    """Enumerated paths agree in number with sum_k A^k and, in content and
+    order, with breadth-first search (brute-force oracles)."""
+    # the path functions run on the whole DAG, as if every vertex were hidden
+    idx, total = adjacency_power_sum(q)
+    paths = all_hidden_paths(q)
+    assert list(paths) == [(i, j) for i in q.vertices for j in q.vertices]
+    for (i, j), found in paths.items():
+        assert len(found) == total[idx[i], idx[j]]
+        assert [p.arrows for p in found] == brute_force_paths(q, i, j)
+        assert all(p.start == i and p.end == j for p in found)
+        assert enumerate_paths(q, i, j) == found
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dags())
+def test_path_cap_boundary(q):
+    """A cap equal to the oracle's total path count passes; one less raises
+    PathExplosion reporting that total."""
+    _, total = adjacency_power_sum(q)
+    count = int(total.sum())
+    assert sum(len(ps) for ps in all_hidden_paths(q, cap=count).values()) == count
+    with pytest.raises(PathExplosion) as exc:
+        all_hidden_paths(q, cap=count - 1)
+    assert exc.value.count == count and exc.value.cap == count - 1
 
 
 @settings(max_examples=25, deadline=None)
