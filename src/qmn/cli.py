@@ -319,20 +319,20 @@ def cmd_net(args):
 
 
 def _fd_worst_err(net, x, y, analytic, h=1e-5):
-    from .network import NeuralNetwork
-    from .thincat import ThinRep
+    c = net.compiled
+    loss = grad.get_loss("mse")
+    x = network.columns([x], c.n_inputs)
+    base = c.weight_vector(net.weights.weights)
+
+    def value(w):
+        values, _ = c.forward(c.level_blocks(w), x)
+        return loss.value(values[c.outputs, 0], y)
 
     worst = 0.0
-    loss = grad.get_loss("mse")
-    base = dict(net.weights.weights)
-    for aid in base:
-        w_plus = dict(base)
-        w_plus[aid] += h
-        w_minus = dict(base)
-        w_minus[aid] -= h
-        lp = loss.value(network.forward(NeuralNetwork(ThinRep(net.quiver, w_plus), net.activations, net.bias), x)[0], y)
-        lm = loss.value(network.forward(NeuralNetwork(ThinRep(net.quiver, w_minus), net.activations, net.bias), x)[0], y)
-        fd = (lp - lm) / (2 * h)
+    for k, aid in enumerate(c.arrows):
+        step = np.zeros_like(base)
+        step[k] = h
+        fd = (value(base + step) - value(base - step)) / (2 * h)
         scale = max(abs(fd), abs(analytic.weights[aid]), 1.0)
         worst = max(worst, abs(fd - analytic.weights[aid]) / scale)
     return worst

@@ -1,11 +1,12 @@
 """Loss functions, reverse-mode gradients on network quivers, and a small
 full-batch trainer.
 
-`backprop` is the ground truth: a reverse topological sweep implementing the
-chain rule, validated against central finite differences.  `backprop_factored`
-recomputes the same gradient from the knowledge representation and its
-identity-activation evaluation, exercising the factorization through the
-moduli space.
+`backprop` is the ground truth: the reverse level sweep of the compiled
+network (`CompiledNetwork.backward`), validated against central finite
+differences.  `backprop_factored` recomputes the same gradient from the
+knowledge representation and its identity-activation evaluation, exercising
+the factorization through the moduli space.  Losses act on one output vector
+or column-wise on an (outputs, batch) array.
 """
 
 from dataclasses import dataclass
@@ -13,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, ShapeMismatch
-from .network import ACTIVATIONS, NeuralNetwork, ForwardTrace, forward, knowledge_map
+from .network import NeuralNetwork, columns, knowledge_map
 from .quiver import Arrow, Quiver
 from .thincat import ThinRep
 
 
 def softmax(z):
     z = np.asarray(z, dtype=float)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=0))
+    return e / e.sum(axis=0)
 
 
 class Loss:
@@ -39,7 +40,7 @@ class SquaredError(Loss):
 
     def value(self, z, y):
         d = np.asarray(z, dtype=float) - np.asarray(y, dtype=float)
-        return float(d @ d)
+        return np.sum(d * d, axis=0)
 
     def grad(self, z, y):
         return 2.0 * (np.asarray(z, dtype=float) - np.asarray(y, dtype=float))
@@ -54,11 +55,11 @@ class CrossEntropySoftmax(Loss):
     def value(self, z, y):
         p = softmax(z)
         y = np.asarray(y, dtype=float)
-        return float(-np.sum(y * np.log(np.clip(p, 1e-300, None))))
+        return -np.sum(y * np.log(np.clip(p, 1e-300, None)), axis=0)
 
     def grad(self, z, y):
         y = np.asarray(y, dtype=float)
-        return softmax(z) * y.sum() - y
+        return softmax(z) * y.sum(axis=0) - y
 
 
 LOSSES = {"mse": SquaredError(), "cross-entropy": CrossEntropySoftmax()}
@@ -91,33 +92,26 @@ class GradientRep:
         return ThinRep(rev, dict(self.weights))
 
 
-def _adjoint_sweep(net: NeuralNetwork, trace: ForwardTrace, dz: np.ndarray) -> GradientRep:
-    """Shared reverse pass given vertex values and output adjoints."""
-    q = net.quiver
-    hidden = set(q.hidden)
-    da = {v: 0.0 for v in q.vertices}
-    dpre = {}
-    for v, g in zip(q.sinks, dz):
-        da[v] = float(g)
-    for v in reversed(q.topological):
-        if v in set(q.sources):
-            continue
-        if v in hidden:
-            act = ACTIVATIONS[net.activations[v]]
-            dpre[v] = da[v] * act.dfn(trace.pre[v])
-        else:
-            dpre[v] = da[v]
-        for a in q.arrows_into(v):
-            da[a.source] += net.weights.weights[a.id] * dpre[v]
-    dw = {a.id: dpre[a.target] * trace.values[a.source] for a in q.arrows}
-    return GradientRep(q, dw, vertex_adjoints=da)
+def _labels(c, ys):
+    return columns(ys, len(c.outputs), "labels")
+
+
+def _gradient_rep(net: NeuralNetwork, blocks, values, pre, d_out) -> GradientRep:
+    c = net.compiled
+    dw, adj = c.backward(blocks, values, pre, d_out)
+    return GradientRep(
+        net.quiver, dict(zip(c.arrows, dw.tolist())), vertex_adjoints=dict(zip(c.vertices, adj[:, 0].tolist()))
+    )
 
 
 def backprop(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
-    """Exact gradient of loss(forward(net, x), y) in every arrow weight."""
+    """Exact gradient of loss(forward(net, x), y) in every arrow weight: the
+    compiled reverse sweep on a batch of one."""
     loss = get_loss(loss)
-    z, trace = forward(net, x)
-    return _adjoint_sweep(net, trace, loss.grad(z, y))
+    c = net.compiled
+    blocks = net.weight_blocks()
+    values, pre = c.forward(blocks, columns([x], c.n_inputs))
+    return _gradient_rep(net, blocks, values, pre, loss.grad(values[c.outputs], _labels(c, [y])))
 
 
 def backprop_factored(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
@@ -129,34 +123,14 @@ def backprop_factored(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
     alone.  Raises SingularPreActivation where the knowledge map is undefined.
     """
     loss = get_loss(loss)
-    q = net.quiver
+    q, c = net.quiver, net.compiled
     k = knowledge_map(net, x)
-    rep = k.to_representation()
-
-    # full trace of the identity evaluation, not just sink values
-    vals = {}
-    for v in q.topological:
-        if v in set(q.sources):
-            vals[v] = 1.0
-        else:
-            vals[v] = sum(rep.matrices[a.id][0, 0] * vals[a.source] for a in q.arrows_into(v))
-    hidden = set(q.hidden)
-    values, pre = {}, {}
-    x = np.asarray(x, dtype=float).ravel()
-    xval = dict(zip(net.input_vertices, x))
-    for v in q.topological:
-        if v in net.bias:
-            values[v] = 1.0
-        elif v in xval:
-            values[v] = xval[v]
-        elif v in hidden:
-            pre[v] = vals[v]
-            values[v] = ACTIVATIONS[net.activations[v]].fn(vals[v])
-        else:
-            pre[v] = vals[v]
-            values[v] = vals[v]
-    z = np.array([values[v] for v in q.sinks])
-    return _adjoint_sweep(net, ForwardTrace(values=values, pre=pre), loss.grad(z, y))
+    # the identity evaluation on all ones: every source a bias vertex
+    linear = NeuralNetwork(k, dict.fromkeys(q.hidden, "identity"), frozenset(q.sources))
+    ones, _ = linear.compiled.forward(linear.weight_blocks(), np.empty((0, 1)))
+    pre = ones[[linear.compiled.row[v] for v in c.vertices]]
+    values = c.activate(pre, columns([x], c.n_inputs))
+    return _gradient_rep(net, net.weight_blocks(), values, pre, loss.grad(values[c.outputs], _labels(c, [y])))
 
 
 def gradient_transform(g: dict, dw: GradientRep) -> GradientRep:
@@ -180,8 +154,16 @@ class TrainResult:
 
 
 def batch_loss(net: NeuralNetwork, data, loss="mse") -> float:
+    """Mean loss over the samples: one batched forward."""
     loss = get_loss(loss)
-    return float(np.mean([loss.value(forward(net, x)[0], y) for x, y in data]))
+    c = net.compiled
+    values, _ = c.forward(net.weight_blocks(), columns([x for x, _ in data], c.n_inputs))
+    return float(np.mean(loss.value(values[c.outputs], _labels(c, [y for _, y in data]))))
+
+
+def _snapshot(net: NeuralNetwork, w) -> NeuralNetwork:
+    thin = ThinRep(net.quiver, dict(zip(net.compiled.arrows, w.tolist())))
+    return NeuralNetwork(thin, dict(net.activations), net.bias)
 
 
 def train(
@@ -194,31 +176,41 @@ def train(
     on_epoch=None,
 ) -> TrainResult:
     """Full-batch gradient descent; deterministic, gradients averaged over the
-    batch in input order.  Raises DivergenceDetected as soon as a recorded loss
-    is not finite or exceeds `divergence_limit`."""
+    batch.  Each epoch is one batched forward, whose loss is the epoch's
+    recorded loss, and one batched backward.  Raises DivergenceDetected as soon
+    as a recorded loss is not finite or exceeds `divergence_limit`.
+
+    `on_epoch(epoch, current, value)` runs before each update with a validated
+    NeuralNetwork of that epoch's weights (`net` itself at epoch 0); the
+    networks are built only when it is given."""
     if lr < 0:
         raise ShapeMismatch("learning rate must be nonnegative")
     if len(data) == 0:
         raise ShapeMismatch("training data is empty")
     loss = get_loss(loss)
-    weights = dict(net.weights.weights)
+    c = net.compiled
+    x = columns([x for x, _ in data], c.n_inputs)
+    y = _labels(c, [y for _, y in data])
+    w = c.weight_vector(net.weights.weights)
     history = []
     current = net
     for epoch in range(epochs + 1):
-        value = batch_loss(current, data, loss)
+        blocks = c.level_blocks(w)
+        values, pre = c.forward(blocks, x)
+        z = values[c.outputs]
+        value = float(np.mean(loss.value(z, y)))
         history.append(value)
         if not np.isfinite(value) or value > divergence_limit:
             raise DivergenceDetected(epoch, value)
         if epoch == epochs:
             break
         if on_epoch is not None:
+            if current is None:
+                current = _snapshot(net, w)
             on_epoch(epoch, current, value)
-        grads = [backprop(current, x, y, loss) for x, y in data]
-        mean = {
-            aid: float(np.mean([gr.weights[aid] for gr in grads])) for aid in weights
-        }
-        weights = {aid: weights[aid] - lr * mean[aid] for aid in weights}
-        current = NeuralNetwork(
-            ThinRep(net.quiver, weights), dict(net.activations), net.bias
-        )
+        dw, _ = c.backward(blocks, values, pre, loss.grad(z, y))
+        w = w - lr * (dw / len(data))
+        current = None
+    if current is None:
+        current = _snapshot(net, w)
     return TrainResult(network=current, losses=history)

@@ -56,10 +56,22 @@ def representation_from_json(obj, quiver: Quiver = None) -> Representation:
             raise QmnError("representation file has no embedded quiver and none was supplied")
         quiver = quiver_from_json(obj["quiver"])
     try:
-        dims, weights = dict(obj["dims"]), dict(obj["weights"])
+        dims, weights = obj["dims"], obj["weights"]
     except KeyError as exc:
         raise QmnError(f"malformed representation file: missing key {exc}") from exc
-    return Representation(quiver, dims, weights)
+    for key, value in (("dims", dims), ("weights", weights)):
+        if not isinstance(value, dict):
+            raise QmnError(f"malformed representation file: {key!r} is a {type(value).__name__}, not a mapping")
+    for v, d in dims.items():
+        if not isinstance(d, int):
+            raise QmnError(f"malformed representation file: dimension of vertex {v!r} is {d!r}, not an integer")
+    mats = {}
+    for aid, value in weights.items():
+        try:
+            mats[aid] = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise QmnError(f"malformed representation file: weight of arrow {aid!r}: {exc}") from exc
+    return Representation(quiver, dict(dims), mats)
 
 
 def representation_to_json(r: Representation) -> dict:

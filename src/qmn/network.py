@@ -5,10 +5,16 @@ A network is a thin representation on a quiver without parallel arrows plus an
 activation tag per hidden vertex.  Sources split into input and bias vertices;
 bias vertices always emit 1.  Sinks sum their incoming terms with no
 activation applied.
+
+Activated networks are evaluated by one engine, `CompiledNetwork`: the quiver,
+activations and bias set are turned once into index arrays, and a batch of
+inputs is a (vertices, batch) array swept level by level, one matmul and one
+vectorised activation per level.  `forward` is a batch of one.
 """
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -23,29 +29,25 @@ PREACT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Activation:
+    """`fn` and its derivative `dfn`, both elementwise on floats and arrays."""
+
     name: str
     fn: object
     dfn: object
 
 
-def _relu(z):
-    return z if z > 0.0 else 0.0
-
-
-def _drelu(z):
-    # subgradient 0 at the kink
-    return 1.0 if z > 0.0 else 0.0
-
-
 def _sigmoid(z):
-    return 1.0 / (1.0 + math.exp(-z))
+    # exp of a nonpositive argument only, so no z overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 ACTIVATIONS = {
-    "identity": Activation("identity", lambda z: z, lambda z: 1.0),
-    "relu": Activation("relu", _relu, _drelu),
-    "tanh": Activation("tanh", math.tanh, lambda z: 1.0 - math.tanh(z) ** 2),
-    "sigmoid": Activation("sigmoid", _sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
+    "identity": Activation("identity", lambda z: z, np.ones_like),
+    # subgradient 0 at the kink
+    "relu": Activation("relu", lambda z: np.maximum(z, 0.0), lambda z: np.heaviside(z, 0.0)),
+    "tanh": Activation("tanh", np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "sigmoid": Activation("sigmoid", _sigmoid, lambda z: _sigmoid(z) * _sigmoid(-z)),
 }
 
 
@@ -82,6 +84,143 @@ class NeuralNetwork:
     def output_vertices(self):
         return self.quiver.sinks
 
+    @cached_property
+    def compiled(self) -> "CompiledNetwork":
+        """The compiled structure, built on first use from the quiver,
+        activations and bias set as they are then."""
+        return CompiledNetwork(self)
+
+    def weight_blocks(self) -> list:
+        """The compiled per-level weight blocks of the current weights."""
+        return self.compiled.level_blocks(self.compiled.weight_vector(self.weights.weights))
+
+
+@dataclass(frozen=True)
+class _Level:
+    lo: int  # the level reads value rows lo:start
+    start: int  # and writes rows start:stop
+    stop: int
+    rows: np.ndarray  # its arrows scattered into the (stop - start, start - lo) weight block
+    cols: np.ndarray
+    arrows: np.ndarray  # positions of those arrows in the weight vector
+    groups: tuple  # (activation, first row, end row) per run of one non-identity activation
+
+
+class CompiledNetwork:
+    """Index arrays of a network's structure: its quiver, activations and bias
+    set, never its weights.
+
+    Vertices are ordered by longest-path level: the inputs, then the bias
+    vertices, then each later level with its vertices grouped by activation.
+    Values of a batch are (vertices, batch) arrays in that order; `row` maps a
+    vertex to its row and `outputs` holds the sink rows in declaration order.
+    """
+
+    def __init__(self, net: NeuralNetwork):
+        q = net.quiver
+        level = {}
+        for v in q.topological:
+            into = q.arrows_into(v)
+            level[v] = 1 + max(level[a.source] for a in into) if into else 0
+        hidden = set(q.hidden)
+        tag = {v: net.activations[v] if v in hidden else "identity" for v in q.vertices}
+        inputs = net.input_vertices
+        bias = tuple(v for v in q.sources if v in net.bias)
+        later = sorted((v for v in q.topological if level[v] > 0), key=lambda v: (level[v], tag[v]))
+        self.vertices = inputs + bias + tuple(later)
+        self.row = {v: r for r, v in enumerate(self.vertices)}
+        self.n_inputs = len(inputs)
+        self.n_sources = len(inputs) + len(bias)
+        self.arrows = tuple(a.id for a in q.arrows)
+        self.arrow_sources = np.array([self.row[a.source] for a in q.arrows], dtype=np.intp)
+        self.outputs = np.array([self.row[v] for v in q.sinks], dtype=np.intp)
+
+        by_level = {}
+        for k, a in enumerate(q.arrows):
+            by_level.setdefault(level[a.target], []).append(k)
+        levels, start = [], self.n_sources
+        for depth, members in groupby(later, key=level.get):
+            members = list(members)
+            stop = start + len(members)
+            ks = by_level[depth]
+            src = np.array([self.row[q.arrows[k].source] for k in ks], dtype=np.intp)
+            tgt = np.array([self.row[q.arrows[k].target] for k in ks], dtype=np.intp)
+            lo = int(src.min())
+            groups, r = [], start
+            for name, run in groupby(members, key=tag.get):
+                n = len(list(run))
+                if name != "identity":
+                    groups.append((ACTIVATIONS[name], r, r + n))
+                r += n
+            arrows = np.array(ks, dtype=np.intp)
+            levels.append(_Level(lo, start, stop, tgt - start, src - lo, arrows, tuple(groups)))
+            start = stop
+        self.levels = tuple(levels)
+
+    def weight_vector(self, weights: dict) -> np.ndarray:
+        """Arrow weights in declaration order."""
+        return np.fromiter((weights[a] for a in self.arrows), float, len(self.arrows))
+
+    def level_blocks(self, w) -> list:
+        """One dense weight block per level from a weight vector."""
+        blocks = []
+        for lv in self.levels:
+            m = np.zeros((lv.stop - lv.start, lv.start - lv.lo))
+            m[lv.rows, lv.cols] = w[lv.arrows]
+            blocks.append(m)
+        return blocks
+
+    def forward(self, blocks, x) -> tuple:
+        """Evaluate the (inputs, batch) array x.  Returns (values, pre), both
+        (vertices, batch); pre is 0 on sources."""
+        values = np.empty((len(self.vertices), x.shape[1]))
+        pre = np.zeros_like(values)
+        values[: self.n_inputs] = x
+        values[self.n_inputs : self.n_sources] = 1.0
+        for lv, m in zip(self.levels, blocks):
+            np.matmul(m, values[lv.lo : lv.start], out=pre[lv.start : lv.stop])
+            values[lv.start : lv.stop] = pre[lv.start : lv.stop]
+            for act, a, b in lv.groups:
+                values[a:b] = act.fn(pre[a:b])
+        return values, pre
+
+    def activate(self, pre, x) -> np.ndarray:
+        """Vertex values from the pre-activations of the non-source vertices
+        and the inputs x, as `forward` computes them."""
+        values = pre.copy()
+        values[: self.n_inputs] = x
+        values[self.n_inputs : self.n_sources] = 1.0
+        for lv in self.levels:
+            for act, a, b in lv.groups:
+                values[a:b] = act.fn(pre[a:b])
+        return values
+
+    def backward(self, blocks, values, pre, d_out) -> tuple:
+        """Reverse sweep from the (outputs, batch) adjoints d_out.  Returns the
+        weight gradient summed over the batch, in arrow order, and the
+        (vertices, batch) adjoints of the vertex values."""
+        adj = np.zeros_like(values)
+        adj[self.outputs] = d_out
+        dw = np.empty(len(self.arrows))
+        for lv, m in zip(reversed(self.levels), reversed(blocks)):
+            dz = adj[lv.start : lv.stop].copy()
+            for act, a, b in lv.groups:
+                dz[a - lv.start : b - lv.start] *= act.dfn(pre[a:b])
+            adj[lv.lo : lv.start] += m.T @ dz
+            dw[lv.arrows] = (dz @ values[lv.lo : lv.start].T)[lv.rows, lv.cols]
+        return dw, adj
+
+
+def columns(vectors, n, what="inputs") -> np.ndarray:
+    """Stack vectors of length n as the columns of an (n, batch) array."""
+    out = np.empty((n, len(vectors)))
+    for b, vec in enumerate(vectors):
+        vec = np.asarray(vec, dtype=float).ravel()
+        if vec.shape[0] != n:
+            raise ShapeMismatch(f"expected {n} {what}, got {vec.shape[0]}")
+        out[:, b] = vec
+    return out
+
 
 @dataclass
 class ForwardTrace:
@@ -90,38 +229,27 @@ class ForwardTrace:
 
 
 def forward(net: NeuralNetwork, x) -> tuple:
-    """Propagate x through the network in topological order.
+    """Evaluate one input: a batch of one on the compiled network.
 
     Returns (outputs at sinks in declaration order, trace of all vertex values).
     """
-    q = net.quiver
-    x = np.asarray(x, dtype=float).ravel()
-    inputs = net.input_vertices
-    if x.shape[0] != len(inputs):
-        raise ShapeMismatch(f"expected {len(inputs)} inputs, got {x.shape[0]}")
-    xval = dict(zip(inputs, x))
-    values, pre = {}, {}
-    hidden = set(q.hidden)
-    for v in q.topological:
-        if v in net.bias:
-            values[v] = 1.0
-        elif v in xval:
-            values[v] = xval[v]
-        else:
-            z = sum(net.weights.weights[a.id] * values[a.source] for a in q.arrows_into(v))
-            pre[v] = z
-            values[v] = ACTIVATIONS[net.activations[v]].fn(z) if v in hidden else z
-    out = np.array([values[v] for v in q.sinks])
-    return out, ForwardTrace(values=values, pre=pre)
+    c = net.compiled
+    values, pre = c.forward(net.weight_blocks(), columns([x], c.n_inputs))
+    trace = ForwardTrace(
+        values=dict(zip(c.vertices, values[:, 0].tolist())),
+        pre=dict(zip(c.vertices[c.n_sources :], pre[c.n_sources :, 0].tolist())),
+    )
+    return values[c.outputs, 0], trace
 
 
 def linear_forward(rep: Representation, inputs: dict) -> dict:
     """Propagate vectors through a representation with no activations; works for
     any dimension vector.  inputs maps each source to a vector of its dimension."""
     q = rep.quiver
+    sources = set(q.sources)
     vals = {}
     for v in q.topological:
-        if v in set(q.sources):
+        if v in sources:
             vec = np.asarray(inputs[v], dtype=float).reshape(rep.dims[v])
             vals[v] = vec
         else:
@@ -187,24 +315,19 @@ def knowledge_map(net: NeuralNetwork, x, tol=PREACT_TOL) -> ThinRep:
 
     Raises SingularPreActivation when a needed pre-activation vanishes.
     """
-    q = net.quiver
-    _, trace = forward(net, x)
-    weights = {}
-    hidden = set(q.hidden)
-    inputs = set(net.input_vertices)
-    for a in q.arrows:
-        wt = net.weights.weights[a.id]
-        s = a.source
-        if s in inputs:
-            weights[a.id] = wt * trace.values[s]
-        elif s in net.bias:
-            weights[a.id] = wt
-        else:
-            z = trace.pre[s]
-            if abs(z) <= tol:
-                raise SingularPreActivation(s, z)
-            weights[a.id] = wt * trace.values[s] / z
-    return ThinRep(q, weights)
+    c = net.compiled
+    w = c.weight_vector(net.weights.weights)
+    values, pre = c.forward(c.level_blocks(w), columns([x], c.n_inputs))
+    src = c.arrow_sources
+    z = pre[src, 0]
+    hidden = src >= c.n_sources  # sinks are no arrow's source
+    singular = np.flatnonzero(hidden & (np.abs(z) <= tol))
+    if singular.size:
+        k = singular[0]
+        raise SingularPreActivation(c.vertices[src[k]], float(z[k]))
+    k_weights = w * values[src, 0]  # a bias vertex's value is 1
+    k_weights[hidden] /= z[hidden]
+    return ThinRep(net.quiver, dict(zip(c.arrows, k_weights.tolist())))
 
 
 def psi_hat(obj) -> np.ndarray:

@@ -263,3 +263,30 @@ def test_rep_file_without_key_is_invalid_input(capsys, a3_files, tmp_path, missi
 
 def test_rep_directory_is_invalid_input(capsys, tmp_path):
     run_invalid(capsys, "moduli", "coords", "--rep", str(tmp_path))
+
+
+def test_non_numeric_weight_is_invalid_input(capsys, a3_files, tmp_path):
+    _, rpath = a3_files
+    rep = json.loads(open(rpath).read())
+    rep["weights"]["ij"] = "a"
+    err = run_invalid(capsys, "moduli", "coords", "--rep", write_json(tmp_path, "bad.json", rep))
+    assert "'ij'" in err
+
+
+@pytest.mark.parametrize(
+    "dims,named", [([1, 1, 1], "'dims'"), ({"i": "a", "j": 1, "k": 1}, "'i'")], ids=["list", "non-integer"]
+)
+def test_malformed_dims_is_invalid_input(capsys, a3_files, tmp_path, dims, named):
+    _, rpath = a3_files
+    rep = json.loads(open(rpath).read())
+    rep["dims"] = dims
+    err = run_invalid(capsys, "moduli", "coords", "--rep", write_json(tmp_path, "bad.json", rep))
+    assert named in err
+
+
+@pytest.mark.parametrize("z,want", [(-1000.0, 0.0), (1000.0, 2.0)])
+def test_net_eval_saturated_sigmoid(capsys, tmp_path, z, want):
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1.0, 2.0, "sigmoid")))
+    code, out = run(capsys, "--format", "json", "net", "eval", "--net", npath, "--input", repr(z))
+    assert code == 0
+    assert abs(json.loads(out)["output"][0] - want) <= 1e-12

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmn.errors import DivergenceDetected, QmnError, SingularPreActivation
-from qmn.examples import d4tilde_net, random_mlp_net, single_vertex_net
+from qmn.examples import d4tilde_net, random_dag_quiver, random_mlp_net, single_vertex_net
 from qmn.grad import (
     CrossEntropySoftmax,
     GradientRep,
@@ -15,10 +16,11 @@ from qmn.grad import (
     train,
 )
 from qmn.moduli import project
-from qmn.network import ACTIVATIONS, NeuralNetwork, forward, knowledge_map, psi_hat
+from qmn.network import ACTIVATIONS, NeuralNetwork, columns, forward, knowledge_map, psi_hat
+from qmn.quiver import Quiver
 from qmn.thincat import ThinRep
 
-from conftest import fd_gradient
+from conftest import backprop_reference, fd_gradient, forward_reference
 
 
 def test_single_vertex_closed_form():
@@ -323,3 +325,91 @@ def test_train_trajectory_keeps_factorization():
     result = train(net, data, "mse", lr=0.05, epochs=30, on_epoch=on_epoch)
     assert len(coords) > 0
     assert len(result.losses) == 31
+
+
+@pytest.mark.parametrize("x", [-1000.0, 1000.0])
+def test_backprop_saturated_sigmoid(x):
+    net = single_vertex_net(1.0, 2.0, activation="sigmoid")
+    out = 0.0 if x < 0 else 2.0
+    g = backprop(net, [x], [0.5]).weights
+    assert all(np.isfinite(v) for v in g.values())
+    assert g["f"] == 0.0  # the sigmoid is flat there
+    assert abs(g["h"] - 2.0 * (out - 0.5) * out / 2.0) <= 1e-12
+
+
+@st.composite
+def networks(draw):
+    """Layered MLPs and non-layered DAGs (skip arrows, some sources as bias),
+    each hidden vertex with its own activation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        net = random_mlp_net(rng, with_bias=draw(st.booleans()))
+        q, bias = net.quiver, net.bias
+    else:
+        dag = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+        q = Quiver(dag.vertices, dag.arrows, network=True)
+        bias = frozenset(s for s in q.sources if draw(st.integers(0, 3)) == 0)
+    acts = {v: draw(st.sampled_from(sorted(ACTIVATIONS))) for v in q.hidden}
+    weights = {a.id: float(rng.standard_normal()) for a in q.arrows}
+    return NeuralNetwork(ThinRep(q, weights), acts, bias)
+
+
+def close(got, want, scale=None, tol=1e-12):
+    return abs(got - want) <= tol * max(abs(want) if scale is None else scale, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(), st.sampled_from([1, 7]), st.integers(0, 2**32 - 1))
+def test_compiled_engine_matches_scalar_oracles(net, batch, seed):
+    rng = np.random.default_rng(seed)
+    c = net.compiled
+    xs = [rng.standard_normal(c.n_inputs) for _ in range(batch)]
+    ys = [rng.standard_normal(len(c.outputs)) for _ in range(batch)]
+    blocks = net.weight_blocks()
+    values, pre = c.forward(blocks, columns(xs, c.n_inputs))
+    z = values[c.outputs]
+    dw, adj = c.backward(blocks, values, pre, get_loss("mse").grad(z, columns(ys, len(c.outputs))))
+    per_sample, fd = [], []
+    for b, (x, y) in enumerate(zip(xs, ys)):
+        out, trace = forward_reference(net, x)
+        assert all(close(got, want) for got, want in zip(z[:, b], out))
+        assert all(close(values[c.row[v], b], val) for v, val in trace.values.items())
+        assert all(close(pre[c.row[v], b], p) for v, p in trace.pre.items())
+        ref = backprop_reference(net, x, y)
+        assert all(close(adj[c.row[v], b], a) for v, a in ref.vertex_adjoints.items())
+        per_sample.append(ref.weights)
+        kinks = [p for v, p in trace.pre.items() if net.activations.get(v) == "relu"]
+        if not kinks or min(map(abs, kinks)) > 1e-3:  # two-sided differences need a smooth point
+            fd.append((ref.weights, fd_gradient(net, x, y)))
+    single = backprop(net, xs[0], ys[0]).weights
+    assert all(close(single[aid], per_sample[0][aid]) for aid in c.arrows)
+    for k, aid in enumerate(c.arrows):
+        terms = [g[aid] for g in per_sample]
+        want = sum(terms) / batch
+        assert close(dw[k] / batch, want, scale=sum(map(abs, terms)) / batch)
+        for g, g_fd in fd:
+            assert close(g[aid], g_fd[aid], tol=1e-5)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_train_matches_reference_loop(activation):
+    """200 d4tilde epochs of `train` against per-sample gradient descent on the
+    scalar oracles."""
+    rng = np.random.default_rng(12)
+    net = d4tilde_net(rng=rng, activation=activation)
+    data = [(rng.standard_normal(3), rng.standard_normal(2)) for _ in range(8)]
+    loss, lr, epochs = get_loss("mse"), 0.05, 200
+    result = train(net, data, "mse", lr=lr, epochs=epochs)
+    weights, losses, current = dict(net.weights.weights), [], net
+    for epoch in range(epochs + 1):
+        losses.append(np.mean([loss.value(forward_reference(current, x)[0], y) for x, y in data]))
+        if epoch == epochs:
+            break
+        grads = [backprop_reference(current, x, y).weights for x, y in data]
+        weights = {aid: weights[aid] - lr * np.mean([g[aid] for g in grads]) for aid in weights}
+        current = NeuralNetwork(ThinRep(net.quiver, weights), dict(net.activations), net.bias)
+    got = np.array([result.network.weights.weights[aid] for aid in weights])
+    want = np.array(list(weights.values()))
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    assert np.abs(np.array(result.losses) - losses).max() <= 1e-9 * max(losses)
+    assert losses[-1] < losses[0]

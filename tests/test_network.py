@@ -13,6 +13,7 @@ from qmn.examples import (
 )
 from qmn.moduli import project
 from qmn.network import (
+    ACTIVATIONS,
     NeuralNetwork,
     forward,
     in_matrix,
@@ -234,3 +235,16 @@ def test_forward_trace_consistency():
         assert trace.values[v] == pytest.approx(act_fn(trace.pre[v]))
     for v in net.bias:
         assert trace.values[v] == 1.0
+
+
+def test_sigmoid_saturates_without_overflow():
+    sig = ACTIVATIONS["sigmoid"]
+    z = np.array([-1000.0, -800.0, 0.0, 800.0, 1000.0])
+    assert np.array_equal(sig.fn(z), [0.0, 0.0, 0.5, 1.0, 1.0])
+    assert np.array_equal(sig.dfn(z), [0.0, 0.0, 0.25, 0.0, 0.0])
+    assert sig.fn(-1000.0) == 0.0 and sig.dfn(-800.0) == 0.0
+    net = single_vertex_net(1.0, 2.0, activation="sigmoid")
+    for x, want in ((-1000.0, 0.0), (1000.0, 2.0)):
+        out, trace = forward(net, [x])
+        assert abs(out[0] - want) <= 1e-12
+        assert trace.pre["v"] == x
