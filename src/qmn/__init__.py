@@ -23,7 +23,6 @@ from .moduli import (
     is_simple,
     moduli_dimension,
     project,
-    semisimplify,
     simple_rep_exists,
     verify_resolution_point,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "is_simple",
     "moduli_dimension",
     "project",
-    "semisimplify",
     "simple_rep_exists",
     "verify_resolution_point",
     "ThinRep",

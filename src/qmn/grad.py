@@ -163,7 +163,7 @@ def batch_loss(net: NeuralNetwork, data, loss="mse") -> float:
 
 def _snapshot(net: NeuralNetwork, w) -> NeuralNetwork:
     thin = ThinRep(net.quiver, dict(zip(net.compiled.arrows, w.tolist())))
-    return NeuralNetwork(thin, dict(net.activations), net.bias)
+    return NeuralNetwork(thin, net.activations, net.bias)
 
 
 def train(

@@ -105,9 +105,13 @@ def network_from_json(obj, quiver: Quiver = None) -> NeuralNetwork:
         qj["network"] = True
         quiver = quiver_from_json(qj)
     thin = thin_from_json({**obj, "quiver": quiver_to_json(quiver)}, quiver)
-    bias = set(obj.get("bias", []))
-    bias |= {v for v, r in quiver.roles.items() if r == "bias"}
-    activations = dict(obj.get("activations", {}))
+    activations, bias = obj.get("activations", {}), obj.get("bias", [])
+    if not isinstance(activations, dict) or not all(isinstance(t, str) for t in activations.values()):
+        raise QmnError("malformed network file: 'activations' is not a mapping of vertices to tags")
+    if not isinstance(bias, list) or not all(isinstance(v, str) for v in bias):
+        raise QmnError("malformed network file: 'bias' is not a list of vertex names")
+    bias = set(bias) | {v for v, r in quiver.roles.items() if r == "bias"}
+    activations = dict(activations)
     for v in quiver.hidden:
         activations.setdefault(v, "identity")
     return NeuralNetwork(thin, activations, frozenset(bias))

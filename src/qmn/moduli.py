@@ -242,13 +242,6 @@ def moduli_dimension(q: Quiver, dims: dict) -> ModuliDimension:
 # --- closed orbits ----------------------------------------------------------
 
 
-def semisimplify(t: DoubleFramedTriple, tol=linalg.RANK_TOL):
-    """Invariants of the closed orbit in the closure of t's orbit: the moduli
-    point and its rank vector."""
-    m = project(t)
-    return m.rank_vector(tol), m
-
-
 def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFramedTriple:
     """Canonical triple with a closed orbit projecting to m.
 
@@ -383,56 +376,3 @@ def resolution_data(t: DoubleFramedTriple, m: ModuliPoint = None) -> dict:
         collected = np.hstack(blocks) if blocks else np.zeros((t.dims[i], 0))
         out[i] = linalg.null(collected)
     return out
-
-
-# --- separation witness (thin case) ----------------------------------------
-
-
-def recover_thin_gauge(t1: DoubleFramedTriple, t2: DoubleFramedTriple, tol=1e-9, zero_tol=1e-12):
-    """Solve for a hidden gauge carrying t1 to t2, scalar dims only.
-
-    Seeds each g_i from a nonzero framing entry, propagates through nonzero
-    hidden weights, then verifies.  Returns the gauge dict or None.
-    """
-    q = t1.quiver
-    if any(t1.dims[i] != 1 for i in q.hidden):
-        raise ShapeMismatch("gauge recovery is implemented for thin hidden dimensions only")
-    g = {}
-    for i in q.hidden:
-        for k in range(t1.framing.u[i]):
-            if abs(t1.f[i][0, k]) > zero_tol:
-                g[i] = t2.f[i][0, k] / t1.f[i][0, k]
-                break
-        else:
-            for l in range(t1.framing.w[i]):
-                if abs(t2.h[i][l, 0]) > zero_tol:
-                    g[i] = t1.h[i][l, 0] / t2.h[i][l, 0]
-                    break
-    hq = q.hidden_quiver()
-    for _ in range(len(q.hidden) + 1):
-        progressed = False
-        for a in hq.arrows:
-            v1 = t1.hidden_matrices[a.id][0, 0]
-            v2 = t2.hidden_matrices[a.id][0, 0]
-            if a.source in g and a.target not in g and abs(v1) > zero_tol:
-                g[a.target] = v2 * g[a.source] / v1
-                progressed = True
-            if a.target in g and a.source not in g and abs(v2) > zero_tol:
-                g[a.source] = g[a.target] * v1 / v2
-                progressed = True
-        if not progressed:
-            break
-    for i in q.hidden:
-        if i not in g or abs(g[i]) < zero_tol:
-            return None
-    gauge = {i: np.array([[g[i]]]) for i in q.hidden}
-    from .rep import act
-
-    moved = act(gauge, t1)
-    for a in hq.arrows:
-        if linalg.rel_err(moved.hidden_matrices[a.id], t2.hidden_matrices[a.id]) > tol:
-            return None
-    for i in q.hidden:
-        if linalg.rel_err(moved.f[i], t2.f[i]) > tol or linalg.rel_err(moved.h[i], t2.h[i]) > tol:
-            return None
-    return gauge

@@ -12,9 +12,11 @@ inputs is a (vertices, batch) array swept level by level, one matmul and one
 vectorised activation per level.  `forward` is a batch of one.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,10 +53,13 @@ ACTIVATIONS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeuralNetwork:
+    """Frozen, with a read-only copy of `activations`, so the cached
+    `compiled` structure cannot go stale."""
+
     weights: ThinRep
-    activations: dict
+    activations: Mapping
     bias: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -64,7 +69,8 @@ class NeuralNetwork:
             raise ShapeMismatch("network quivers do not allow parallel arrows")
         if q.direct_source_sink_arrows():
             raise UnframableArrow("network quivers may not connect a source directly to a sink")
-        self.bias = frozenset(self.bias)
+        object.__setattr__(self, "activations", MappingProxyType(dict(self.activations)))
+        object.__setattr__(self, "bias", frozenset(self.bias))
         if not self.bias <= set(q.sources):
             raise ShapeMismatch("bias vertices must be sources")
         for v in q.hidden:
@@ -87,7 +93,7 @@ class NeuralNetwork:
     @cached_property
     def compiled(self) -> "CompiledNetwork":
         """The compiled structure, built on first use from the quiver,
-        activations and bias set as they are then."""
+        activations and bias set."""
         return CompiledNetwork(self)
 
     def weight_blocks(self) -> list:

@@ -72,13 +72,13 @@ class DoubleFramedTriple:
 
     def __post_init__(self):
         hq = self.quiver.hidden_quiver()
-        for a in hq.arrows:
-            self.hidden_matrices[a.id] = as_matrix(
-                self.hidden_matrices[a.id], self.dims[a.target], self.dims[a.source]
-            )
-        for i in self.quiver.hidden:
-            self.f[i] = as_matrix(self.f[i], self.dims[i], self.framing.u[i])
-            self.h[i] = as_matrix(self.h[i], self.framing.w[i], self.dims[i])
+        self.hidden_matrices = {
+            a.id: as_matrix(self.hidden_matrices[a.id], self.dims[a.target], self.dims[a.source])
+            for a in hq.arrows
+        }
+        hidden = self.quiver.hidden
+        self.f = {i: as_matrix(self.f[i], self.dims[i], self.framing.u[i]) for i in hidden}
+        self.h = {i: as_matrix(self.h[i], self.framing.w[i], self.dims[i]) for i in hidden}
 
     def hidden_dims(self):
         return {i: self.dims[i] for i in self.quiver.hidden}
@@ -136,10 +136,6 @@ def check_gauge_block(g, vertex):
     if scale == 0.0 or abs(np.linalg.det(g)) < GAUGE_DET_TOL * scale**d:
         raise SingularGauge(f"gauge block at {vertex!r} is numerically singular")
     return g
-
-
-def identity_gauge(t: DoubleFramedTriple) -> dict:
-    return {i: np.eye(t.dims[i]) for i in t.quiver.hidden}
 
 
 def compose_gauge(g1: dict, g2: dict) -> dict:

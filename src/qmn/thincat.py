@@ -96,24 +96,37 @@ def check_morphism(g: dict, a: ThinRep, b: ThinRep, tol=1e-9) -> MorphismReport:
 
 
 def solve_morphism(a: ThinRep, b: ThinRep, tol=1e-9) -> dict | None:
-    """Search for a morphism a -> b by propagating g from the boundary
-    (where g = 1) along arrows with nonzero source weight.
+    """Search for a morphism a -> b.  Starting from g = 1 at sources and
+    sinks, the relation g_t a = b g_s fixes g_t from g_s where a != 0
+    (forward) and g_s from g_t where b != 0 (backward); both are propagated
+    until nothing changes.  Each vertex still unset then seeds its component
+    with g = 1, which loses nothing: there the relations are homogeneous.
 
-    Vertices never reached keep g = 1.  Returns the scalar family when all
-    intertwining constraints hold, else None.
+    Every propagated value is forced by the relations, so an invertible
+    morphism is found whenever one exists.  Returns the scalar family when
+    all intertwining constraints hold, else None.
     """
     _same_quiver(a, b)
     q = a.quiver
-    g = {v: 1.0 for v in q.sources + q.sinks}
-    for _ in range(len(q.vertices)):
-        progressed = False
-        for ar in q.arrows:
-            if ar.source in g and ar.target not in g and abs(a.weights[ar.id]) > ZERO_WEIGHT_TOL:
-                g[ar.target] = b.weights[ar.id] * g[ar.source] / a.weights[ar.id]
-                progressed = True
-        if not progressed:
-            break
+    g = {}
+
+    def propagate(seeds):
+        stack = list(seeds)
+        g.update(dict.fromkeys(seeds, 1.0))
+        while stack:
+            v = stack.pop()
+            for ar in q.arrows_out_of(v):
+                if ar.target not in g and abs(a.weights[ar.id]) > ZERO_WEIGHT_TOL:
+                    g[ar.target] = b.weights[ar.id] * g[v] / a.weights[ar.id]
+                    stack.append(ar.target)
+            for ar in q.arrows_into(v):
+                if ar.source not in g and abs(b.weights[ar.id]) > ZERO_WEIGHT_TOL:
+                    g[ar.source] = a.weights[ar.id] * g[v] / b.weights[ar.id]
+                    stack.append(ar.source)
+
+    propagate(q.sources + q.sinks)
     for v in q.vertices:
-        g.setdefault(v, 1.0)
+        if v not in g:
+            propagate([v])
     report = check_morphism(g, a, b, tol)
     return g if report.valid else None

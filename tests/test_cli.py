@@ -5,7 +5,7 @@ import pytest
 
 from qmn import io
 from qmn.cli import main
-from qmn.examples import quiver_a3, quiver_d4tilde, single_vertex_net
+from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, single_vertex_net
 from qmn.thincat import ThinRep, unit
 
 
@@ -76,6 +76,16 @@ def test_thin_commands(capsys, tmp_path):
     assert json.loads(out)["invertible"] is True
     code, out = run(capsys, "--format", "json", "thin", "morphism", a, a)
     assert json.loads(out)["invertible"] is True
+
+
+def test_thin_morphism_propagates_backward(capsys, tmp_path):
+    q = quiver_single_vertex()
+    a = write_json(tmp_path, "a.json", io.thin_to_json(ThinRep(q, {"f": 0.0, "h": 2.0})))
+    b = write_json(tmp_path, "b.json", io.thin_to_json(ThinRep(q, {"f": 0.0, "h": 1.0})))
+    code, out = run(capsys, "--format", "json", "thin", "morphism", a, b)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["invertible"] is True and payload["morphism"]["v"] == 2.0
 
 
 def test_net_eval_and_knowledge(capsys, tmp_path):
@@ -290,3 +300,12 @@ def test_net_eval_saturated_sigmoid(capsys, tmp_path, z, want):
     code, out = run(capsys, "--format", "json", "net", "eval", "--net", npath, "--input", repr(z))
     assert code == 0
     assert abs(json.loads(out)["output"][0] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("key,value", [("activations", ["relu"]), ("bias", 5)], ids=["activations-list", "bias-int"])
+def test_malformed_network_file_is_invalid_input(capsys, tmp_path, key, value):
+    payload = io.network_to_json(single_vertex_net(1.0, 1.0))
+    payload[key] = value
+    npath = write_json(tmp_path, "bad.json", payload)
+    err = run_invalid(capsys, "net", "eval", "--net", npath, "--input", "1")
+    assert f"'{key}'" in err

@@ -23,14 +23,13 @@ from qmn.moduli import (
     moduli_dimension,
     path_matrix,
     project,
-    recover_thin_gauge,
     resolution_data,
-    semisimplify,
     simple_rep_exists,
     verify_resolution_point,
 )
 from qmn.quiver import Path, Quiver, enumerate_paths, framing_data
-from qmn.rep import Representation, act, random_gauge, random_triple, split
+from qmn.rep import Representation, act, join, random_gauge, random_triple, split
+from qmn.thincat import ThinRep, solve_morphism
 
 
 def thin_rep(q, weights):
@@ -291,8 +290,7 @@ def test_moduli_dimension_values():
 def test_semisimplify_simple_triple_has_full_rank():
     rng = np.random.default_rng(11)
     t = random_triple(quiver_d4tilde(), thin_dims(quiver_d4tilde()), rng)
-    rank, point = semisimplify(t)
-    assert rank == {v: 1 for v in t.quiver.hidden}
+    assert project(t).rank_vector() == {v: 1 for v in t.quiver.hidden}
     assert is_simple(t)
 
 
@@ -303,8 +301,8 @@ def test_semisimplify_zero_triple():
     for i in t.quiver.hidden:
         t.f[i] = np.zeros_like(t.f[i])
         t.h[i] = np.zeros_like(t.h[i])
-    rank, point = semisimplify(t)
-    assert rank == {v: 0 for v in t.quiver.hidden}
+    point = project(t)
+    assert point.rank_vector() == {v: 0 for v in t.quiver.hidden}
     rep = closed_orbit_representative(point)
     assert all(np.allclose(m, 0) for m in rep.hidden_matrices.values())
 
@@ -393,6 +391,10 @@ def test_resolution_point_codimension_check():
         verify_resolution_point(subspaces, m)
 
 
+def thin_of(t):
+    return ThinRep(t.quiver, {aid: float(m[0, 0]) for aid, m in join(t).matrices.items()})
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_separation_recovers_gauge_on_thin_simple_points(seed):
     q = quiver_d4tilde()
@@ -401,9 +403,11 @@ def test_separation_recovers_gauge_on_thin_simple_points(seed):
     t1 = random_triple(q, dims, rng)
     g = random_gauge(q, dims, rng)
     t2 = act(g, t1)
-    found = recover_thin_gauge(t1, t2)
+    found = solve_morphism(thin_of(t1), thin_of(t2))
     assert found is not None
-    moved = act(found, t1)
+    moved = act({i: found[i] for i in q.hidden}, t1)
+    for aid, m in moved.hidden_matrices.items():
+        assert np.allclose(m, t2.hidden_matrices[aid], atol=1e-9)
     for i in q.hidden:
         assert np.allclose(moved.f[i], t2.f[i], atol=1e-9)
         assert np.allclose(moved.h[i], t2.h[i], atol=1e-9)
@@ -414,7 +418,7 @@ def test_separation_rejects_different_orbits():
     dims = thin_dims(q)
     t1 = random_triple(q, dims, np.random.default_rng(1))
     t2 = random_triple(q, dims, np.random.default_rng(2))
-    assert recover_thin_gauge(t1, t2) is None
+    assert solve_morphism(thin_of(t1), thin_of(t2)) is None
 
 
 @pytest.mark.parametrize("seed", range(10))

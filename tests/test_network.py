@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,16 @@ def test_sigmoid_saturates_without_overflow():
         out, trace = forward(net, [x])
         assert abs(out[0] - want) <= 1e-12
         assert trace.pre["v"] == x
+
+
+def test_network_is_frozen_after_first_forward():
+    acts = {"v": "relu"}
+    net = NeuralNetwork(single_vertex_net(1.0, 1.0).weights, acts)
+    assert forward(net, [-1.0])[0].tolist() == [0.0]
+    acts["v"] = "identity"
+    with pytest.raises(TypeError):
+        net.activations["v"] = "identity"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.bias = frozenset({"s"})
+    assert net.activations == {"v": "relu"}
+    assert forward(net, [-1.0])[0].tolist() == [0.0]

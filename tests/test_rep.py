@@ -3,8 +3,9 @@ import pytest
 
 from qmn.errors import ShapeMismatch, SingularGauge, UnframableArrow
 from qmn.examples import d4tilde_triple, quiver_a3, quiver_d4tilde, quiver_single_vertex, thin_dims
-from qmn.quiver import Quiver
+from qmn.quiver import Quiver, framing_data
 from qmn.rep import (
+    DoubleFramedTriple,
     Representation,
     act,
     compose_gauge,
@@ -211,3 +212,16 @@ def test_deframed_quiver_has_oriented_cycle(quiver_fn):
     q = quiver_fn()
     dq = deframe(q, thin_dims(q))
     assert _has_directed_cycle(dq.vertices, dq.arrows)
+
+
+def test_triple_construction_leaves_caller_dicts_untouched():
+    q = quiver_d4tilde()
+    fr = framing_data(q, thin_dims(q))
+    hidden = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
+    f = {i: [1.0] * fr.u[i] for i in q.hidden}
+    h = {i: [2.0] * fr.w[i] for i in q.hidden}
+    t = DoubleFramedTriple(q, thin_dims(q), hidden, f, h, fr)
+    for given in (hidden, f, h):
+        assert not any(isinstance(v, np.ndarray) for v in given.values())
+    assert t.hidden_matrices["a"].shape == (1, 1)
+    assert t.f["v1"].shape == (1, 2) and t.h["v4"].shape == (2, 1)

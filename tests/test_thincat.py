@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmn import linalg
 from qmn.errors import QuiverMismatch, ShapeMismatch
-from qmn.examples import quiver_a3, quiver_d4tilde, thin_dims
+from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, random_dag_quiver, thin_dims
 from qmn.moduli import is_semistable, is_simple, project
-from qmn.rep import act, random_gauge
+from qmn.quiver import Quiver
+from qmn.rep import act, join, random_gauge
 from qmn.thincat import (
     ThinRep,
     check_morphism,
@@ -138,6 +140,62 @@ def test_groupoid_on_simples(seed):
 
     other = rand_thin(D4, rng, 0.5, 1.5)
     assert solve_morphism(a, other) is None
+
+
+def test_morphism_found_by_backward_propagation():
+    """g_v = 2 is only reachable from the sink: the source arrow is zero on both sides."""
+    q = quiver_single_vertex()
+    a, b = ThinRep(q, {"f": 0.0, "h": 2.0}), ThinRep(q, {"f": 0.0, "h": 1.0})
+    solved = solve_morphism(a, b)
+    assert solved is not None and solved["v"] == 2.0
+    assert check_morphism(solved, a, b).invertible
+
+
+def test_identity_found_on_all_zero_weights():
+    q = quiver_single_vertex()
+    t = ThinRep(q, {"f": 0.0, "h": 0.0})
+    solved = solve_morphism(t, t)
+    assert solved is not None and check_morphism(solved, t, t).invertible
+
+
+def test_free_component_is_seeded_once():
+    """With both framing arrows zero, h0 and h1 are cut off from the boundary;
+    one seed must fix the pair, since the free scale cannot be chosen twice."""
+    q = Quiver(["s", "h0", "h1", "t"], [("in", "s", "h0"), ("e", "h0", "h1"), ("out", "h1", "t")])
+    a = ThinRep(q, {"in": 0.0, "e": 1.0, "out": 0.0})
+    b = ThinRep(q, {"in": 0.0, "e": 3.0, "out": 0.0})
+    solved = solve_morphism(a, b)
+    assert solved is not None and check_morphism(solved, a, b).invertible
+    assert solved["h1"] == 3.0 * solved["h0"]
+
+
+@st.composite
+def gauge_pairs(draw):
+    """A thin rep on a random DAG with 1-5 hidden vertices and about 30% zero
+    weights, its image under a random hidden gauge, and an independent rep."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 5)))
+
+    def sparse():
+        return ThinRep(q, {a.id: 0.0 if rng.random() < 0.3 else float(rng.standard_normal()) for a in q.arrows})
+
+    a = sparse()
+    moved = act(random_gauge(q, thin_dims(q), rng), a.to_triple())
+    b = ThinRep(q, {aid: float(m[0, 0]) for aid, m in join(moved).matrices.items()})
+    return a, b, sparse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauge_pairs())
+def test_solve_morphism_finds_every_gauge_isomorphism(pairs):
+    a, b, other = pairs
+    solved = solve_morphism(a, b)
+    assert solved is not None and check_morphism(solved, a, b).invertible
+    moved = join(act({i: solved[i] for i in a.quiver.hidden}, a.to_triple()))
+    for aid, m in moved.matrices.items():
+        assert linalg.rel_err(m[0, 0], b.weights[aid]) <= 1e-9
+    found = solve_morphism(a, other)
+    assert found is None or check_morphism(found, a, other).valid
 
 
 def test_stability_under_tensor():
