@@ -64,7 +64,7 @@ class DivergenceDetected(QmnError):
 
 class NoConvergence(QmnError):
     def __init__(self, iterations, residual):
-        super().__init__(f"no convergence after {iterations} sweeps, residual {residual:.3e}")
+        super().__init__(f"no convergence after {iterations} steps, residual {residual:.3e}")
         self.iterations = iterations
         self.residual = residual
 

@@ -98,8 +98,13 @@ class ModuliPoint:
         return m
 
     def rank_vector(self, tol=linalg.RANK_TOL):
+        """Numerical rank of each q^(i), taken after equilibrating its rows
+        and columns so that blocks of very different scale do not hide rank."""
         index = self._block_index()
-        return {i: linalg.num_rank(self._vertex_block(i, index), tol) for i in self.quiver.hidden}
+        return {
+            i: linalg.num_rank(linalg.equilibrate(self._vertex_block(i, index)), tol)
+            for i in self.quiver.hidden
+        }
 
 
 def path_matrix(t: DoubleFramedTriple, p: Path):

@@ -11,8 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, ShapeMismatch
+from .errors import NoConvergence, QmnError, ShapeMismatch
 from .rep import DoubleFramedTriple, act
+
+EPS = np.finfo(float).eps
+# |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i is rounding, with M_i the sum of
+# the magnitudes that make up mu_i
+ROUNDING_FLOOR = 16
 
 
 @dataclass
@@ -80,57 +85,73 @@ class BalanceResult:
 
 
 def balance(
-    t: DoubleFramedTriple, target: float, tol=1e-8, max_sweeps=10**4
+    t: DoubleFramedTriple, target: float, tol=1e-8, max_sweeps=500
 ) -> BalanceResult:
     """Find positive scalars g_i with the momentum of g . t on the target level.
 
-    Cyclic coordinate descent: with the other factors frozen, the vertex value
-    is A s - B / s in s = g_i^2, monotone in s, so each update is exact.
-    Raises NoConvergence when the residual stalls above tol (for instance when
-    no positive-gauge representative exists on that level set).
+    Damped Newton (one dense solve and an Armijo line search per step; `sweeps`
+    counts steps) on the convex potential of x_i = log g_i^2, Phi(x) = sum_a c_a
+    + sum_i (|f_i|^2 e^x_i + |h_i|^2 e^-x_i - target x_i) with c_a = V_a^2
+    e^(x_t - x_s), whose gradient is mu(g . t) - target.  With M_i the Hessian
+    diagonal, |f_i|^2 e^x_i + |h_i|^2 e^-x_i plus the c_a at i, it stops at the
+    rounding floor |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i, or when a
+    full step with every residual below sqrt(EPS) * M_i no longer lowers them,
+    and accepts when each is within max(tol, that floor).  Raises NoConvergence
+    after max_sweeps steps or when no step makes progress (an unreachable
+    level), and QmnError on a non-finite target or a negative or non-finite tol.
     """
     q = t.quiver
     if any(t.dims[i] != 1 for i in q.hidden):
         raise ShapeMismatch("balancing is implemented for thin hidden dimensions")
-    hq = q.hidden_quiver()
-    target = float(target)
-    s = {i: 1.0 for i in q.hidden}  # squared gauge factors
+    target, tol = float(target), float(tol)
+    if not (math.isfinite(target) and math.isfinite(tol) and tol >= 0.0):
+        raise QmnError(f"balance needs a finite target and a finite tol >= 0, got {target}, {tol}")
+    hidden, arrows = q.hidden, q.hidden_quiver().arrows
+    n, index = len(hidden), {v: k for k, v in enumerate(hidden)}
+    src = np.array([index[a.source] for a in arrows], dtype=np.intp)
+    tgt = np.array([index[a.target] for a in arrows], dtype=np.intp)
+    w2 = np.array([t.hidden_matrices[a.id][0, 0] ** 2 for a in arrows])
+    fw, hw = (np.array([np.sum(m[i] ** 2) for i in hidden]) for m in (t.f, t.h))
+    weighted = fw + hw + np.bincount(tgt, w2, n) + np.bincount(src, w2, n) > 0.0
 
-    def vertex_masses(i):
-        a = float(np.sum(t.f[i] ** 2))
-        for ar in hq.arrows_into(i):
-            a += t.hidden_matrices[ar.id][0, 0] ** 2 / s[ar.source]
-        b = float(np.sum(t.h[i] ** 2))
-        for ar in hq.arrows_out_of(i):
-            b += t.hidden_matrices[ar.id][0, 0] ** 2 * s[ar.target]
-        return a, b
+    @np.errstate(all="ignore")
+    def point(x):
+        # x, Phi, mu - target, c, M and the worst |mu_i - target| / M_i; M = 1
+        # where a vertex has no weights, an underflowed M elsewhere gives nan
+        s = np.exp(x)
+        c = w2 * np.exp(x[tgt] - x[src])
+        fs, hs = fw * s, hw / s
+        cin, cout = np.bincount(tgt, c, n), np.bincount(src, c, n)
+        mass = np.where(weighted, fs + hs + cin + cout, 1.0)
+        grad = fs - hs + cin - cout - target
+        phi = fs.sum() + hs.sum() + c.sum() - target * x.sum()
+        return x, phi, grad, c, mass, float(np.max(np.abs(grad) / mass, initial=0.0))
 
     def residual():
-        worst = 0.0
-        for i in q.hidden:
-            a, b = vertex_masses(i)
-            worst = max(worst, abs(a * s[i] - b / s[i] - target))
-        return worst
+        return float(np.max(np.abs(cur[2]), initial=0.0))
 
-    sweeps = 0
-    res = residual()
-    prev = None
-    for sweeps in range(1, max_sweeps + 1):
-        for i in q.hidden:
-            a, b = vertex_masses(i)
-            if a > 0.0:
-                s[i] = (target + math.sqrt(target**2 + 4.0 * a * b)) / (2.0 * a)
-                if s[i] <= 0.0:
-                    # target <= 0 with b == 0: the level is unreachable here
-                    s[i] = 1.0
-            elif b > 0.0 and target < 0.0:
-                s[i] = b / (-target)
-            # a == 0, b == 0, or unreachable sign: leave s[i]; residual decides
-        res = residual()
-        if res <= tol or res == prev:
-            break
-        prev = res
-    if res > tol:
-        raise NoConvergence(sweeps, res)
-    gauge = {i: np.array([[math.sqrt(s[i])]]) for i in q.hidden}
-    return BalanceResult(gauge=gauge, triple=act(gauge, t), sweeps=sweeps, residual=res)
+    cur, steps = point(np.zeros(n)), 0
+    while not cur[5] <= ROUNDING_FLOOR * EPS:
+        x, phi, grad, c, mass, worst = cur
+        if steps == max_sweeps:
+            raise NoConvergence(steps, residual())
+        off = np.bincount(src * n + tgt, c, n * n).reshape(n, n)
+        try:
+            dx = np.linalg.solve(np.diag(mass) - off - off.T, -grad)
+        except np.linalg.LinAlgError:
+            raise NoConvergence(steps, residual()) from None
+        step, new = 1.0, point(x + dx)
+        if worst <= math.sqrt(EPS) and not new[5] < worst:
+            break  # quadratic phase at the rounding floor: the step cannot help
+        # a full step that lowers the residual is kept without Armijo: near the
+        # minimum the decrease of Phi falls below Phi's own rounding
+        while not (step == 1.0 and new[5] < worst or new[1] <= phi + 1e-4 * step * (grad @ dx)):
+            step *= 0.5
+            if step < 1e-12:
+                raise NoConvergence(steps, residual())
+            new = point(x + step * dx)
+        cur, steps = new, steps + 1
+    if not np.all(np.abs(cur[2]) <= np.maximum(tol, ROUNDING_FLOOR * EPS * cur[4])):
+        raise NoConvergence(steps, residual())
+    gauge = {i: np.array([[math.exp(0.5 * xi)]]) for i, xi in zip(hidden, cur[0])}
+    return BalanceResult(gauge=gauge, triple=act(gauge, t), sweeps=steps, residual=residual())

@@ -99,8 +99,10 @@ def solve_morphism(a: ThinRep, b: ThinRep, tol=1e-9) -> dict | None:
     """Search for a morphism a -> b.  Starting from g = 1 at sources and
     sinks, the relation g_t a = b g_s fixes g_t from g_s where a != 0
     (forward) and g_s from g_t where b != 0 (backward); both are propagated
-    until nothing changes.  Each vertex still unset then seeds its component
-    with g = 1, which loses nothing: there the relations are homogeneous.
+    until nothing changes; so are the zeros forced where only a (g_t = 0) or
+    only b (g_s = 0) is nonzero.  Each vertex still unset then seeds its
+    component with g = 1, which loses nothing: there the relations are
+    homogeneous.
 
     Every propagated value is forced by the relations, so an invertible
     morphism is found whenever one exists.  Returns the scalar family when
@@ -110,9 +112,9 @@ def solve_morphism(a: ThinRep, b: ThinRep, tol=1e-9) -> dict | None:
     q = a.quiver
     g = {}
 
-    def propagate(seeds):
+    def propagate(seeds, value=1.0):
         stack = list(seeds)
-        g.update(dict.fromkeys(seeds, 1.0))
+        g.update(dict.fromkeys(seeds, value))
         while stack:
             v = stack.pop()
             for ar in q.arrows_out_of(v):
@@ -125,6 +127,10 @@ def solve_morphism(a: ThinRep, b: ThinRep, tol=1e-9) -> dict | None:
                     stack.append(ar.source)
 
     propagate(q.sources + q.sinks)
+    for ar in q.arrows:
+        wa, wb = (abs(w.weights[ar.id]) > ZERO_WEIGHT_TOL for w in (a, b))
+        if wa != wb and (forced := ar.target if wa else ar.source) not in g:
+            propagate([forced], 0.0)
     for v in q.vertices:
         if v not in g:
             propagate([v])

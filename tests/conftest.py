@@ -1,12 +1,16 @@
 """Shared helpers for the test suite: oracle utilities and small fixture quivers."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qmn.errors import ShapeMismatch
+from qmn.errors import NoConvergence, ShapeMismatch
 from qmn.grad import GradientRep, get_loss
 from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork
 from qmn.quiver import Quiver
+from qmn.relu import BalanceResult
+from qmn.rep import DoubleFramedTriple, act
 from qmn.thincat import ThinRep
 
 ACCEPTANCE_LINES = []
@@ -109,6 +113,73 @@ def brute_force_paths(hq, start, end, max_len=None):
                     nxt.append((a.target, arrows + (a.id,)))
         frontier = nxt
     return sorted(results)
+
+
+def balance_reference(
+    t: DoubleFramedTriple, target: float, tol=1e-8, max_sweeps=10**4
+) -> BalanceResult:
+    """Find positive scalars g_i with the momentum of g . t on the target level.
+
+    Cyclic coordinate descent: with the other factors frozen, the vertex value
+    is A s - B / s in s = g_i^2, monotone in s, so each update is exact.
+    Raises NoConvergence when the residual stalls above tol.  The slow
+    reference that `relu.balance` (Newton on the same potential) replaced.
+    """
+    q = t.quiver
+    if any(t.dims[i] != 1 for i in q.hidden):
+        raise ShapeMismatch("balancing is implemented for thin hidden dimensions")
+    hq = q.hidden_quiver()
+    target = float(target)
+    s = {i: 1.0 for i in q.hidden}  # squared gauge factors
+
+    def vertex_masses(i):
+        a = float(np.sum(t.f[i] ** 2))
+        for ar in hq.arrows_into(i):
+            a += t.hidden_matrices[ar.id][0, 0] ** 2 / s[ar.source]
+        b = float(np.sum(t.h[i] ** 2))
+        for ar in hq.arrows_out_of(i):
+            b += t.hidden_matrices[ar.id][0, 0] ** 2 * s[ar.target]
+        return a, b
+
+    def residual():
+        worst = 0.0
+        for i in q.hidden:
+            a, b = vertex_masses(i)
+            worst = max(worst, abs(a * s[i] - b / s[i] - target))
+        return worst
+
+    sweeps = 0
+    res = residual()
+    prev = None
+    for sweeps in range(1, max_sweeps + 1):
+        for i in q.hidden:
+            a, b = vertex_masses(i)
+            if a > 0.0:
+                s[i] = (target + math.sqrt(target**2 + 4.0 * a * b)) / (2.0 * a)
+                if s[i] <= 0.0:
+                    # target <= 0 with b == 0: the level is unreachable here
+                    s[i] = 1.0
+            elif b > 0.0 and target < 0.0:
+                s[i] = b / (-target)
+            # a == 0, b == 0, or unreachable sign: leave s[i]; residual decides
+        res = residual()
+        if res <= tol or res == prev:
+            break
+        prev = res
+    if res > tol:
+        raise NoConvergence(sweeps, res)
+    gauge = {i: np.array([[math.sqrt(s[i])]]) for i in q.hidden}
+    return BalanceResult(gauge=gauge, triple=act(gauge, t), sweeps=sweeps, residual=res)
+
+
+def layered_quiver(widths, network=False):
+    """Fully connected layered quiver; the first and last layers are the
+    sources and sinks.  Vertex `L{k}_{j}` is unit j of layer k."""
+    layers = [[f"L{k}_{j}" for j in range(w)] for k, w in enumerate(widths)]
+    arrows = [
+        (f"{s}>{t}", s, t) for lo, hi in zip(layers, layers[1:]) for s in lo for t in hi
+    ]
+    return Quiver([v for layer in layers for v in layer], arrows, network=network)
 
 
 @pytest.fixture

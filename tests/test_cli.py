@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import layered_quiver
 
 from qmn import io
 from qmn.cli import main
@@ -170,8 +171,36 @@ def test_relu_momentum_and_balance(capsys, tmp_path):
 def test_relu_balance_numeric_failure_exit_code(capsys, tmp_path):
     net = single_vertex_net(1.0, 0.0)
     rpath = write_json(tmp_path, "rep.json", io.thin_to_json(net.weights))
-    code, _ = run(capsys, "relu", "balance", "--rep", rpath, "--target", "0")
-    assert code == 3
+    for target in ("0", "-1"):
+        code, _ = run(capsys, "relu", "balance", "--rep", rpath, "--target", target)
+        assert code == 3
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [["--target", "nan"], ["--target", "inf"], ["--target", "0", "--tol", "-1"], ["--target", "0", "--tol", "nan"]],
+    ids=["target-nan", "target-inf", "tol-negative", "tol-nan"],
+)
+def test_relu_balance_bad_number_is_invalid_input(capsys, tmp_path, numbers):
+    rpath = write_json(tmp_path, "rep.json", io.thin_to_json(single_vertex_net(4.0, 1.0).weights))
+    code = main(["relu", "balance", "--rep", rpath, *numbers])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("invalid input:")
+
+
+def test_relu_balance_badly_scaled_weights(capsys, tmp_path):
+    """Weights spread over 10^+-4 on 32-128-128-16: balanced to the rounding
+    floor, though the residual is above the absolute default tol."""
+    q = layered_quiver([32, 128, 128, 16])
+    rng = np.random.default_rng(5)
+    thin = ThinRep(q, {a.id: 10 ** rng.uniform(-4, 4) for a in q.arrows})
+    rpath = write_json(tmp_path, "rep.json", io.thin_to_json(thin))
+    code, out = run(capsys, "--format", "json", "relu", "balance", "--rep", rpath, "--target", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert 1e-8 < payload["residual"] < 1e-6
+    assert all(g > 0.0 for g in payload["gauge"].values())
 
 
 def test_usage_error_exit_code(capsys):

@@ -154,6 +154,32 @@ def test_rank_vector_generic_thin(seed):
     assert m.rank_vector() == {v: 1 for v in q.hidden}
 
 
+def test_rank_vector_full_under_mixed_block_scales():
+    """One hidden vertex of dimension 3 whose framing maps mix scales 1 and
+    10^3: h f has relative singular values near 1e-8 although h and f are
+    both well conditioned, and the point is simple."""
+    q = Quiver(
+        ["s0", "s1", "x", "t0", "t1"],
+        [("in0", "s0", "x"), ("in1", "s1", "x"), ("out0", "x", "t0"), ("out1", "x", "t1")],
+    )
+    dims = {"s0": 1, "s1": 2, "x": 3, "t0": 2, "t1": 1}
+    mats = {
+        "in0": np.array([[2.87195931], [-0.0774229825], [-0.339237495]]),
+        "in1": np.array(
+            [[-2305.97423, 757.946210], [183.337444, 1241.95888], [568.152399, -387.798972]]
+        ),
+        "out0": np.array(
+            [[1055.75445, 833.798896, 193.409216], [-240.797446, -1613.69914, 120.349423]]
+        ),
+        "out1": np.array([[0.531297626, 1.06583859, 0.0801840953]]),
+    }
+    t = split(Representation(q, dims, mats))
+    m = project(t)
+    assert linalg.num_rank(m.vertex_block("x")) == 2  # the unscaled block reads as rank 2
+    assert is_simple(t)
+    assert m.rank_vector() == {"x": 3}
+
+
 def test_is_simple_a3():
     q = quiver_a3()
     assert is_simple(thin_rep(q, {"ij": 1.3, "jk": -0.7}))
@@ -215,13 +241,15 @@ def degenerate_triples(draw):
 @given(degenerate_triples())
 def test_stability_matches_path_oracles(t):
     """The sweep agrees with the enumerated-path definitions: semistable iff the
-    path images V_w f span every V_i, simple iff the rank vector is full."""
+    path images V_w f span every V_i, simple iff the rank vector is full.  The
+    span is measured on unit-norm image columns, since one path may carry
+    weights 10^6 times those of another."""
     m = project(t)
     spanned = True
     for i in t.quiver.hidden:
         images = [path_matrix(t, p) @ t.f[p.start] for p in m.in_paths(i)]
         stacked = np.hstack(images) if images else np.zeros((t.dims[i], 0))
-        spanned &= linalg.num_rank(stacked) == t.dims[i]
+        spanned &= linalg.num_rank(linalg.equilibrate(stacked)) == t.dims[i]
     assert is_semistable(t) == spanned
     assert is_simple(t) == (m.rank_vector() == t.hidden_dims())
 

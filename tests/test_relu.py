@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import balance_reference, layered_quiver
 from hypothesis import given, settings, strategies as st
 
 from qmn.errors import NoConvergence, ShapeMismatch
-from qmn.examples import d4tilde_triple, quiver_d4tilde, single_vertex_net
+from qmn.examples import d4tilde_triple, quiver_d4tilde, random_dag_quiver, single_vertex_net
 from qmn.network import forward
-from qmn.relu import balance, level_set_membership, momentum
+from qmn.relu import EPS, ROUNDING_FLOOR, balance, level_set_membership, momentum
 from qmn.rep import act, random_triple
 from qmn.thincat import ThinRep
 
@@ -83,8 +84,27 @@ def test_balance_fixpoint_when_already_balanced():
 def test_balance_unreachable_level():
     res = balance(sv_triple(1.0, 0.0), 1.0)
     assert float(res.gauge["v"][0, 0]) == pytest.approx(1.0)
+    # mu = f^2 s > target for every s > 0: |mu - target| / M stays >= 1, also
+    # once f^2 s underflows
+    for f, target in ((1.0, 0.0), (1.0, -1.0), (1e-160, 0.0)):
+        with pytest.raises(NoConvergence):
+            balance(sv_triple(f, 0.0), target)
+
+
+def test_balance_tol_bounds_a_stalled_residual():
+    """Without weights the momentum stays 0, so a target of 1e-9 stalls at
+    residual 1e-9: within the default tol, beyond tol = 0."""
+    res = balance(sv_triple(0.0, 0.0), 1e-9)
+    assert res.residual == pytest.approx(1e-9) and res.gauge["v"][0, 0] == 1.0
     with pytest.raises(NoConvergence):
-        balance(sv_triple(1.0, 0.0), 0.0)
+        balance(sv_triple(0.0, 0.0), 1e-9, tol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_balance_non_finite_residual_is_not_converged():
+    """|f|^2 overflows: the residual is not finite and must not pass as zero."""
+    with pytest.raises(NoConvergence):
+        balance(sv_triple(1e200, 1.0), 0.0)
 
 
 @pytest.mark.parametrize("target", [0.0, 1.0])
@@ -145,3 +165,66 @@ def test_balance_rejects_nonthin():
     t = random_triple(q, dims, np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
         balance(t, 0.0)
+
+
+def vertex_masses(t):
+    """M_i: the sum of the magnitudes of the terms of the thin momentum mu_i."""
+    hq = t.quiver.hidden_quiver()
+    mass = {i: float(np.sum(t.f[i] ** 2) + np.sum(t.h[i] ** 2)) for i in t.quiver.hidden}
+    for a in hq.arrows:
+        w2 = float(t.hidden_matrices[a.id][0, 0] ** 2)
+        mass[a.source] += w2
+        mass[a.target] += w2
+    return mass
+
+
+def positive_layered_triple(widths, rng, weight):
+    q = layered_quiver(widths)
+    return ThinRep(q, {a.id: weight(rng) for a in q.arrows}).to_triple()
+
+
+@st.composite
+def positive_thin_triples(draw):
+    """Thin triples with weights in [0.5, 2] on a random DAG with 1-6 hidden
+    vertices or on a layered quiver with 1-3 hidden layers of width 1-4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    else:
+        q = layered_quiver(draw(st.lists(st.integers(1, 4), min_size=3, max_size=5)))
+    return ThinRep(q, {a.id: float(rng.uniform(0.5, 2.0)) for a in q.arrows}).to_triple()
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_thin_triples(), st.sampled_from([0.0, 1.0]))
+def test_balance_matches_coordinate_descent_reference(t, target):
+    res = balance(t, target)
+    assert level_set_membership(res.triple, target).all_member()
+    ref = balance_reference(t, target, tol=1e-12)
+    for i in t.quiver.hidden:
+        g, want = float(res.gauge[i][0, 0]), float(ref.gauge[i][0, 0])
+        assert g > 0.0 and abs(g - want) <= 1e-7 * want
+
+
+def test_balance_badly_scaled_weights():
+    """Weights spread over 10^+-4 (squares up to 1e8): the residual meets the
+    rounding floor near 1e-7, above the absolute tol, yet the gauge balances."""
+    rng = np.random.default_rng(5)
+    t = positive_layered_triple([32, 128, 128, 16], rng, lambda r: 10 ** r.uniform(-4, 4))
+    res = balance(t, 0.0)
+    mu, mass = momentum(res.triple).scalars(), vertex_masses(res.triple)
+    assert max(abs(m) for m in mu.values()) > 1e-8  # beyond an absolute 1e-8
+    for i, m in mu.items():
+        assert abs(m) <= ROUNDING_FLOOR * EPS * mass[i]
+        assert res.gauge[i][0, 0] > 0.0
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0])
+def test_balance_deep_narrow_quiver_takes_few_newton_steps(target):
+    """13 layers of width 4: cyclic coordinate descent takes hundreds of
+    sweeps here; Newton's step count does not grow with depth."""
+    rng = np.random.default_rng(13)
+    t = positive_layered_triple([4] * 13, rng, lambda r: r.uniform(0.5, 2.0))
+    res = balance(t, target)
+    assert res.sweeps <= 20
+    assert level_set_membership(res.triple, target).all_member()

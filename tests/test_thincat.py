@@ -169,6 +169,19 @@ def test_free_component_is_seeded_once():
     assert solved["h1"] == 3.0 * solved["h0"]
 
 
+@pytest.mark.parametrize("order", [["s", "h0", "h1", "t"], ["s", "h1", "h0", "t"]], ids=["h0-first", "h1-first"])
+def test_forced_zero_found_in_any_vertex_order(order):
+    """e is nonzero in a and zero in b, which forces g_h1 = 0; h0 is free.  The
+    valid morphism (1, 1, 0, 1) must not depend on which hidden vertex is
+    declared first."""
+    q = Quiver(order, [("in", "s", "h0"), ("e", "h0", "h1"), ("out", "h1", "t")])
+    a = ThinRep(q, {"in": 0.0, "e": 1.0, "out": 0.0})
+    b = ThinRep(q, {"in": 0.0, "e": 0.0, "out": 0.0})
+    solved = solve_morphism(a, b)
+    assert solved is not None and check_morphism(solved, a, b).valid
+    assert solved == {"s": 1.0, "h0": 1.0, "h1": 0.0, "t": 1.0}
+
+
 @st.composite
 def gauge_pairs(draw):
     """A thin rep on a random DAG with 1-5 hidden vertices and about 30% zero
