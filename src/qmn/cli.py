@@ -308,6 +308,8 @@ def cmd_net(args):
                 json.dump(io.network_to_json(result.network), fh, sort_keys=True)
         return {"final_loss": result.losses[-1], "epochs": args.epochs, "losses_head": result.losses[:5]}
     if args.sub == "gradcheck":
+        if not (np.isfinite(args.tol) and args.tol >= 0):
+            raise QmnError(f"--tol must be finite and >= 0, got {args.tol}")
         net = io.network_from_json(args.net, io.quiver_from_json(args.quiver) if args.quiver else None)
         rng = np.random.default_rng(args.seed)
         x = rng.standard_normal(len(net.input_vertices))
@@ -433,7 +435,7 @@ def main(argv=None) -> int:
     except (NoConvergence, DivergenceDetected, SingularPreActivation) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (QmnError, OSError, json.JSONDecodeError) as exc:
+    except (QmnError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.format)

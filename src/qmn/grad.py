@@ -178,13 +178,17 @@ def train(
     """Full-batch gradient descent; deterministic, gradients averaged over the
     batch.  Each epoch is one batched forward, whose loss is the epoch's
     recorded loss, and one batched backward.  Raises DivergenceDetected as soon
-    as a recorded loss is not finite or exceeds `divergence_limit`.
+    as a recorded loss is not finite or exceeds `divergence_limit`, and
+    ShapeMismatch on empty data, negative `epochs` or an `lr` that is not a
+    finite number >= 0.
 
     `on_epoch(epoch, current, value)` runs before each update with a validated
     NeuralNetwork of that epoch's weights (`net` itself at epoch 0); the
     networks are built only when it is given."""
-    if lr < 0:
-        raise ShapeMismatch("learning rate must be nonnegative")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ShapeMismatch(f"learning rate must be a finite number >= 0, got {lr}")
+    if epochs < 0:
+        raise ShapeMismatch(f"epochs must be >= 0, got {epochs}")
     if len(data) == 0:
         raise ShapeMismatch("training data is empty")
     loss = get_loss(loss)

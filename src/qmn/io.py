@@ -14,6 +14,7 @@ explicitly takes precedence.
 
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -24,20 +25,46 @@ from .rep import Representation
 from .thincat import ThinRep
 
 
-def _load(path_or_obj):
-    if isinstance(path_or_obj, dict):
-        return path_or_obj
-    with open(path_or_obj) as fh:
-        return json.load(fh)
+def _load(path_or_obj, kind):
+    """The top-level mapping of a file path or an already parsed object."""
+    obj = path_or_obj
+    if isinstance(path_or_obj, (str, os.PathLike)):
+        with open(path_or_obj) as fh:
+            obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise QmnError(f"malformed {kind} file: a {type(obj).__name__}, not a mapping")
+    return obj
+
+
+def _list_of(value, kind):
+    return isinstance(value, list) and all(isinstance(x, kind) for x in value)
+
+
+def _embedded_quiver(obj, kind):
+    """The quiver mapping embedded in a representation or network file; only
+    a top-level argument is ever opened as a path."""
+    if "quiver" not in obj:
+        raise QmnError(f"{kind} file has no embedded quiver and none was supplied")
+    if not isinstance(obj["quiver"], dict):
+        raise QmnError(f"malformed {kind} file: embedded quiver is not a mapping")
+    return obj["quiver"]
 
 
 def quiver_from_json(obj) -> Quiver:
-    obj = _load(obj)
+    obj = _load(obj, "quiver")
     try:
-        arrows = [(a["id"], a["from"], a["to"]) for a in obj["arrows"]]
-        return Quiver(obj["vertices"], arrows, roles=obj.get("roles"), network=obj.get("network", False))
+        vertices, arrows = obj["vertices"], obj["arrows"]
+        if not _list_of(arrows, dict):
+            raise QmnError("malformed quiver file: 'arrows' is not a list of mappings")
+        arrows = [(a["id"], a["from"], a["to"]) for a in arrows]
     except KeyError as exc:
         raise QmnError(f"malformed quiver file: missing key {exc}") from exc
+    if not (_list_of(vertices, str) and all(isinstance(x, str) for a in arrows for x in a)):
+        raise QmnError("malformed quiver file: vertex and arrow names must be strings")
+    roles = obj.get("roles")
+    if roles is not None and not isinstance(roles, dict):
+        raise QmnError("malformed quiver file: 'roles' is not a mapping")
+    return Quiver(vertices, arrows, roles=roles, network=obj.get("network", False))
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -50,11 +77,9 @@ def quiver_to_json(q: Quiver) -> dict:
 
 
 def representation_from_json(obj, quiver: Quiver = None) -> Representation:
-    obj = _load(obj)
+    obj = _load(obj, "representation")
     if quiver is None:
-        if "quiver" not in obj:
-            raise QmnError("representation file has no embedded quiver and none was supplied")
-        quiver = quiver_from_json(obj["quiver"])
+        quiver = quiver_from_json(_embedded_quiver(obj, "representation"))
     try:
         dims, weights = obj["dims"], obj["weights"]
     except KeyError as exc:
@@ -71,6 +96,8 @@ def representation_from_json(obj, quiver: Quiver = None) -> Representation:
             mats[aid] = np.asarray(value, dtype=float)
         except (TypeError, ValueError) as exc:
             raise QmnError(f"malformed representation file: weight of arrow {aid!r}: {exc}") from exc
+        if not np.all(np.isfinite(mats[aid])):
+            raise QmnError(f"malformed representation file: weight of arrow {aid!r} is not finite")
     return Representation(quiver, dict(dims), mats)
 
 
@@ -97,13 +124,9 @@ def thin_to_json(t: ThinRep) -> dict:
 
 
 def network_from_json(obj, quiver: Quiver = None) -> NeuralNetwork:
-    obj = _load(obj)
+    obj = _load(obj, "network")
     if quiver is None:
-        if "quiver" not in obj:
-            raise QmnError("network file has no embedded quiver and none was supplied")
-        qj = dict(obj["quiver"])
-        qj["network"] = True
-        quiver = quiver_from_json(qj)
+        quiver = quiver_from_json({**_embedded_quiver(obj, "network"), "network": True})
     thin = thin_from_json({**obj, "quiver": quiver_to_json(quiver)}, quiver)
     activations, bias = obj.get("activations", {}), obj.get("bias", [])
     if not isinstance(activations, dict) or not all(isinstance(t, str) for t in activations.values()):

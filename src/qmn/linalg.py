@@ -9,7 +9,6 @@ import numpy as np
 
 RANK_TOL = 1e-8
 SUBSPACE_TOL = 1e-10
-_TINY = np.finfo(float).tiny  # norm floor: zero rows and columns stay zero
 
 
 def num_rank(a, tol=RANK_TOL):
@@ -21,19 +20,6 @@ def num_rank(a, tol=RANK_TOL):
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
-
-
-def equilibrate(a):
-    """Rows, then columns, of a scaled to unit norm; zero ones stay zero.
-
-    Diagonal scaling keeps the rank, but it removes the spread that row and
-    column scales of 10^k put into the singular values of a product of blocks,
-    which a relative rank tolerance would otherwise read as lost rank."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return a
-    a = a / np.maximum(np.sqrt(np.einsum("ij,ij->i", a, a)), _TINY)[:, None]
-    return a / np.maximum(np.sqrt(np.einsum("ij,ij->j", a, a)), _TINY)
 
 
 def orth(a, tol=SUBSPACE_TOL):

@@ -8,12 +8,13 @@ exactly on simple points.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import CodimensionMismatch, ShapeMismatch
-from .quiver import DEFAULT_PATH_CAP, Path, Quiver, all_hidden_paths
+from .errors import CodimensionMismatch, QmnError
+from .quiver import Path, Quiver, all_hidden_paths
 from .rep import DoubleFramedTriple, deframe, rep_space_dim, gauge_dim
 
 
@@ -24,7 +25,10 @@ class ModuliPoint:
 
     blocks[w] has shape (w_end, u_start); paths between unframed endpoints are
     not stored.  `paths` holds every hidden path for every ordered vertex pair
-    (needed to assemble the per-vertex blocks q^(i)).
+    (needed to assemble the per-vertex blocks q^(i)).  `triple` is the triple
+    the point was projected from, a representative of the orbit; the ranks are
+    read from its path spans, computed on first use, so the triple must not be
+    mutated after `project`.
     """
 
     quiver: Quiver
@@ -32,6 +36,11 @@ class ModuliPoint:
     framing: object
     paths: dict
     blocks: dict
+    triple: DoubleFramedTriple
+
+    @cached_property
+    def _spans(self):
+        return _path_spans(self.triple)
 
     # --- layout helpers -------------------------------------------------
 
@@ -98,13 +107,13 @@ class ModuliPoint:
         return m
 
     def rank_vector(self, tol=linalg.RANK_TOL):
-        """Numerical rank of each q^(i), taken after equilibrating its rows
-        and columns so that blocks of very different scale do not hide rank."""
-        index = self._block_index()
-        return {
-            i: linalg.num_rank(linalg.equilibrate(self._vertex_block(i, index)), tol)
-            for i in self.quiver.hidden
-        }
+        """Numerical rank of each q^(i), which factors through V_i as path
+        co-images times path images: the number of cosines of principal angles
+        between the two orthonormal spans above tol times the largest."""
+        if not 0.0 <= tol < 1.0:
+            raise QmnError(f"rank tolerance must lie in [0, 1), got {tol}")
+        images, coimages = self._spans
+        return {i: linalg.num_rank(coimages[i].T @ images[i], tol) for i in self.quiver.hidden}
 
 
 def path_matrix(t: DoubleFramedTriple, p: Path):
@@ -114,14 +123,14 @@ def path_matrix(t: DoubleFramedTriple, p: Path):
     return m
 
 
-def project(t: DoubleFramedTriple, cap: int = DEFAULT_PATH_CAP) -> ModuliPoint:
+def project(t: DoubleFramedTriple) -> ModuliPoint:
     """Quotient map: blocks h_j V_w f_i for every hidden path w between framed
     vertices; the lazy path at i contributes h_i f_i.  Each image V_w f_i is one
     arrow past the image of its prefix, which ends earlier in topological order."""
     q = t.quiver
     fr = t.framing
     hq = q.hidden_quiver()
-    paths = all_hidden_paths(hq, cap)
+    paths = all_hidden_paths(hq)
     mats = t.hidden_matrices
     blocks = {}
     for i in q.hidden:
@@ -134,7 +143,7 @@ def project(t: DoubleFramedTriple, cap: int = DEFAULT_PATH_CAP) -> ModuliPoint:
                     images[p.arrows] = mats[p.arrows[-1]] @ images[p.arrows[:-1]]
                 if fr.w[j]:
                     blocks[p] = t.h[j] @ images[p.arrows]
-    return ModuliPoint(q, dict(t.dims), fr, paths, blocks)
+    return ModuliPoint(q, dict(t.dims), fr, paths, blocks, t)
 
 
 # --- stability and simplicity -------------------------------------------
@@ -252,14 +261,16 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
 
     The image of each q^(i) (inside the stacked out-path space) carries an
     induced representation by path shifts; we take orthonormal coordinates on
-    it, pad with a zero complement up to d_i, and read f from the lazy in-slot
-    and h from the lazy out-slot.
+    it, the leading m.rank_vector(tol)[i] left singular vectors of q^(i), pad
+    with a zero complement up to d_i, and read f from the lazy in-slot and h
+    from the lazy out-slot.
     """
     q = m.quiver
     u, w = m.framing.u, m.framing.w
     dims = m.dims
     basis, outs, out_off, qblock = {}, {}, {}, {}
     index = m._block_index()
+    ranks = m.rank_vector(tol)
     for i in q.hidden:
         outs[i] = m.out_paths(i)
         off, offs = 0, {}
@@ -268,12 +279,7 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
             off += w[p.end]
         out_off[i] = offs
         qi = qblock[i] = m._vertex_block(i, index)
-        b = linalg.orth(qi, tol)
-        if b.shape[1] > dims[i]:
-            raise ShapeMismatch(
-                f"rank {b.shape[1]} at vertex {i!r} exceeds hidden dimension {dims[i]}"
-            )
-        basis[i] = b
+        basis[i] = np.linalg.svd(qi, full_matrices=False)[0][:, : ranks[i]]
 
     hidden_mats = {}
     for a in q.hidden_quiver().arrows:

@@ -7,11 +7,12 @@ when no weight vanishes.  Morphisms are scalar tuples fixed to 1 at sources
 and sinks that intertwine the weights.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuiverMismatch, ShapeMismatch
+from .errors import QmnError, QuiverMismatch, ShapeMismatch
 from .quiver import Quiver
 
 ZERO_WEIGHT_TOL = 1e-12
@@ -79,7 +80,10 @@ class MorphismReport:
 
 def check_morphism(g: dict, a: ThinRep, b: ThinRep, tol=1e-9) -> MorphismReport:
     """Verify the boundary condition (g = 1 at sources and sinks) and the
-    intertwining relation g_t * a_edge = b_edge * g_s on every arrow."""
+    intertwining relation g_t * a_edge = b_edge * g_s on every arrow.  Raises
+    QmnError on a tol that is not a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise QmnError(f"morphism tolerance must be finite and >= 0, got {tol}")
     _same_quiver(a, b)
     q = a.quiver
     worst = 0.0
@@ -106,7 +110,8 @@ def solve_morphism(a: ThinRep, b: ThinRep, tol=1e-9) -> dict | None:
 
     Every propagated value is forced by the relations, so an invertible
     morphism is found whenever one exists.  Returns the scalar family when
-    all intertwining constraints hold, else None.
+    all intertwining constraints hold, else None.  `check_morphism` decides
+    that, and rejects a tol out of range.
     """
     _same_quiver(a, b)
     q = a.quiver

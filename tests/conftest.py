@@ -7,6 +7,8 @@ import pytest
 
 from qmn.errors import NoConvergence, ShapeMismatch
 from qmn.grad import GradientRep, get_loss
+from qmn.linalg import RANK_TOL, num_rank
+from qmn.moduli import ModuliPoint
 from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork
 from qmn.quiver import Quiver
 from qmn.relu import BalanceResult
@@ -113,6 +115,27 @@ def brute_force_paths(hq, start, end, max_len=None):
                     nxt.append((a.target, arrows + (a.id,)))
         frontier = nxt
     return sorted(results)
+
+
+def equilibrate(a):
+    """Rows, then columns, of a scaled to unit norm; zero ones stay zero.
+
+    Diagonal scaling keeps the rank, but it removes the spread that row and
+    column scales of 10^k put into the singular values of a product of blocks,
+    which a relative rank tolerance would otherwise read as lost rank."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return a
+    tiny = np.finfo(float).tiny  # norm floor: zero rows and columns stay zero
+    a = a / np.maximum(np.sqrt(np.einsum("ij,ij->i", a, a)), tiny)[:, None]
+    return a / np.maximum(np.sqrt(np.einsum("ij,ij->j", a, a)), tiny)
+
+
+def path_rank_vector(m: ModuliPoint, tol=RANK_TOL) -> dict:
+    """Numerical rank of each vertex block q^(i), assembled from the enumerated
+    path blocks and equilibrated first.  The rank the path-span reading of
+    `ModuliPoint.rank_vector` replaced; its independent oracle."""
+    return {i: num_rank(equilibrate(m.vertex_block(i)), tol) for i in m.quiver.hidden}
 
 
 def balance_reference(

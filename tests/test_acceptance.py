@@ -31,7 +31,7 @@ from qmn.relu import balance, level_set_membership, momentum
 from qmn.rep import Representation, act, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, inverse, is_invertible, tensor, unit
 
-from conftest import ACCEPTANCE_LINES, fd_gradient
+from conftest import ACCEPTANCE_LINES, fd_gradient, path_rank_vector
 
 
 def report(num, ok, text):
@@ -100,12 +100,12 @@ def test_criterion_03_simplicity_iff_full_rank(diamond_quiver, ten_arrow_quiver)
         for combo in itertools.product([0.0, 1.0], repeat=len(arrows)):
             t = split(Representation(q, dims, dict(zip(arrows, combo))))
             total += 1
-            if is_simple(t) != (project(t).rank_vector() == full):
+            if is_simple(t) != (path_rank_vector(project(t)) == full):
                 disagreements += 1
     report(
         3,
         disagreements == 0,
-        f"sweep simplicity equals full-rank test on {total} exhaustive 0/1 triples",
+        f"sweep simplicity equals enumerated-path full-rank test on {total} exhaustive 0/1 triples",
     )
 
 

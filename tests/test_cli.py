@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io as stdio
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import layered_quiver
+from hypothesis import given, settings, strategies as st
 
 from qmn import io
 from qmn.cli import main
@@ -203,6 +210,127 @@ def test_relu_balance_badly_scaled_weights(capsys, tmp_path):
     assert all(g > 0.0 for g in payload["gauge"].values())
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1"])
+def test_moduli_rank_bad_tol_is_invalid_input(capsys, a3_files, tol):
+    _, rpath = a3_files
+    assert "rank tolerance" in run_invalid(capsys, "moduli", "rank", "--rep", rpath, "--tol", tol)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_thin_morphism_bad_tol_is_invalid_input(capsys, tmp_path, tol):
+    a = write_json(tmp_path, "a.json", io.thin_to_json(unit(quiver_d4tilde())))
+    assert "morphism tolerance" in run_invalid(capsys, "thin", "morphism", a, a, "--tol", tol)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_net_gradcheck_bad_tol_is_invalid_input(capsys, tmp_path, tol):
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1.2, -0.8)))
+    assert "--tol" in run_invalid(capsys, "net", "gradcheck", "--net", npath, "--tol", tol)
+
+
+@pytest.mark.parametrize(
+    "numbers,named",
+    [(["--epochs", "-1"], "epochs"), (["--lr", "nan"], "learning rate"),
+     (["--lr", "inf"], "learning rate"), (["--lr", "-0.1"], "learning rate")],
+    ids=["epochs-negative", "lr-nan", "lr-inf", "lr-negative"],
+)
+def test_net_train_bad_number_is_invalid_input(capsys, tmp_path, numbers, named):
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1.0, 1.0)))
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("1.0,2.0\n")
+    assert named in run_invalid(capsys, "net", "train", "--net", npath, "--data", str(dpath), *numbers)
+
+
+README_QUIVER = {
+    "vertices": ["s", "v", "t"],
+    "arrows": [{"id": "f", "from": "s", "to": "v"}, {"id": "h", "from": "v", "to": "t"}],
+    "roles": {"s": "input", "t": "output"},
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[README_QUIVER], {**README_QUIVER, "arrows": [["f", "s", "v"], ["h", "v", "t"]]},
+     {**README_QUIVER, "vertices": "svt"}],
+    ids=["top-level-list", "arrow-list", "vertices-string"],
+)
+def test_malformed_quiver_file_is_invalid_input(capsys, tmp_path, payload):
+    qpath = write_json(tmp_path, "q.json", payload)
+    assert "malformed quiver file" in run_invalid(capsys, "validate", "--quiver", qpath)
+
+
+@pytest.mark.parametrize(
+    "kind,argv",
+    [("representation", ["moduli", "coords", "--rep"]), ("network", ["net", "eval", "--input", "1", "--net"])],
+    ids=["representation", "network"],
+)
+def test_embedded_quiver_path_is_not_opened(capsys, tmp_path, monkeypatch, kind, argv):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "q.json", README_QUIVER)
+    doc = {"quiver": "q.json", "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": 2.0, "h": 3.0}}
+    path = write_json(tmp_path, "doc.json", doc)
+    err = run_invalid(capsys, *argv, path)
+    assert f"malformed {kind} file: embedded quiver is not a mapping" in err
+
+
+FUZZ_DOCS = [
+    README_QUIVER,
+    {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": [[2.0]], "h": 3.0}},
+    io.network_to_json(single_vertex_net(2.0, 3.0)),
+]
+FUZZ_VALUES = ["x", 2.5, 7, -1, True, None, [], {}, ["x"], {"x": 1}]
+FUZZ_COMMANDS = [
+    ["validate", "--quiver"],
+    ["moduli", "coords", "--rep"],
+    ["moduli", "rank", "--rep"],
+    ["net", "eval", "--input", "1", "--net"],
+    ["relu", "balance", "--target", "0", "--rep"],
+]
+
+
+def json_nodes(doc, path=()):
+    """Paths to every node of a JSON document, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from json_nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_docs(draw):
+    """A README-format quiver, representation or network file with one node
+    dropped, replaced by a value of another type, or replaced by NaN."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    path = draw(st.sampled_from(list(json_nodes(doc))))
+    action = draw(st.sampled_from(["drop", "swap", "nan"]))
+    value = draw(st.sampled_from(FUZZ_VALUES)) if action == "swap" else math.nan
+    if not path:
+        return {} if action == "drop" else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_docs())
+def test_cli_fuzz_malformed_files(doc):
+    """Every command either works or reports the bad input; none crashes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        for argv in FUZZ_COMMANDS:
+            out, err = stdio.StringIO(), stdio.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, str(path)])
+            assert code in (0, 2, 3), (argv, doc, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["moduli", "unknown-sub"]) == 1
     assert main(["--definitely-not-a-flag"]) == 1
@@ -302,6 +430,12 @@ def test_rep_file_without_key_is_invalid_input(capsys, a3_files, tmp_path, missi
 
 def test_rep_directory_is_invalid_input(capsys, tmp_path):
     run_invalid(capsys, "moduli", "coords", "--rep", str(tmp_path))
+
+
+def test_non_utf8_file_is_invalid_input(capsys, tmp_path):
+    qpath = tmp_path / "q.json"
+    qpath.write_bytes(b'\xff\xfe{"vertices": []}')
+    run_invalid(capsys, "validate", "--quiver", str(qpath))
 
 
 def test_non_numeric_weight_is_invalid_input(capsys, a3_files, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmn import linalg
-from qmn.errors import CodimensionMismatch
+from qmn.errors import CodimensionMismatch, QmnError
 from qmn.examples import (
     d4tilde_template,
     d4tilde_triple,
@@ -30,6 +30,8 @@ from qmn.moduli import (
 from qmn.quiver import Path, Quiver, enumerate_paths, framing_data
 from qmn.rep import Representation, act, join, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
+
+from conftest import equilibrate, path_rank_vector
 
 
 def thin_rep(q, weights):
@@ -124,9 +126,9 @@ def test_vertex_block_empty_in_paths():
     doctored_framing = FramingData(
         u={"x": 0, "y": 0}, w=fr.w, in_slots={"x": (), "y": ()}, out_slots=fr.out_slots
     )
-    doctored = ModuliPoint(q, m.dims, doctored_framing, m.paths, {})
+    doctored = ModuliPoint(q, m.dims, doctored_framing, m.paths, {}, t)
     assert doctored.vertex_block("y").shape[1] == 0
-    assert doctored.rank_vector()["y"] == 0
+    assert path_rank_vector(doctored)["y"] == 0
 
 
 def test_rank_vector_d4tilde_all_ones():
@@ -154,7 +156,7 @@ def test_rank_vector_generic_thin(seed):
     assert m.rank_vector() == {v: 1 for v in q.hidden}
 
 
-def test_rank_vector_full_under_mixed_block_scales():
+def mixed_scale_triple():
     """One hidden vertex of dimension 3 whose framing maps mix scales 1 and
     10^3: h f has relative singular values near 1e-8 although h and f are
     both well conditioned, and the point is simple."""
@@ -173,11 +175,55 @@ def test_rank_vector_full_under_mixed_block_scales():
         ),
         "out1": np.array([[0.531297626, 1.06583859, 0.0801840953]]),
     }
-    t = split(Representation(q, dims, mats))
+    return split(Representation(q, dims, mats))
+
+
+def block_err(got, want):
+    """Largest blockwise deviation of two points' coordinate families,
+    relative to the largest reference entry."""
+    assert set(got.blocks) == set(want.blocks)
+    scale = max((np.abs(b).max() for b in want.blocks.values()), default=0.0)
+    return max(
+        (np.abs(got.blocks[p] - b).max() for p, b in want.blocks.items()), default=0.0
+    ) / max(scale, 1e-300)
+
+
+def test_rank_vector_full_under_mixed_block_scales():
+    t = mixed_scale_triple()
     m = project(t)
     assert linalg.num_rank(m.vertex_block("x")) == 2  # the unscaled block reads as rank 2
     assert is_simple(t)
-    assert m.rank_vector() == {"x": 3}
+    assert m.rank_vector() == path_rank_vector(m) == {"x": 3}
+
+
+def test_closed_orbit_keeps_full_rank_under_mixed_block_scales():
+    """The representative keeps all three directions of the simple point, so
+    it is simple itself and projects back onto the point."""
+    m = project(mixed_scale_triple())
+    c = closed_orbit_representative(m)
+    assert is_simple(c)
+    assert block_err(project(c), m) <= 1e-9
+
+
+def test_rank_vector_thresholds_principal_angle_cosines():
+    """Path image and co-image spans at x meet at cosines 1 and 1e-6: the
+    second direction counts at tol 1e-8 and not at tol 1e-4."""
+    q = Quiver(["s", "x", "t"], [("f", "s", "x"), ("h", "x", "t")])
+    c = 1e-6
+    f = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    h = np.array([[1.0, 0.0, 0.0], [0.0, c, np.sqrt(1 - c * c)]])
+    m = project(split(Representation(q, {"s": 2, "x": 3, "t": 2}, {"f": f, "h": h})))
+    assert m.rank_vector(1e-8) == {"x": 2}
+    assert m.rank_vector(1e-4) == {"x": 1}
+
+
+@pytest.mark.parametrize("tol", [-1.0, 1.0, np.inf, np.nan])
+def test_rank_tolerance_out_of_range_is_rejected(tol):
+    m = project(mixed_scale_triple())
+    with pytest.raises(QmnError, match="rank tolerance"):
+        m.rank_vector(tol)
+    with pytest.raises(QmnError, match="rank tolerance"):
+        closed_orbit_representative(m, tol)
 
 
 def test_is_simple_a3():
@@ -199,8 +245,9 @@ def test_semistability_examples():
     "quiver_fn", [quiver_a3, quiver_single_vertex, quiver_d4tilde]
 )
 def test_simple_iff_full_rank_binary_weights(quiver_fn):
-    """Sweep simplicity agrees with the full-rank criterion exhaustively on
-    0/1 weights (small quivers only here; the acceptance suite covers more)."""
+    """Sweep simplicity agrees with the enumerated-path full-rank criterion
+    exhaustively on 0/1 weights (small quivers only here; the acceptance suite
+    covers more)."""
     q = quiver_fn()
     arrows = [a.id for a in q.arrows]
     if len(arrows) > 8:
@@ -211,7 +258,7 @@ def test_simple_iff_full_rank_binary_weights(quiver_fn):
     full = {i: 1 for i in q.hidden}
     for combo in combos:
         t = thin_rep(q, dict(zip(arrows, combo)))
-        assert is_simple(t) == (project(t).rank_vector() == full)
+        assert is_simple(t) == (path_rank_vector(project(t)) == full)
 
 
 @st.composite
@@ -249,9 +296,9 @@ def test_stability_matches_path_oracles(t):
     for i in t.quiver.hidden:
         images = [path_matrix(t, p) @ t.f[p.start] for p in m.in_paths(i)]
         stacked = np.hstack(images) if images else np.zeros((t.dims[i], 0))
-        spanned &= linalg.num_rank(linalg.equilibrate(stacked)) == t.dims[i]
+        spanned &= linalg.num_rank(equilibrate(stacked)) == t.dims[i]
     assert is_semistable(t) == spanned
-    assert is_simple(t) == (m.rank_vector() == t.hidden_dims())
+    assert is_simple(t) == (path_rank_vector(m) == t.hidden_dims())
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,6 +319,22 @@ def test_project_blocks_match_path_matrix_oracle(t):
     assert set(m.blocks) == expected
     for p, b in m.blocks.items():
         assert linalg.rel_err(b, t.h[p.end] @ path_matrix(t, p) @ t.f[p.start]) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_triples())
+def test_rank_vector_matches_path_rank_oracle(t):
+    """The rank read from the path spans equals the rank of the equilibrated
+    vertex blocks assembled from enumerated paths."""
+    m = project(t)
+    assert m.rank_vector() == path_rank_vector(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_triples())
+def test_closed_orbit_round_trip(t):
+    m = project(t)
+    assert block_err(project(closed_orbit_representative(m)), m) <= 1e-9
 
 
 def test_simple_rep_exists_a3_single_cycle():
