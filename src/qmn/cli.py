@@ -107,6 +107,12 @@ def _parse_inputs(text):
         raise QmnError(f"--input {text!r}: {exc}") from exc
 
 
+def _rng(seed):
+    if seed < 0:
+        raise QmnError(f"--seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _point_payload(point, assembled=False):
     blocks = {
         p.label(): b.tolist() for p, b in sorted(point.blocks.items(), key=lambda kv: kv[0].label())
@@ -311,7 +317,7 @@ def cmd_net(args):
         if not (np.isfinite(args.tol) and args.tol >= 0):
             raise QmnError(f"--tol must be finite and >= 0, got {args.tol}")
         net = io.network_from_json(args.net, io.quiver_from_json(args.quiver) if args.quiver else None)
-        rng = np.random.default_rng(args.seed)
+        rng = _rng(args.seed)
         x = rng.standard_normal(len(net.input_vertices))
         y = rng.standard_normal(len(net.output_vertices))
         analytic = grad.backprop(net, x, y, "mse")
@@ -358,7 +364,7 @@ def cmd_relu(args):
 
 def cmd_example(args):
     if args.sub == "d4tilde":
-        rng = np.random.default_rng(args.seed)
+        rng = _rng(args.seed)
         q = examples.quiver_d4tilde()
         dims = examples.thin_dims(q)
         t = random_triple(q, dims, rng)
@@ -395,6 +401,8 @@ def cmd_example(args):
             "single_cycle": report.single_cycle,
         }
     if args.sub == "single-vertex-relu":
+        if not (np.isfinite(args.f) and np.isfinite(args.h)):
+            raise QmnError(f"--f and --h must be finite, got {args.f}, {args.h}")
         net = examples.single_vertex_net(args.f, args.h)
         t = net.weights.to_triple()
         mu = relu_mod.momentum(t).scalars()

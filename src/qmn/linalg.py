@@ -11,40 +11,34 @@ RANK_TOL = 1e-8
 SUBSPACE_TOL = 1e-10
 
 
+def _cut(s, tol):
+    """How many of the singular values s (descending) exceed tol * sigma_max."""
+    return int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+
+
 def num_rank(a, tol=RANK_TOL):
     """Numerical rank: singular values above tol * sigma_max."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return _cut(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False), tol)
+
+
+def svd_cut(a, tol=SUBSPACE_TOL):
+    """Thin SVD (u, s, vt) of a, cut to the singular values above
+    tol * sigma_max: u is an orthonormal basis of the column space and
+    (u * s) @ vt reproduces a up to the cut."""
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+    r = _cut(s, tol)
+    return u[:, :r], s[:r], vt[:r]
 
 
 def orth(a, tol=SUBSPACE_TOL):
     """Orthonormal basis of the column space of a, as columns."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0))
-    r = int(np.sum(s > tol * s[0]))
-    return u[:, :r]
+    return svd_cut(a, tol)[0]
 
 
 def null(a, tol=SUBSPACE_TOL):
     """Orthonormal basis of the kernel of a, as columns."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[1]
-    if a.size == 0:
-        return np.eye(n)
-    u, s, vt = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(n)
-    r = int(np.sum(s > tol * s[0]))
-    return vt[r:].T
+    _, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
+    return vt[_cut(s, tol) :].T
 
 
 def contains(a, b, tol=1e-8):

@@ -23,24 +23,34 @@ class ModuliPoint:
     """Coordinates of a gauge orbit: one matrix block per hidden path between
     framed vertices.
 
-    blocks[w] has shape (w_end, u_start); paths between unframed endpoints are
-    not stored.  `paths` holds every hidden path for every ordered vertex pair
-    (needed to assemble the per-vertex blocks q^(i)).  `triple` is the triple
-    the point was projected from, a representative of the orbit; the ranks are
-    read from its path spans, computed on first use, so the triple must not be
-    mutated after `project`.
+    blocks[w] (shape (w_end, u_start)) is the literal coordinate h_j V_w f_i,
+    read by `assembled`, `vertex_block` and `qmn moduli coords`; paths between
+    unframed endpoints are not stored.  `paths` holds every hidden path for
+    every ordered vertex pair.  `triple`, a representative of the orbit, gives
+    the quiver, dims and framing; spans, ranks and the closed orbit are read
+    from its factored sweep, computed on first use, so it must not be mutated
+    after `project`.
     """
 
-    quiver: Quiver
-    dims: dict
-    framing: object
     paths: dict
     blocks: dict
     triple: DoubleFramedTriple
 
+    @property
+    def quiver(self) -> Quiver:
+        return self.triple.quiver
+
+    @property
+    def dims(self) -> dict:
+        return self.triple.dims
+
+    @property
+    def framing(self):
+        return self.triple.framing
+
     @cached_property
-    def _spans(self):
-        return _path_spans(self.triple)
+    def _sweep(self):
+        return _factored_sweep(self.triple)
 
     # --- layout helpers -------------------------------------------------
 
@@ -81,17 +91,12 @@ class ModuliPoint:
             m[ro : ro + w[p.end], co : co + u[p.start]] += b
         return m
 
-    def _block_index(self):
-        """Blocks keyed by (start, arrows), which determine a path."""
-        return {(p.start, p.arrows): b for p, b in self.blocks.items()}
-
     def vertex_block(self, i):
         """q^(i): all coordinates of paths through i, rows by out-paths, columns
-        by in-paths."""
-        return self._vertex_block(i, self._block_index())
-
-    def _vertex_block(self, i, index):
+        by in-paths.  Blocks are looked up by (start, arrows), which determine
+        a path."""
         u, w = self.framing.u, self.framing.w
+        index = {(p.start, p.arrows): b for p, b in self.blocks.items()}
         ins = self.in_paths(i)
         outs = self.out_paths(i)
         ncols = sum(u[p.start] for p in ins)
@@ -112,8 +117,8 @@ class ModuliPoint:
         between the two orthonormal spans above tol times the largest."""
         if not 0.0 <= tol < 1.0:
             raise QmnError(f"rank tolerance must lie in [0, 1), got {tol}")
-        images, coimages = self._spans
-        return {i: linalg.num_rank(coimages[i].T @ images[i], tol) for i in self.quiver.hidden}
+        images, coimages = self._sweep
+        return {i: linalg.num_rank(coimages[i][0].T @ images[i][0], tol) for i in self.quiver.hidden}
 
 
 def path_matrix(t: DoubleFramedTriple, p: Path):
@@ -143,41 +148,53 @@ def project(t: DoubleFramedTriple) -> ModuliPoint:
                     images[p.arrows] = mats[p.arrows[-1]] @ images[p.arrows[:-1]]
                 if fr.w[j]:
                     blocks[p] = t.h[j] @ images[p.arrows]
-    return ModuliPoint(q, dict(t.dims), fr, paths, blocks, t)
+    return ModuliPoint(paths, blocks, t)
 
 
 # --- stability and simplicity -------------------------------------------
 
 
-def _path_spans(t: DoubleFramedTriple):
-    """Orthonormal bases, per hidden vertex, of the span of the path images
-    V_w f over paths ending there and of the path co-images (h V_w)^T over
-    paths starting there; one topological sweep each way."""
+def _factored_sweep(t: DoubleFramedTriple):
+    """Cut thin SVDs (u, s, vt) of the stacked path images and co-images at
+    each hidden vertex, one topological sweep each way: [f_i | V_a u_x s_x ...]
+    over arrows a : x -> i, and [h_i^T | V_a^T u_y s_y ...] over arrows
+    a : i -> y in `arrows_out_of` order.  Passing u * s on keeps the Gram matrix
+    of the stacked path images V_w f (co-images (h V_w)^T): u is an orthonormal
+    basis of their span, u * s has their singular values, and the columns of
+    vt split by slot, f_i (h_i) first, then one slot per arrow."""
     hq = t.quiver.hidden_quiver()
     mats = t.hidden_matrices
-    images, coimages = {}, {}
+    images, coimages, passed = {}, {}, {}
     for i in hq.topological:
-        images[i] = linalg.orth(
-            np.hstack([t.f[i]] + [mats[a.id] @ images[a.source] for a in hq.arrows_into(i)])
+        images[i] = linalg.svd_cut(
+            np.hstack([t.f[i]] + [mats[a.id] @ passed[a.source] for a in hq.arrows_into(i)])
         )
+        passed[i] = _scaled(images[i])
+    passed = {}
     for i in reversed(hq.topological):
-        coimages[i] = linalg.orth(
-            np.hstack([t.h[i].T] + [mats[a.id].T @ coimages[a.target] for a in hq.arrows_out_of(i)])
+        coimages[i] = linalg.svd_cut(
+            np.hstack([t.h[i].T] + [mats[a.id].T @ passed[a.target] for a in hq.arrows_out_of(i)])
         )
+        passed[i] = _scaled(coimages[i])
     return images, coimages
+
+
+def _scaled(factors):
+    u, s, _ = factors
+    return u * s
 
 
 def is_semistable(t: DoubleFramedTriple) -> bool:
     """True when the framing maps generate the whole hidden representation."""
-    images, _ = _path_spans(t)
-    return all(images[i].shape[1] == t.dims[i] for i in t.quiver.hidden)
+    images, _ = _factored_sweep(t)
+    return all(images[i][1].size == t.dims[i] for i in t.quiver.hidden)
 
 
 def is_simple(t: DoubleFramedTriple) -> bool:
     """Generated by the framing and with no subrepresentation killed by the
     coframing; equivalent to the rank vector of the projection being full."""
-    spans = _path_spans(t)
-    return all(s[i].shape[1] == t.dims[i] for s in spans for i in t.quiver.hidden)
+    sweep = _factored_sweep(t)
+    return all(side[i][1].size == t.dims[i] for side in sweep for i in t.quiver.hidden)
 
 
 # --- existence criterion ---------------------------------------------------
@@ -259,58 +276,45 @@ def moduli_dimension(q: Quiver, dims: dict) -> ModuliDimension:
 def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFramedTriple:
     """Canonical triple with a closed orbit projecting to m.
 
-    The image of each q^(i) (inside the stacked out-path space) carries an
-    induced representation by path shifts; we take orthonormal coordinates on
-    it, the leading m.rank_vector(tol)[i] left singular vectors of q^(i), pad
-    with a zero complement up to d_i, and read f from the lazy in-slot and h
-    from the lazy out-slot.
+    The image of each q^(i) in the stacked out-path space carries an induced
+    representation by path shifts; the representative takes orthonormal
+    coordinates on it, padded with zeros up to d_i, read from m.triple's
+    factored sweep.  With R_i = s u^T (reverse) and S_i = u s (forward),
+    q^(i) = Y_i R_i S_i Z_i^T for Y_i, Z_i with orthonormal columns, and the
+    rows of Y_i on the out-paths through a : i -> j are Y_j times the slot-a
+    rows of the reverse vt_i^T.  With U_i the leading m.rank_vector(tol)[i]
+    left singular vectors of the core R_i S_i (which has q^(i)'s singular
+    values), the coordinates are Y_i U_i, so h_i = (h-slot rows) U_i,
+    V_a = U_j^T (slot-a rows) U_i and f_i = U_i^T R_i f_i.
     """
-    q = m.quiver
-    u, w = m.framing.u, m.framing.w
-    dims = m.dims
-    basis, outs, out_off, qblock = {}, {}, {}, {}
-    index = m._block_index()
+    t = m.triple
+    hq = t.quiver.hidden_quiver()
+    dims, u, w = t.dims, t.framing.u, t.framing.w
+    images, coimages = m._sweep
     ranks = m.rank_vector(tol)
-    for i in q.hidden:
-        outs[i] = m.out_paths(i)
-        off, offs = 0, {}
-        for p in outs[i]:
-            offs[p.arrows] = off
-            off += w[p.end]
-        out_off[i] = offs
-        qi = qblock[i] = m._vertex_block(i, index)
-        basis[i] = np.linalg.svd(qi, full_matrices=False)[0][:, : ranks[i]]
+    coimage_factor, basis = {}, {}
+    for i in hq.vertices:
+        coimage_factor[i] = _scaled(coimages[i]).T
+        core = coimage_factor[i] @ _scaled(images[i])
+        basis[i] = np.linalg.svd(core, full_matrices=False)[0][:, : ranks[i]]
 
-    hidden_mats = {}
-    for a in q.hidden_quiver().arrows:
-        i, j = a.source, a.target
-        nrows = sum(w[p.end] for p in outs[j])
-        ncols = sum(w[p.end] for p in outs[i])
-        shift = np.zeros((nrows, ncols))
-        for p in outs[j]:
-            ro, co = out_off[j][p.arrows], out_off[i][(a.id,) + p.arrows]
-            shift[ro : ro + w[p.end], co : co + w[p.end]] = np.eye(w[p.end])
-        red = basis[j].T @ shift @ basis[i]
-        full = np.zeros((dims[j], dims[i]))
-        full[: red.shape[0], : red.shape[1]] = red
-        hidden_mats[a.id] = full
+    def padded(a, rows, cols):
+        out = np.zeros((rows, cols))
+        out[: a.shape[0], : a.shape[1]] = a
+        return out
 
-    f, h = {}, {}
-    for i in q.hidden:
-        fi = np.zeros((dims[i], u[i]))
-        if u[i] > 0:
-            ins = m.in_paths(i)
-            lazy = next(k for k, p in enumerate(ins) if not p.arrows)
-            co = sum(u[p.start] for p in ins[:lazy])
-            red = basis[i].T @ qblock[i][:, co : co + u[i]]
-            fi[: red.shape[0], :] = red
-        f[i] = fi
-        hi = np.zeros((w[i], dims[i]))
-        if w[i] > 0:
-            ro = out_off[i][()]
-            hi[:, : basis[i].shape[1]] = basis[i][ro : ro + w[i], :]
-        h[i] = hi
-    return DoubleFramedTriple(q, dict(dims), hidden_mats, f, h, m.framing)
+    hidden_mats, f, h = {}, {}, {}
+    for i in hq.vertices:
+        slots = coimages[i][2].T
+        h[i] = padded(slots[: w[i]] @ basis[i], w[i], dims[i])
+        off = w[i]
+        for a in hq.arrows_out_of(i):
+            n = coimages[a.target][1].size
+            red = basis[a.target].T @ slots[off : off + n] @ basis[i]
+            hidden_mats[a.id] = padded(red, dims[a.target], dims[i])
+            off += n
+        f[i] = padded(basis[i].T @ coimage_factor[i] @ t.f[i], dims[i], u[i])
+    return DoubleFramedTriple(t.quiver, dict(dims), hidden_mats, f, h, t.framing)
 
 
 # --- resolution points ------------------------------------------------------
@@ -354,7 +358,7 @@ def verify_resolution_point(subspaces: dict, m: ModuliPoint, tol=1e-8) -> bool:
             raise CodimensionMismatch(
                 f"subspace at {i!r} lives in dimension {v.shape[0]}, ambient is {ambient}"
             )
-        b = linalg.orth(v) if v.size else np.zeros((ambient, 0))
+        b = linalg.orth(v)
         if ambient - b.shape[1] != m.dims[i]:
             raise CodimensionMismatch(
                 f"subspace at {i!r} has codimension {ambient - b.shape[1]}, expected {m.dims[i]}"

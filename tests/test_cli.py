@@ -472,3 +472,19 @@ def test_malformed_network_file_is_invalid_input(capsys, tmp_path, key, value):
     npath = write_json(tmp_path, "bad.json", payload)
     err = run_invalid(capsys, "net", "eval", "--net", npath, "--input", "1")
     assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["example", "d4tilde", "--seed", "-1"], ["net", "gradcheck", "--net", "{net}", "--seed", "-1"]],
+    ids=["example", "gradcheck"],
+)
+def test_negative_seed_is_invalid_input(capsys, tmp_path, argv):
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1.2, -0.8)))
+    assert "--seed" in run_invalid(capsys, *(a.format(net=npath) for a in argv))
+
+
+@pytest.mark.parametrize("flag", ["--f", "--h"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_single_vertex_example_non_finite_weight_is_invalid_input(capsys, flag, value):
+    assert "must be finite" in run_invalid(capsys, "example", "single-vertex-relu", flag, value)

@@ -28,7 +28,7 @@ from qmn.moduli import (
     verify_resolution_point,
 )
 from qmn.quiver import Path, Quiver, enumerate_paths, framing_data
-from qmn.rep import Representation, act, join, random_gauge, random_triple, split
+from qmn.rep import DoubleFramedTriple, Representation, act, join, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
 
 from conftest import equilibrate, path_rank_vector
@@ -115,18 +115,19 @@ def test_vertex_block_empty_in_paths():
     """With no framed vertex upstream the block has zero columns and rank 0.
 
     No quiver-derived framing can produce this, so the layout is exercised on
-    a hand-built point with the framing-in slots emptied."""
+    a hand-built point whose triple has its framing-in slots emptied."""
     from qmn.quiver import FramingData
 
     q = Quiver(["s", "x", "y", "t"], [("sx", "s", "x"), ("xy", "x", "y"), ("yt", "y", "t")])
     dims = thin_dims(q)
     t = random_triple(q, dims, np.random.default_rng(0))
-    m = project(t)
     fr = framing_data(q, dims)
     doctored_framing = FramingData(
         u={"x": 0, "y": 0}, w=fr.w, in_slots={"x": (), "y": ()}, out_slots=fr.out_slots
     )
-    doctored = ModuliPoint(q, m.dims, doctored_framing, m.paths, {}, t)
+    unframed_in = {i: np.zeros((1, 0)) for i in q.hidden}
+    doctored_triple = DoubleFramedTriple(q, dims, t.hidden_matrices, unframed_in, t.h, doctored_framing)
+    doctored = ModuliPoint(project(t).paths, {}, doctored_triple)
     assert doctored.vertex_block("y").shape[1] == 0
     assert path_rank_vector(doctored)["y"] == 0
 
@@ -335,6 +336,26 @@ def test_rank_vector_matches_path_rank_oracle(t):
 def test_closed_orbit_round_trip(t):
     m = project(t)
     assert block_err(project(closed_orbit_representative(m)), m) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_triples())
+def test_closed_orbit_in_orthonormal_gauge(t):
+    """The representative's stacked out-path co-images h_k V_w at i are
+    orthonormal coordinates on the image of q^(i): O^T O = I_r (+) 0 with r the
+    rank at i.  The round trip alone does not pin this gauge (a Sigma^-1
+    section would also project back onto the point)."""
+    m = project(t)
+    c = closed_orbit_representative(m)
+    mc = project(c)
+    ranks = m.rank_vector()
+    for i in t.quiver.hidden:
+        rows = [c.h[p.end] @ path_matrix(c, p) for p in mc.out_paths(i)]
+        o = np.vstack(rows) if rows else np.zeros((0, t.dims[i]))
+        want = np.zeros((t.dims[i], t.dims[i]))
+        want[: ranks[i], : ranks[i]] = np.eye(ranks[i])
+        assert np.abs(o.T @ o - want).max() <= 1e-9
+    assert is_simple(c) == is_simple(t)
 
 
 def test_simple_rep_exists_a3_single_cycle():
