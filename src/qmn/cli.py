@@ -102,9 +102,12 @@ def _load_quiver_and_rep(args, thin_default=False):
 
 def _parse_inputs(text):
     try:
-        return np.array([float(x) for x in text.split(",")])
+        x = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise QmnError(f"--input {text!r}: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise QmnError(f"--input {text!r}: values must be finite")
+    return x
 
 
 def _rng(seed):

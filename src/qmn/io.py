@@ -148,7 +148,8 @@ def network_to_json(net: NeuralNetwork) -> dict:
 
 
 def load_data_csv(path, n_inputs: int, n_outputs: int):
-    """One sample per row: n_inputs feature columns then n_outputs label columns."""
+    """One sample per row: n_inputs feature columns then n_outputs label
+    columns, every cell a finite number."""
     samples = []
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -159,6 +160,8 @@ def load_data_csv(path, n_inputs: int, n_outputs: int):
                 vals = [float(c) for c in row]
             except ValueError as exc:
                 raise QmnError(f"{path}, row {rows.line_num}: {exc}") from exc
+            if not np.isfinite(vals).all():
+                raise QmnError(f"{path}, row {rows.line_num}: values must be finite")
             if len(vals) != n_inputs + n_outputs:
                 raise QmnError(
                     f"{path}, row {rows.line_num}: {len(vals)} columns, expected {n_inputs + n_outputs}"

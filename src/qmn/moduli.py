@@ -7,8 +7,9 @@ paths through i; their ranks bound the hidden dimension vector, with equality
 exactly on simple points.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import wraps
 
 import numpy as np
 
@@ -25,14 +26,14 @@ class ModuliPoint:
 
     blocks[w] (shape (w_end, u_start)) is the literal coordinate h_j V_w f_i,
     read by `assembled`, `vertex_block` and `qmn moduli coords`; paths between
-    unframed endpoints are not stored.  `paths` holds every hidden path for
-    every ordered vertex pair.  `triple`, a representative of the orbit, gives
-    the quiver, dims and framing; spans, ranks and the closed orbit are read
-    from its factored sweep, computed on first use, so it must not be mutated
-    after `project`.
+    unframed endpoints are not stored.  `paths` is the quiver's cached,
+    read-only mapping of every hidden path for every ordered vertex pair.
+    `triple`, a frozen representative of the orbit, gives the quiver, dims and
+    framing; spans, ranks and the closed orbit are read from its sweeps, which
+    are memoised on it.
     """
 
-    paths: dict
+    paths: Mapping
     blocks: dict
     triple: DoubleFramedTriple
 
@@ -47,10 +48,6 @@ class ModuliPoint:
     @property
     def framing(self):
         return self.triple.framing
-
-    @cached_property
-    def _sweep(self):
-        return _factored_sweep(self.triple)
 
     # --- layout helpers -------------------------------------------------
 
@@ -72,23 +69,20 @@ class ModuliPoint:
 
     def assembled(self):
         """Single operator from stacked framing-in spaces to stacked framing-out
-        spaces; parallel paths between the same pair add up, pairs without a
-        path contribute structural zeros."""
+        spaces; each (start, end) pair is written once, with the sum of the
+        blocks of its parallel paths, and pairs without a path stay zero."""
         u, w = self.framing.u, self.framing.w
         cols = self.framed_in()
-        rows = self.framed_out()
-        col_off, c = {}, 0
-        for i in cols:
-            col_off[i] = c
-            c += u[i]
-        row_off, r = {}, 0
-        for j in rows:
-            row_off[j] = r
+        m = np.zeros((sum(w.values()), sum(u.values())))
+        r = 0
+        for j in self.framed_out():
+            c = 0
+            for i in cols:
+                bucket = self.paths[(i, j)]
+                if bucket:
+                    m[r : r + w[j], c : c + u[i]] = sum(self.blocks[p] for p in bucket)
+                c += u[i]
             r += w[j]
-        m = np.zeros((r, c))
-        for p, b in self.blocks.items():
-            ro, co = row_off[p.end], col_off[p.start]
-            m[ro : ro + w[p.end], co : co + u[p.start]] += b
         return m
 
     def vertex_block(self, i):
@@ -117,7 +111,7 @@ class ModuliPoint:
         between the two orthonormal spans above tol times the largest."""
         if not 0.0 <= tol < 1.0:
             raise QmnError(f"rank tolerance must lie in [0, 1), got {tol}")
-        images, coimages = self._sweep
+        images, coimages = _images(self.triple), _coimages(self.triple)
         return {i: linalg.num_rank(coimages[i][0].T @ images[i][0], tol) for i in self.quiver.hidden}
 
 
@@ -154,29 +148,53 @@ def project(t: DoubleFramedTriple) -> ModuliPoint:
 # --- stability and simplicity -------------------------------------------
 
 
-def _factored_sweep(t: DoubleFramedTriple):
-    """Cut thin SVDs (u, s, vt) of the stacked path images and co-images at
-    each hidden vertex, one topological sweep each way: [f_i | V_a u_x s_x ...]
-    over arrows a : x -> i, and [h_i^T | V_a^T u_y s_y ...] over arrows
-    a : i -> y in `arrows_out_of` order.  Passing u * s on keeps the Gram matrix
-    of the stacked path images V_w f (co-images (h V_w)^T): u is an orthonormal
-    basis of their span, u * s has their singular values, and the columns of
-    vt split by slot, f_i (h_i) first, then one slot per arrow."""
+def _memoised(sweep):
+    """Cache sweep(t) in t._memo on first use; the triple is frozen, so no
+    field it was computed from can be reassigned."""
+
+    @wraps(sweep)
+    def cached(t: DoubleFramedTriple):
+        if sweep.__name__ not in t._memo:
+            t._memo[sweep.__name__] = sweep(t)
+        return t._memo[sweep.__name__]
+
+    return cached
+
+
+@_memoised
+def _images(t: DoubleFramedTriple):
+    """Cut thin SVDs (u, s, vt) of the stacked path images V_w f at each hidden
+    vertex, from one topological sweep over [f_i | V_a u_x s_x ...], arrows
+    a : x -> i.  Passing u * s on keeps the Gram matrix of the stacked path
+    images: u is an orthonormal basis of their span, u * s has their singular
+    values, and the columns of vt split by slot, f_i first, then one slot per
+    arrow."""
     hq = t.quiver.hidden_quiver()
     mats = t.hidden_matrices
-    images, coimages, passed = {}, {}, {}
+    images, passed = {}, {}
     for i in hq.topological:
         images[i] = linalg.svd_cut(
             np.hstack([t.f[i]] + [mats[a.id] @ passed[a.source] for a in hq.arrows_into(i)])
         )
         passed[i] = _scaled(images[i])
-    passed = {}
+    return images
+
+
+@_memoised
+def _coimages(t: DoubleFramedTriple):
+    """The reverse half of `_images`: cut thin SVDs of the stacked path
+    co-images (h V_w)^T, from one reverse topological sweep over
+    [h_i^T | V_a^T u_y s_y ...], arrows a : i -> y in `arrows_out_of` order;
+    the columns of vt split as h_i first, then one slot per arrow."""
+    hq = t.quiver.hidden_quiver()
+    mats = t.hidden_matrices
+    coimages, passed = {}, {}
     for i in reversed(hq.topological):
         coimages[i] = linalg.svd_cut(
             np.hstack([t.h[i].T] + [mats[a.id].T @ passed[a.target] for a in hq.arrows_out_of(i)])
         )
         passed[i] = _scaled(coimages[i])
-    return images, coimages
+    return coimages
 
 
 def _scaled(factors):
@@ -186,15 +204,16 @@ def _scaled(factors):
 
 def is_semistable(t: DoubleFramedTriple) -> bool:
     """True when the framing maps generate the whole hidden representation."""
-    images, _ = _factored_sweep(t)
+    images = _images(t)
     return all(images[i][1].size == t.dims[i] for i in t.quiver.hidden)
 
 
 def is_simple(t: DoubleFramedTriple) -> bool:
     """Generated by the framing and with no subrepresentation killed by the
     coframing; equivalent to the rank vector of the projection being full."""
-    sweep = _factored_sweep(t)
-    return all(side[i][1].size == t.dims[i] for side in sweep for i in t.quiver.hidden)
+    return all(
+        side[i][1].size == t.dims[i] for side in (_images(t), _coimages(t)) for i in t.quiver.hidden
+    )
 
 
 # --- existence criterion ---------------------------------------------------
@@ -279,18 +298,19 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
     The image of each q^(i) in the stacked out-path space carries an induced
     representation by path shifts; the representative takes orthonormal
     coordinates on it, padded with zeros up to d_i, read from m.triple's
-    factored sweep.  With R_i = s u^T (reverse) and S_i = u s (forward),
-    q^(i) = Y_i R_i S_i Z_i^T for Y_i, Z_i with orthonormal columns, and the
-    rows of Y_i on the out-paths through a : i -> j are Y_j times the slot-a
-    rows of the reverse vt_i^T.  With U_i the leading m.rank_vector(tol)[i]
-    left singular vectors of the core R_i S_i (which has q^(i)'s singular
-    values), the coordinates are Y_i U_i, so h_i = (h-slot rows) U_i,
-    V_a = U_j^T (slot-a rows) U_i and f_i = U_i^T R_i f_i.
+    sweeps `_images` and `_coimages`.  With R_i = s u^T (reverse) and
+    S_i = u s (forward), q^(i) = Y_i R_i S_i Z_i^T for Y_i, Z_i with
+    orthonormal columns, and the rows of Y_i on the out-paths through
+    a : i -> j are Y_j times the slot-a rows of the reverse vt_i^T.  With U_i
+    the leading m.rank_vector(tol)[i] left singular vectors of the core
+    R_i S_i (which has q^(i)'s singular values), the coordinates are Y_i U_i,
+    so h_i = (h-slot rows) U_i, V_a = U_j^T (slot-a rows) U_i and
+    f_i = U_i^T R_i f_i.
     """
     t = m.triple
     hq = t.quiver.hidden_quiver()
     dims, u, w = t.dims, t.framing.u, t.framing.w
-    images, coimages = m._sweep
+    images, coimages = _images(t), _coimages(t)
     ranks = m.rank_vector(tol)
     coimage_factor, basis = {}, {}
     for i in hq.vertices:

@@ -5,12 +5,15 @@ source, one with no out-arrows is a sink, and the hidden quiver is the full
 subquiver on the remaining vertices.  Framing data counts, per hidden vertex,
 the incoming dimension from sources (u) and the outgoing dimension to sinks
 (w), with slot order fixed by arrow declaration order.  Hidden paths come from
-one walk per start vertex; their total is counted in linear time against a cap
-before any is enumerated.
+one walk per start vertex, once per quiver; their total is counted in linear
+time against a cap before any is enumerated.
 """
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     CyclicQuiver,
@@ -74,6 +77,7 @@ class Quiver:
 
         self.roles = self._resolve_roles(roles)
         self._hidden_quiver = None
+        self._hidden_paths = None
 
     def _toposort(self):
         indeg = {v: len(self._into[v]) for v in self.vertices}
@@ -136,6 +140,15 @@ class Quiver:
                 self.hidden, (a for a in self.arrows if a.source in hs and a.target in hs)
             )
         return self._hidden_quiver
+
+    @cached_property
+    def _path_count(self):
+        """Number of paths, lazy ones included, counted in linear time:
+        n(i) = 1 + sum of n(j) over arrows i->j, summed over i."""
+        n = {}
+        for i in reversed(self.topological):
+            n[i] = 1 + sum(n[a.target] for a in self._out[i])
+        return sum(n.values())
 
     def source_arrows_into(self, v):
         """Arrows from sources of Q into hidden vertex v, in declaration order."""
@@ -261,15 +274,17 @@ def enumerate_paths(hq: Quiver, start, end):
     return _paths_from(hq, start)[end]
 
 
-def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> dict:
-    """Paths for every ordered pair of hidden vertices, one walk per start
-    vertex.  The total is counted first, n(i) = 1 + sum of n(j) over arrows
-    i->j, and raises PathExplosion above the cap before anything is enumerated."""
-    n = {}
-    for i in reversed(hq.topological):
-        n[i] = 1 + sum(n[a.target] for a in hq.arrows_out_of(i))
-    total = sum(n.values())
-    if total > cap:
-        raise PathExplosion(total, cap)
-    found = {i: _paths_from(hq, i) for i in hq.vertices}
-    return {(i, j): found[i][j] for i in hq.vertices for j in hq.vertices}
+def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> Mapping:
+    """Paths for every ordered pair of hidden vertices, as a read-only mapping
+    of tuples.  Raises PathExplosion when the path count is above the cap,
+    before anything is enumerated.  The paths come from one walk per start
+    vertex on the first call and are cached on `hq`; every call checks the
+    count against its own cap."""
+    if hq._path_count > cap:
+        raise PathExplosion(hq._path_count, cap)
+    if hq._hidden_paths is None:
+        found = {i: _paths_from(hq, i) for i in hq.vertices}
+        hq._hidden_paths = MappingProxyType(
+            {(i, j): tuple(found[i][j]) for i in hq.vertices for j in hq.vertices}
+        )
+    return hq._hidden_paths

@@ -7,7 +7,9 @@ hidden-gauge group acts by base change at hidden vertices only.  `split` and
 inverses, no arithmetic involved.
 """
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,26 +61,36 @@ class Representation:
         return all(d == 1 for d in self.dims.values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoubleFramedTriple:
-    """Hidden representation plus framing maps f_i : U_i -> V_i and h_i : V_i -> W_i."""
+    """Hidden representation plus framing maps f_i : U_i -> V_i and h_i : V_i -> W_i.
+
+    Frozen, with read-only mappings of the coerced matrices, so what is
+    computed from it can be cached on it: `_memo` holds such results (the
+    sweeps of `qmn.moduli`), filled on first use.  The arrays themselves are
+    shared with the caller, not copied; writing into them is not supported.
+    """
 
     quiver: Quiver
     dims: dict
-    hidden_matrices: dict
-    f: dict
-    h: dict
+    hidden_matrices: Mapping
+    f: Mapping
+    h: Mapping
     framing: FramingData
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hq = self.quiver.hidden_quiver()
-        self.hidden_matrices = {
+        hidden = self.quiver.hidden
+        mats = {
             a.id: as_matrix(self.hidden_matrices[a.id], self.dims[a.target], self.dims[a.source])
             for a in hq.arrows
         }
-        hidden = self.quiver.hidden
-        self.f = {i: as_matrix(self.f[i], self.dims[i], self.framing.u[i]) for i in hidden}
-        self.h = {i: as_matrix(self.h[i], self.framing.w[i], self.dims[i]) for i in hidden}
+        f = {i: as_matrix(self.f[i], self.dims[i], self.framing.u[i]) for i in hidden}
+        h = {i: as_matrix(self.h[i], self.framing.w[i], self.dims[i]) for i in hidden}
+        object.__setattr__(self, "hidden_matrices", MappingProxyType(mats))
+        object.__setattr__(self, "f", MappingProxyType(f))
+        object.__setattr__(self, "h", MappingProxyType(h))
 
     def hidden_dims(self):
         return {i: self.dims[i] for i in self.quiver.hidden}

@@ -331,6 +331,45 @@ def test_cli_fuzz_malformed_files(doc):
             assert "Traceback" not in err.getvalue()
 
 
+FUZZ_CELLS = ["", " ", "x", "nan", "-nan", "inf", "-inf", "1e400", "1e300", "0x1", "1_0", '"1"', "'1'"]
+
+
+@st.composite
+def mutated_csv(draw):
+    """A `net train` data file for a one-input, one-output network with one
+    row mutated: a cell replaced, a column dropped or added, or the row blank."""
+    rows = [["1.0", "2.0"], ["2.0", "4.0"], ["-1.5", "-3.0"]]
+    cell = st.sampled_from(FUZZ_CELLS) | st.text(alphabet='0123456789.,-+eE "nafix\t\x00', max_size=5)
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    action = draw(st.sampled_from(["replace", "drop", "add", "blank"]))
+    if action == "replace":
+        row[draw(st.integers(0, len(row) - 1))] = draw(cell)
+    elif action == "drop":
+        del row[draw(st.integers(0, len(row) - 1))]
+    elif action == "add":
+        row.insert(draw(st.integers(0, len(row))), draw(cell))
+    else:
+        row.clear()
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_csv())
+def test_cli_fuzz_malformed_csv(text):
+    """`net train` on mutated data either trains or reports the bad input or
+    the numeric failure; it never crashes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        npath = Path(tmp) / "net.json"
+        npath.write_text(json.dumps(io.network_to_json(single_vertex_net(1.0, 1.0))))
+        dpath = Path(tmp) / "data.csv"
+        dpath.write_text(text)
+        out, err = stdio.StringIO(), stdio.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["net", "train", "--net", str(npath), "--data", str(dpath), "--epochs", "3"])
+        assert code in (0, 2, 3), (text, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["moduli", "unknown-sub"]) == 1
     assert main(["--definitely-not-a-flag"]) == 1
@@ -416,6 +455,23 @@ def test_non_numeric_csv_cell_names_file_and_row(capsys, tmp_path):
     dpath.write_text("1.0,2.0\n2.0,oops\n")
     err = run_invalid(capsys, "net", "train", "--net", npath, "--data", str(dpath))
     assert f"{dpath}, row 2" in err and "'oops'" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("verb", ["eval", "knowledge"])
+def test_non_finite_input_vector_is_invalid_input(capsys, tmp_path, verb, value):
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(3.0, 2.0)))
+    err = run_invalid(capsys, "net", verb, "--net", npath, "--input", f"1,{value}")
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_csv_cell_names_file_and_row(capsys, tmp_path, value):
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1.0, 1.0)))
+    dpath = tmp_path / "data.csv"
+    dpath.write_text(f"1.0,2.0\n2.0,4.0\n{value},1.0\n")
+    err = run_invalid(capsys, "net", "train", "--net", npath, "--data", str(dpath))
+    assert f"{dpath}, row 3" in err and "must be finite" in err
 
 
 @pytest.mark.parametrize("missing", ["dims", "weights"])

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,16 @@ from qmn.rep import DoubleFramedTriple, Representation, act, join, random_gauge,
 from qmn.thincat import ThinRep, solve_morphism
 
 from conftest import equilibrate, path_rank_vector
+
+
+def zeroed(t):
+    """The triple on t's quiver and dims with every matrix zero."""
+    return replace(
+        t,
+        hidden_matrices={k: np.zeros_like(m) for k, m in t.hidden_matrices.items()},
+        f={i: np.zeros_like(m) for i, m in t.f.items()},
+        h={i: np.zeros_like(m) for i, m in t.h.items()},
+    )
 
 
 def thin_rep(q, weights):
@@ -139,11 +150,7 @@ def test_rank_vector_d4tilde_all_ones():
 
 def test_rank_vector_zero_triple():
     t = d4tilde_triple(1, 1, 1, 1, 1, [1, 1], [1, 1], [1, 1], [1, 1])
-    for k in t.hidden_matrices:
-        t.hidden_matrices[k] = np.zeros_like(t.hidden_matrices[k])
-    for i in t.quiver.hidden:
-        t.f[i] = np.zeros_like(t.f[i])
-        t.h[i] = np.zeros_like(t.h[i])
+    t = zeroed(t)
     m = project(t)
     assert m.rank_vector() == {v: 0 for v in t.quiver.hidden}
 
@@ -358,6 +365,67 @@ def test_closed_orbit_in_orthonormal_gauge(t):
     assert is_simple(c) == is_simple(t)
 
 
+def closed_orbit_matrices(t):
+    c = closed_orbit_representative(project(t))
+    return [*c.hidden_matrices.values(), *c.f.values(), *c.h.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_triples(), st.permutations(range(4)))
+def test_memoised_readings_independent_of_call_order(t, order):
+    """The readings that share the sweeps memoised on a triple give the same
+    answers in any call order, and the same as on a fresh equal triple."""
+    readings = [
+        is_semistable,
+        is_simple,
+        lambda s: project(s).rank_vector(),
+        closed_orbit_matrices,
+    ]
+    got = [None] * len(readings)
+    for k in order:
+        got[k] = readings[k](t)
+    fresh = DoubleFramedTriple(
+        t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h), t.framing
+    )
+    want = [reading(fresh) for reading in readings]
+    assert got[:3] == want[:3]
+    assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3], strict=True))
+
+
+def test_sweep_runs_once_per_direction(monkeypatch):
+    """One triple costs one cut SVD per hidden vertex and direction, however
+    many readings use it; semistability needs only the forward direction."""
+    calls = []
+    svd_cut = linalg.svd_cut
+
+    def counted(a, *args):
+        calls.append(a.shape)
+        return svd_cut(a, *args)
+
+    monkeypatch.setattr(linalg, "svd_cut", counted)
+    q = random_dag_quiver(np.random.default_rng(2), n_hidden=5)
+    dims = {v: 2 for v in q.vertices}
+    t = random_triple(q, dims, np.random.default_rng(3))
+    is_semistable(t)
+    assert len(calls) == len(q.hidden)
+    m = project(t)
+    m.rank_vector()
+    is_simple(t)
+    is_semistable(t)
+    closed_orbit_representative(m)
+    assert len(calls) == 2 * len(q.hidden)
+
+
+def test_memo_belongs_to_its_triple():
+    """A sweep memoised on one triple is not read for another on the same
+    quiver, and every point of a quiver shares its cached paths."""
+    t = d4tilde_triple(1, 1, 1, 1, 1, [1, 1], [1, 1], [1, 1], [1, 1])
+    z = zeroed(t)
+    assert is_simple(t) and not is_simple(z)
+    assert project(t).rank_vector() != project(z).rank_vector()
+    assert project(t).paths is project(z).paths
+
+
 def test_simple_rep_exists_a3_single_cycle():
     q = quiver_a3()
     report = simple_rep_exists(q, thin_dims(q))
@@ -408,11 +476,7 @@ def test_semisimplify_simple_triple_has_full_rank():
 
 def test_semisimplify_zero_triple():
     t = d4tilde_triple(1, 1, 1, 1, 1, [1, 1], [1, 1], [1, 1], [1, 1])
-    for k in t.hidden_matrices:
-        t.hidden_matrices[k] = np.zeros_like(t.hidden_matrices[k])
-    for i in t.quiver.hidden:
-        t.f[i] = np.zeros_like(t.f[i])
-        t.h[i] = np.zeros_like(t.h[i])
+    t = zeroed(t)
     point = project(t)
     assert point.rank_vector() == {v: 0 for v in t.quiver.hidden}
     rep = closed_orbit_representative(point)
@@ -426,7 +490,7 @@ def test_closed_orbit_representative_reprojects(seed):
     rng = np.random.default_rng(seed)
     t = random_triple(q, dims, rng)
     if seed % 3 == 0:  # exercise rank-deficient orbits as well
-        t.f["v1"] = np.zeros_like(t.f["v1"])
+        t = replace(t, f={**t.f, "v1": np.zeros_like(t.f["v1"])})
     m = project(t)
     m2 = project(closed_orbit_representative(m))
     for p in m.blocks:
@@ -478,11 +542,7 @@ def test_resolution_point_zero_moduli_point():
     )
     subspaces = resolution_data(t_gen)
     t0 = d4tilde_triple(1, 1, 1, 1, 1, [1, 1], [1, 1], [1, 1], [1, 1])
-    for k in t0.hidden_matrices:
-        t0.hidden_matrices[k] = np.zeros_like(t0.hidden_matrices[k])
-    for i in t0.quiver.hidden:
-        t0.f[i] = np.zeros_like(t0.f[i])
-        t0.h[i] = np.zeros_like(t0.h[i])
+    t0 = zeroed(t0)
     m0 = project(t0)
     assert verify_resolution_point(subspaces, m0)
 

@@ -148,7 +148,7 @@ def test_path_counts_match_adjacency_powers(q):
         assert len(found) == total[idx[i], idx[j]]
         assert [p.arrows for p in found] == brute_force_paths(q, i, j)
         assert all(p.start == i and p.end == j for p in found)
-        assert enumerate_paths(q, i, j) == found
+        assert enumerate_paths(q, i, j) == list(found)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,6 +162,21 @@ def test_path_cap_boundary(q):
     with pytest.raises(PathExplosion) as exc:
         all_hidden_paths(q, cap=count - 1)
     assert exc.value.count == count and exc.value.cap == count - 1
+
+
+def test_cached_paths_still_checked_against_the_cap():
+    """Paths are enumerated once per quiver, and a later call with a lower cap
+    still raises with the full count."""
+    hq = quiver_d4tilde().hidden_quiver()
+    paths = all_hidden_paths(hq)
+    total = sum(len(ps) for ps in paths.values())
+    assert all_hidden_paths(hq) is paths
+    assert all(isinstance(ps, tuple) for ps in paths.values())
+    with pytest.raises(TypeError):
+        paths[next(iter(paths))] = ()
+    with pytest.raises(PathExplosion) as exc:
+        all_hidden_paths(hq, cap=total - 1)
+    assert exc.value.count == total
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qmn.errors import ShapeMismatch, SingularGauge, UnframableArrow
 from qmn.examples import d4tilde_triple, quiver_a3, quiver_d4tilde, quiver_single_vertex, thin_dims
+from qmn.moduli import is_simple
 from qmn.quiver import Quiver, framing_data
 from qmn.rep import (
     DoubleFramedTriple,
@@ -225,3 +228,29 @@ def test_triple_construction_leaves_caller_dicts_untouched():
         assert not any(isinstance(v, np.ndarray) for v in given.values())
     assert t.hidden_matrices["a"].shape == (1, 1)
     assert t.f["v1"].shape == (1, 2) and t.h["v4"].shape == (2, 1)
+
+
+def test_triple_is_frozen():
+    t = random_triple(quiver_d4tilde(), thin_dims(quiver_d4tilde()), np.random.default_rng(4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.f = {}
+    for field in (t.f, t.h, t.hidden_matrices):
+        key = next(iter(field))
+        with pytest.raises(TypeError):
+            field[key] = np.zeros((1, 1))
+
+
+def test_triple_shares_the_caller_arrays():
+    q = quiver_d4tilde()
+    r = random_representation(q, thin_dims(q), np.random.default_rng(6))
+    t = split(r)
+    assert all(t.hidden_matrices[k] is r.matrices[k] for k in t.hidden_matrices)
+
+
+def test_act_returns_a_triple_with_a_fresh_memo():
+    q = quiver_d4tilde()
+    rng = np.random.default_rng(8)
+    t = random_triple(q, thin_dims(q), rng)
+    assert is_simple(t) and t._memo
+    moved = act(random_gauge(q, thin_dims(q), rng), t)
+    assert moved._memo == {} and moved._memo is not t._memo
