@@ -28,7 +28,7 @@ from .moduli import (
 )
 from .thincat import ThinRep, check_morphism, inverse, is_invertible, tensor, unit
 from .network import NeuralNetwork, forward, knowledge_map, network_matrix, psi_hat
-from .grad import GradientRep, backprop, backprop_factored, gradient_transform, train
+from .grad import GradientRep, backprop, gradient_transform, train
 from .relu import balance, level_set_membership, momentum
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "psi_hat",
     "GradientRep",
     "backprop",
-    "backprop_factored",
     "gradient_transform",
     "train",
     "balance",

@@ -294,20 +294,16 @@ def cmd_net(args):
         trace_rows = []
 
         def on_epoch(epoch, current, value):
-            if args.trace_moduli:
-                x0 = data[0][0]
-                try:
-                    point = moduli.project(network.knowledge_map(current, x0).to_triple())
-                    entry = {
-                        "epoch": epoch,
-                        "loss": value,
-                        "coords": {p.label(): b.tolist() for p, b in point.blocks.items()},
-                    }
-                except SingularPreActivation:
-                    entry = {"epoch": epoch, "loss": value, "coords": None}
-                trace_rows.append(entry)
+            try:
+                point = moduli.project(network.knowledge_map(current, data[0][0]).to_triple())
+                coords = _point_payload(point)["blocks"]
+            except SingularPreActivation:
+                coords = None
+            trace_rows.append({"epoch": epoch, "loss": value, "coords": coords})
 
-        result = grad.train(net, data, args.loss, args.lr, args.epochs, on_epoch=on_epoch)
+        result = grad.train(
+            net, data, args.loss, args.lr, args.epochs, on_epoch=on_epoch if args.trace_moduli else None
+        )
         if args.trace_moduli:
             with open(args.trace_moduli, "w") as fh:
                 for row in trace_rows:

@@ -1,12 +1,9 @@
 """Loss functions, reverse-mode gradients on network quivers, and a small
 full-batch trainer.
 
-`backprop` is the ground truth: the reverse level sweep of the compiled
-network (`CompiledNetwork.backward`), validated against central finite
-differences.  `backprop_factored` recomputes the same gradient from the
-knowledge representation and its identity-activation evaluation, exercising
-the factorization through the moduli space.  Losses act on one output vector
-or column-wise on an (outputs, batch) array.
+`backprop` is the reverse level sweep of the compiled network
+(`CompiledNetwork.backward`), validated against central finite differences.
+Losses act on one output vector or column-wise on an (outputs, batch) array.
 """
 
 from dataclasses import dataclass
@@ -14,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, ShapeMismatch
-from .network import NeuralNetwork, columns, knowledge_map
+from .network import NeuralNetwork, columns
 from .quiver import Arrow, Quiver
 from .thincat import ThinRep
 
@@ -96,14 +93,6 @@ def _labels(c, ys):
     return columns(ys, len(c.outputs), "labels")
 
 
-def _gradient_rep(net: NeuralNetwork, blocks, values, pre, d_out) -> GradientRep:
-    c = net.compiled
-    dw, adj = c.backward(blocks, values, pre, d_out)
-    return GradientRep(
-        net.quiver, dict(zip(c.arrows, dw.tolist())), vertex_adjoints=dict(zip(c.vertices, adj[:, 0].tolist()))
-    )
-
-
 def backprop(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
     """Exact gradient of loss(forward(net, x), y) in every arrow weight: the
     compiled reverse sweep on a batch of one."""
@@ -111,26 +100,10 @@ def backprop(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
     c = net.compiled
     blocks = net.weight_blocks()
     values, pre = c.forward(blocks, columns([x], c.n_inputs))
-    return _gradient_rep(net, blocks, values, pre, loss.grad(values[c.outputs], _labels(c, [y])))
-
-
-def backprop_factored(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
-    """Gradient recomputed through the knowledge representation.
-
-    The identity-activation evaluation of the knowledge representation on the
-    all-ones input reproduces every pre-activation of the original network, so
-    the reverse sweep can run on values reconstructed from that evaluation
-    alone.  Raises SingularPreActivation where the knowledge map is undefined.
-    """
-    loss = get_loss(loss)
-    q, c = net.quiver, net.compiled
-    k = knowledge_map(net, x)
-    # the identity evaluation on all ones: every source a bias vertex
-    linear = NeuralNetwork(k, dict.fromkeys(q.hidden, "identity"), frozenset(q.sources))
-    ones, _ = linear.compiled.forward(linear.weight_blocks(), np.empty((0, 1)))
-    pre = ones[[linear.compiled.row[v] for v in c.vertices]]
-    values = c.activate(pre, columns([x], c.n_inputs))
-    return _gradient_rep(net, net.weight_blocks(), values, pre, loss.grad(values[c.outputs], _labels(c, [y])))
+    dw, adj = c.backward(blocks, values, pre, loss.grad(values[c.outputs], _labels(c, [y])))
+    return GradientRep(
+        net.quiver, dict(zip(c.arrows, dw.tolist())), vertex_adjoints=dict(zip(c.vertices, adj[:, 0].tolist()))
+    )
 
 
 def gradient_transform(g: dict, dw: GradientRep) -> GradientRep:

@@ -88,7 +88,7 @@ def representation_from_json(obj, quiver: Quiver = None) -> Representation:
         if not isinstance(value, dict):
             raise QmnError(f"malformed representation file: {key!r} is a {type(value).__name__}, not a mapping")
     for v, d in dims.items():
-        if not isinstance(d, int):
+        if not isinstance(d, int) or isinstance(d, bool):
             raise QmnError(f"malformed representation file: dimension of vertex {v!r} is {d!r}, not an integer")
     mats = {}
     for aid, value in weights.items():

@@ -9,32 +9,29 @@ exactly on simple points.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 
 import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError
-from .quiver import Path, Quiver, all_hidden_paths
+from .quiver import Quiver, all_hidden_paths
 from .rep import DoubleFramedTriple, deframe, rep_space_dim, gauge_dim
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModuliPoint:
-    """Coordinates of a gauge orbit: one matrix block per hidden path between
-    framed vertices.
+    """The gauge orbit of `triple`, a frozen representative that gives the
+    quiver, dims and framing; spans, ranks and the closed orbit are read from
+    its sweeps, which are memoised on it, and enumerate no path.
 
-    blocks[w] (shape (w_end, u_start)) is the literal coordinate h_j V_w f_i,
-    read by `assembled`, `vertex_block` and `qmn moduli coords`; paths between
-    unframed endpoints are not stored.  `paths` is the quiver's cached,
-    read-only mapping of every hidden path for every ordered vertex pair.
-    `triple`, a frozen representative of the orbit, gives the quiver, dims and
-    framing; spans, ranks and the closed orbit are read from its sweeps, which
-    are memoised on it.
+    `paths` is the quiver's cached, read-only mapping of every hidden path for
+    every ordered vertex pair, checked against the path cap on each read.
+    blocks[w] (shape (w_end, u_start)) is the literal coordinate h_j V_w f_i of
+    each hidden path between framed vertices, built on first read and kept on
+    the point; `assembled`, `vertex_block` and `qmn moduli coords` read it.
     """
 
-    paths: Mapping
-    blocks: dict
     triple: DoubleFramedTriple
 
     @property
@@ -49,6 +46,15 @@ class ModuliPoint:
     def framing(self):
         return self.triple.framing
 
+    @property
+    def paths(self) -> Mapping:
+        return all_hidden_paths(self.quiver.hidden_quiver())
+
+    @cached_property
+    def blocks(self) -> dict:
+        h, w = self.triple.h, self.framing.w
+        return {p: h[p.end] @ image for p, image in _path_images(self.triple) if w[p.end]}
+
     # --- layout helpers -------------------------------------------------
 
     def framed_in(self):
@@ -59,11 +65,11 @@ class ModuliPoint:
 
     def in_paths(self, i):
         """Paths j ~> i from framed-in vertices, column order of q^(i)."""
-        return [p for j in self.quiver.hidden if self.framing.u[j] > 0 for p in self.paths[(j, i)]]
+        return [p for j in self.framed_in() for p in self.paths[(j, i)]]
 
     def out_paths(self, i):
         """Paths i ~> k into framed-out vertices, row order of q^(i)."""
-        return [p for k in self.quiver.hidden if self.framing.w[k] > 0 for p in self.paths[(i, k)]]
+        return [p for k in self.framed_out() for p in self.paths[(i, k)]]
 
     # --- views ----------------------------------------------------------
 
@@ -72,15 +78,16 @@ class ModuliPoint:
         spaces; each (start, end) pair is written once, with the sum of the
         blocks of its parallel paths, and pairs without a path stay zero."""
         u, w = self.framing.u, self.framing.w
+        paths, blocks = self.paths, self.blocks
         cols = self.framed_in()
         m = np.zeros((sum(w.values()), sum(u.values())))
         r = 0
         for j in self.framed_out():
             c = 0
             for i in cols:
-                bucket = self.paths[(i, j)]
+                bucket = paths[(i, j)]
                 if bucket:
-                    m[r : r + w[j], c : c + u[i]] = sum(self.blocks[p] for p in bucket)
+                    m[r : r + w[j], c : c + u[i]] = sum(blocks[p] for p in bucket)
                 c += u[i]
             r += w[j]
         return m
@@ -115,34 +122,27 @@ class ModuliPoint:
         return {i: linalg.num_rank(coimages[i][0].T @ images[i][0], tol) for i in self.quiver.hidden}
 
 
-def path_matrix(t: DoubleFramedTriple, p: Path):
-    m = np.eye(t.dims[p.start])
-    for aid in p.arrows:
-        m = t.hidden_matrices[aid] @ m
-    return m
-
-
 def project(t: DoubleFramedTriple) -> ModuliPoint:
-    """Quotient map: blocks h_j V_w f_i for every hidden path w between framed
-    vertices; the lazy path at i contributes h_i f_i.  Each image V_w f_i is one
-    arrow past the image of its prefix, which ends earlier in topological order."""
-    q = t.quiver
-    fr = t.framing
-    hq = q.hidden_quiver()
+    """Quotient map: the point of t's orbit; its readers compute on first use."""
+    return ModuliPoint(t)
+
+
+def _path_images(t: DoubleFramedTriple):
+    """(w, V_w f_i) for every hidden path w : i ~> j with u_i > 0, walked by
+    end in topological order, so each image is one arrow past the image of its
+    prefix; the lazy path at i gives f_i.  The one builder of path images."""
+    hq = t.quiver.hidden_quiver()
     paths = all_hidden_paths(hq)
     mats = t.hidden_matrices
-    blocks = {}
-    for i in q.hidden:
-        if fr.u[i] == 0:
+    for i in t.quiver.hidden:
+        if t.framing.u[i] == 0:
             continue
         images = {(): t.f[i]}
         for j in hq.topological:
             for p in paths[(i, j)]:
                 if p.arrows:
                     images[p.arrows] = mats[p.arrows[-1]] @ images[p.arrows[:-1]]
-                if fr.w[j]:
-                    blocks[p] = t.h[j] @ images[p.arrows]
-    return ModuliPoint(paths, blocks, t)
+                yield p, images[p.arrows]
 
 
 # --- stability and simplicity -------------------------------------------
@@ -401,13 +401,13 @@ def verify_resolution_point(subspaces: dict, m: ModuliPoint, tol=1e-8) -> bool:
 
 def resolution_data(t: DoubleFramedTriple, m: ModuliPoint = None) -> dict:
     """Tautological subspaces for a triple: the kernel of the collected map
-    from stacked in-paths into V_i.  For semistable triples these have
-    codimension d_i and verify against project(t)."""
+    from m's stacked in-paths into V_i; codimension d_i if t is semistable."""
     if m is None:
-        m = project(t)
+        m = ModuliPoint(t)
+    images = dict(_path_images(t))
     out = {}
     for i in t.quiver.hidden:
-        blocks = [path_matrix(t, p) @ t.f[p.start] for p in m.in_paths(i)]
+        blocks = [images[p] for p in m.in_paths(i)]
         collected = np.hstack(blocks) if blocks else np.zeros((t.dims[i], 0))
         out[i] = linalg.null(collected)
     return out

@@ -190,17 +190,6 @@ class CompiledNetwork:
                 values[a:b] = act.fn(pre[a:b])
         return values, pre
 
-    def activate(self, pre, x) -> np.ndarray:
-        """Vertex values from the pre-activations of the non-source vertices
-        and the inputs x, as `forward` computes them."""
-        values = pre.copy()
-        values[: self.n_inputs] = x
-        values[self.n_inputs : self.n_sources] = 1.0
-        for lv in self.levels:
-            for act, a, b in lv.groups:
-                values[a:b] = act.fn(pre[a:b])
-        return values
-
     def backward(self, blocks, values, pre, d_out) -> tuple:
         """Reverse sweep from the (outputs, batch) adjoints d_out.  Returns the
         weight gradient summed over the batch, in arrow order, and the

@@ -126,12 +126,6 @@ class Quiver:
     def arrows_out_of(self, v):
         return tuple(self._out[v])
 
-    def arrow(self, arrow_id):
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
-
     def hidden_quiver(self):
         """Full subquiver on the hidden vertices, built on first call and cached."""
         if self._hidden_quiver is None:

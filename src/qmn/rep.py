@@ -54,9 +54,6 @@ class Representation:
             mats[a.id] = as_matrix(self.matrices[a.id], self.dims[a.target], self.dims[a.source])
         self.matrices = mats
 
-    def matrix(self, arrow_id):
-        return self.matrices[arrow_id]
-
     def is_thin(self):
         return all(d == 1 for d in self.dims.values())
 
@@ -65,14 +62,14 @@ class Representation:
 class DoubleFramedTriple:
     """Hidden representation plus framing maps f_i : U_i -> V_i and h_i : V_i -> W_i.
 
-    Frozen, with read-only mappings of the coerced matrices, so what is
+    Frozen, with read-only mappings of the dims and coerced matrices, so what is
     computed from it can be cached on it: `_memo` holds such results (the
     sweeps of `qmn.moduli`), filled on first use.  The arrays themselves are
     shared with the caller, not copied; writing into them is not supported.
     """
 
     quiver: Quiver
-    dims: dict
+    dims: Mapping
     hidden_matrices: Mapping
     f: Mapping
     h: Mapping
@@ -88,6 +85,7 @@ class DoubleFramedTriple:
         }
         f = {i: as_matrix(self.f[i], self.dims[i], self.framing.u[i]) for i in hidden}
         h = {i: as_matrix(self.h[i], self.framing.w[i], self.dims[i]) for i in hidden}
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
         object.__setattr__(self, "hidden_matrices", MappingProxyType(mats))
         object.__setattr__(self, "f", MappingProxyType(f))
         object.__setattr__(self, "h", MappingProxyType(h))

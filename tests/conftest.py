@@ -117,6 +117,16 @@ def brute_force_paths(hq, start, end, max_len=None):
     return sorted(results)
 
 
+def path_matrix(t: DoubleFramedTriple, p) -> np.ndarray:
+    """V_w of a hidden path, multiplied out from the identity arrow by arrow;
+    the independent oracle for the prefix-product path images of
+    `qmn.moduli`."""
+    m = np.eye(t.dims[p.start])
+    for aid in p.arrows:
+        m = t.hidden_matrices[aid] @ m
+    return m
+
+
 def equilibrate(a):
     """Rows, then columns, of a scaled to unit norm; zero ones stay zero.
 

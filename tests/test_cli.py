@@ -11,7 +11,7 @@ import pytest
 from conftest import layered_quiver
 from hypothesis import given, settings, strategies as st
 
-from qmn import io
+from qmn import grad, io
 from qmn.cli import main
 from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, single_vertex_net
 from qmn.thincat import ThinRep, unit
@@ -210,6 +210,39 @@ def test_relu_balance_badly_scaled_weights(capsys, tmp_path):
     assert all(g > 0.0 for g in payload["gauge"].values())
 
 
+def test_moduli_rank_answers_past_the_path_cap(capsys, tmp_path):
+    """Thin 4-16^5-2 has 1,193,040 hidden paths, above the cap: `moduli rank`
+    reads only the sweeps and answers, `moduli coords` still refuses."""
+    q = layered_quiver([4, 16, 16, 16, 16, 16, 2])
+    rng = np.random.default_rng(8)
+    thin = ThinRep(q, {a.id: rng.uniform(0.5, 2.0) for a in q.arrows})
+    rpath = write_json(tmp_path, "rep.json", io.thin_to_json(thin))
+    code, out = run(capsys, "--format", "json", "moduli", "rank", "--rep", rpath)
+    assert code == 0
+    assert json.loads(out)["rank"] == {v: 1 for v in q.hidden}
+    err = run_invalid(capsys, "moduli", "coords", "--rep", rpath)
+    assert "hidden path count 1193040 exceeds cap 1000000" in err
+
+
+def test_net_train_builds_no_epoch_snapshot_without_trace(capsys, tmp_path, monkeypatch):
+    """Without --trace-moduli the trainer builds one network, the trained one
+    it returns, not one per epoch."""
+    built = []
+    snapshot = grad._snapshot
+
+    def counted(net, w):
+        built.append(w)
+        return snapshot(net, w)
+
+    monkeypatch.setattr(grad, "_snapshot", counted)
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1.0, 1.0)))
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("1.0,2.0\n2.0,4.0\n")
+    code, _ = run(capsys, "net", "train", "--net", npath, "--data", str(dpath), "--epochs", "20")
+    assert code == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1"])
 def test_moduli_rank_bad_tol_is_invalid_input(capsys, a3_files, tol):
     _, rpath = a3_files
@@ -273,6 +306,25 @@ def test_embedded_quiver_path_is_not_opened(capsys, tmp_path, monkeypatch, kind,
     assert f"malformed {kind} file: embedded quiver is not a mapping" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moduli", "coords", "--rep"],
+        ["moduli", "rank", "--rep"],
+        ["thin", "invertible"],
+        ["net", "psihat", "--rep"],
+        ["relu", "momentum", "--rep"],
+        ["relu", "balance", "--target", "0", "--rep"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith("-") and a != "0"),
+)
+def test_boolean_dimension_is_invalid_input(capsys, tmp_path, argv):
+    """JSON `true` is no dimension, though Python's bool is an int."""
+    doc = {"quiver": README_QUIVER, "dims": {"s": 1, "v": True, "t": 1}, "weights": {"f": 2.0, "h": 3.0}}
+    path = write_json(tmp_path, "rep.json", doc)
+    assert "dimension of vertex 'v' is True, not an integer" in run_invalid(capsys, *argv, path)
+
+
 FUZZ_DOCS = [
     README_QUIVER,
     {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": [[2.0]], "h": 3.0}},
@@ -283,7 +335,14 @@ FUZZ_COMMANDS = [
     ["validate", "--quiver"],
     ["moduli", "coords", "--rep"],
     ["moduli", "rank", "--rep"],
+    ["moduli", "dim", "--quiver"],
+    ["moduli", "simple-exists", "--quiver"],
+    ["thin", "invertible"],
     ["net", "eval", "--input", "1", "--net"],
+    ["net", "knowledge", "--input", "1", "--net"],
+    ["net", "psihat", "--rep"],
+    ["net", "gradcheck", "--net"],
+    ["relu", "momentum", "--rep"],
     ["relu", "balance", "--target", "0", "--rep"],
 ]
 

@@ -8,7 +8,6 @@ from qmn.grad import (
     CrossEntropySoftmax,
     GradientRep,
     backprop,
-    backprop_factored,
     batch_loss,
     get_loss,
     gradient_transform,
@@ -86,6 +85,34 @@ def test_cross_entropy_gradient_identity():
         zm[k] -= h
         fd = (loss.value(zp, y) - loss.value(zm, y)) / (2 * h)
         assert fd == pytest.approx(loss.grad(z, y)[k], abs=1e-6)
+
+
+def backprop_factored(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
+    """Gradient recomputed through the knowledge representation.
+
+    The identity-activation evaluation of the knowledge representation on the
+    all-ones input reproduces every pre-activation of the original network, so
+    the reverse sweep can run on values reconstructed from that evaluation
+    alone.  Raises SingularPreActivation where the knowledge map is undefined.
+    Kept here as the factorization check of `backprop`.
+    """
+    loss = get_loss(loss)
+    q, c = net.quiver, net.compiled
+    k = knowledge_map(net, x)
+    # the identity evaluation on all ones: every source a bias vertex
+    linear = NeuralNetwork(k, dict.fromkeys(q.hidden, "identity"), frozenset(q.sources))
+    ones, _ = linear.compiled.forward(linear.weight_blocks(), np.empty((0, 1)))
+    pre = ones[[linear.compiled.row[v] for v in c.vertices]]
+    # vertex values from the pre-activations and the inputs, as forward computes them
+    values = pre.copy()
+    values[: c.n_inputs] = columns([x], c.n_inputs)
+    values[c.n_inputs : c.n_sources] = 1.0
+    for lv in c.levels:
+        for act, a, b in lv.groups:
+            values[a:b] = act.fn(pre[a:b])
+    d_out = loss.grad(values[c.outputs], columns([y], len(c.outputs)))
+    dw, adj = c.backward(net.weight_blocks(), values, pre, d_out)
+    return GradientRep(q, dict(zip(c.arrows, dw.tolist())), dict(zip(c.vertices, adj[:, 0].tolist())))
 
 
 def test_backprop_factored_identity_exact():

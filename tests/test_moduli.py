@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn import linalg
+from qmn import linalg, quiver as quiver_module
 from qmn.errors import CodimensionMismatch, QmnError
 from qmn.examples import (
     d4tilde_template,
@@ -22,7 +22,6 @@ from qmn.moduli import (
     is_semistable,
     is_simple,
     moduli_dimension,
-    path_matrix,
     project,
     resolution_data,
     simple_rep_exists,
@@ -32,7 +31,7 @@ from qmn.quiver import Path, Quiver, enumerate_paths, framing_data
 from qmn.rep import DoubleFramedTriple, Representation, act, join, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
 
-from conftest import equilibrate, path_rank_vector
+from conftest import equilibrate, path_matrix, path_rank_vector
 
 
 def zeroed(t):
@@ -138,7 +137,7 @@ def test_vertex_block_empty_in_paths():
     )
     unframed_in = {i: np.zeros((1, 0)) for i in q.hidden}
     doctored_triple = DoubleFramedTriple(q, dims, t.hidden_matrices, unframed_in, t.h, doctored_framing)
-    doctored = ModuliPoint(project(t).paths, {}, doctored_triple)
+    doctored = ModuliPoint(doctored_triple)
     assert doctored.vertex_block("y").shape[1] == 0
     assert path_rank_vector(doctored)["y"] == 0
 
@@ -414,6 +413,32 @@ def test_sweep_runs_once_per_direction(monkeypatch):
     is_semistable(t)
     closed_orbit_representative(m)
     assert len(calls) == 2 * len(q.hidden)
+
+
+def test_only_block_readers_enumerate_paths(monkeypatch):
+    """`project` and the sweep readers walk no path; the first read of
+    `blocks` walks once from each hidden vertex, and nothing walks again."""
+    walks = []
+    paths_from = quiver_module._paths_from
+
+    def counted(hq, start):
+        walks.append(start)
+        return paths_from(hq, start)
+
+    monkeypatch.setattr(quiver_module, "_paths_from", counted)
+    q = random_dag_quiver(np.random.default_rng(5), n_hidden=6)
+    t = random_triple(q, {v: 2 for v in q.vertices}, np.random.default_rng(6))
+    m = project(t)
+    m.rank_vector()
+    is_simple(t)
+    is_semistable(t)
+    closed_orbit_representative(m)
+    assert walks == []
+    assert m.blocks
+    assert sorted(walks) == sorted(q.hidden)
+    m.assembled()
+    resolution_data(t, m)
+    assert len(walks) == len(q.hidden)
 
 
 def test_memo_belongs_to_its_triple():

@@ -240,6 +240,17 @@ def test_triple_is_frozen():
             field[key] = np.zeros((1, 1))
 
 
+def test_triple_dims_are_read_only():
+    """The dims a triple's matrices and memo were built for cannot change
+    under it."""
+    q = quiver_d4tilde()
+    t = random_triple(q, thin_dims(q), np.random.default_rng(4))
+    assert is_simple(t)
+    with pytest.raises(TypeError):
+        t.dims["v1"] = 2
+    assert t.dims["v1"] == 1 and is_simple(t)
+
+
 def test_triple_shares_the_caller_arrays():
     q = quiver_d4tilde()
     r = random_representation(q, thin_dims(q), np.random.default_rng(6))
