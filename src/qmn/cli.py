@@ -8,19 +8,18 @@ failure (no convergence, divergence, singular pre-activation).
 
 import argparse
 import json
+import math
+import os
 import sys
 
 import numpy as np
 
 from . import examples, grad, io, moduli, network, relu as relu_mod, thincat
-from .errors import (
-    DivergenceDetected,
-    NoConvergence,
-    QmnError,
-    SingularPreActivation,
-)
+from .errors import DivergenceDetected, NoConvergence, QmnError, SingularPreActivation
 from .quiver import validate
-from .rep import random_triple, split
+from .rep import join, random_triple, split
+
+FD_STEP = 1e-5  # central-difference step of `net gradcheck`
 
 
 class UsageError(Exception):
@@ -30,6 +29,15 @@ class UsageError(Exception):
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _finite(obj):
+    """No NaN or infinite number anywhere in a payload."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return all(_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
 
 
 def _emit(obj, fmt):
@@ -83,21 +91,17 @@ def _fmt_flat(v):
     return str(v)
 
 
-def _load_quiver_and_rep(args, thin_default=False):
-    qv = io.quiver_from_json(args.quiver) if getattr(args, "quiver", None) else None
-    rep = None
-    if getattr(args, "rep", None):
-        rep = io.representation_from_json(args.rep, qv)
-        qv = rep.quiver
-    if qv is None:
-        raise QmnError("a quiver is required (via --quiver or an embedded one in --rep)")
-    if rep is None and thin_default:
-        dims = {v: 1 for v in qv.vertices}
-        mats = {a.id: 1.0 for a in qv.arrows}
-        from .rep import Representation
+def _quiver(args):
+    """The --quiver override, or None to read the quiver a file embeds."""
+    return io.quiver_from_json(args.quiver) if args.quiver else None
 
-        rep = Representation(qv, dims, mats)
-    return qv, rep
+
+def _triple(args):
+    return split(io.representation_from_json(args.rep, _quiver(args)))
+
+
+def _net(args):
+    return io.network_from_json(args.net, _quiver(args))
 
 
 def _parse_inputs(text):
@@ -126,97 +130,8 @@ def _point_payload(point, assembled=False):
     return payload
 
 
-def build_parser():
-    top = Parser(prog="qmn", description=__doc__)
-    top.add_argument("--format", choices=["json", "csv", "table"], default="table")
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="classify a quiver's vertices")
-    p.add_argument("--quiver", required=True)
-
-    pm = sub.add_parser("moduli", help="moduli coordinates and tests")
-    msub = pm.add_subparsers(dest="sub", required=True)
-    p = msub.add_parser("coords")
-    p.add_argument("--quiver")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--assembled", action="store_true")
-    p = msub.add_parser("rank")
-    p.add_argument("--quiver")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p = msub.add_parser("dim")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--rep")
-    p = msub.add_parser("simple-exists")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--rep")
-
-    pt = sub.add_parser("thin", help="thin representations and tensor structure")
-    tsub = pt.add_subparsers(dest="sub", required=True)
-    p = tsub.add_parser("tensor")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = tsub.add_parser("invertible")
-    p.add_argument("a")
-    p = tsub.add_parser("morphism")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    pn = sub.add_parser("net", help="network evaluation, knowledge map, training")
-    nsub = pn.add_subparsers(dest="sub", required=True)
-    p = nsub.add_parser("eval")
-    p.add_argument("--net", required=True)
-    p.add_argument("--quiver")
-    p.add_argument("--input", required=True)
-    p = nsub.add_parser("knowledge")
-    p.add_argument("--net", required=True)
-    p.add_argument("--quiver")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
-    p = nsub.add_parser("psihat")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--quiver")
-    p = nsub.add_parser("train")
-    p.add_argument("--net", required=True)
-    p.add_argument("--quiver")
-    p.add_argument("--data", required=True)
-    p.add_argument("--loss", default="mse", choices=sorted(grad.LOSSES))
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--trace-moduli")
-    p.add_argument("--out")
-    p = nsub.add_parser("gradcheck")
-    p.add_argument("--net", required=True)
-    p.add_argument("--quiver")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-5)
-
-    pr = sub.add_parser("relu", help="momentum values and positive-gauge balancing")
-    rsub = pr.add_subparsers(dest="sub", required=True)
-    p = rsub.add_parser("momentum")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--quiver")
-    p = rsub.add_parser("balance")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--quiver")
-    p.add_argument("--target", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    pe = sub.add_parser("example", help="bundled worked examples")
-    esub = pe.add_subparsers(dest="sub", required=True)
-    p = esub.add_parser("d4tilde")
-    p.add_argument("--seed", type=int, default=0)
-    p = esub.add_parser("a3")
-    p = esub.add_parser("single-vertex-relu")
-    p.add_argument("--f", type=float, default=3.0)
-    p.add_argument("--h", type=float, default=2.0)
-    return top
-
-
-def cmd_validate(args):
-    q = io.quiver_from_json(args.quiver)
-    c = validate(q)
+def _validate(args):
+    c = validate(io.quiver_from_json(args.quiver))
     return {
         "sources": list(c.sources),
         "sinks": list(c.sinks),
@@ -226,106 +141,93 @@ def cmd_validate(args):
     }
 
 
-def cmd_moduli(args):
-    if args.sub == "coords":
-        _, rep = _load_quiver_and_rep(args)
-        point = moduli.project(split(rep))
-        return _point_payload(point, assembled=args.assembled)
-    if args.sub == "rank":
-        _, rep = _load_quiver_and_rep(args)
-        point = moduli.project(split(rep))
-        return {"rank": point.rank_vector(args.tol)}
-    if args.sub == "dim":
-        qv, rep = _load_quiver_and_rep(args, thin_default=True)
-        md = moduli.moduli_dimension(qv, rep.dims)
-        return {"dimension": md.value, "expected_only": md.expected_only}
-    if args.sub == "simple-exists":
-        qv, rep = _load_quiver_and_rep(args, thin_default=True)
-        report = moduli.simple_rep_exists(qv, rep.dims)
-        return {"exists": report.exists, "reason": report.reason, "single_cycle": report.single_cycle}
-    raise UsageError("unknown moduli subcommand")
+def _dims(args):
+    """--quiver with --rep's dimension vector, or the thin one without --rep."""
+    q = _quiver(args)
+    return q, io.representation_from_json(args.rep, q).dims if args.rep else dict.fromkeys(q.vertices, 1)
 
 
-def cmd_thin(args):
-    if args.sub == "tensor":
-        a = io.thin_from_json(args.a)
-        b = io.thin_from_json(args.b)
-        return io.thin_to_json(thincat.tensor(a, b))
-    if args.sub == "invertible":
-        a = io.thin_from_json(args.a)
-        ok = thincat.is_invertible(a)
-        out = {"invertible": ok}
-        if ok:
-            out["inverse"] = io.thin_to_json(thincat.inverse(a))["weights"]
-        return out
-    if args.sub == "morphism":
-        a = io.thin_from_json(args.a)
-        b = io.thin_from_json(args.b)
-        g = thincat.solve_morphism(a, b, args.tol)
-        if g is None:
-            return {"morphism": None}
-        rep = thincat.check_morphism(g, a, b, args.tol)
-        return {"morphism": g, "invertible": rep.invertible}
-    raise UsageError("unknown thin subcommand")
+def _moduli_dim(args):
+    md = moduli.moduli_dimension(*_dims(args))
+    return {"dimension": md.value, "expected_only": md.expected_only}
 
 
-def cmd_net(args):
-    if args.sub == "eval":
-        net = io.network_from_json(args.net, io.quiver_from_json(args.quiver) if args.quiver else None)
-        out, trace = network.forward(net, _parse_inputs(args.input))
-        return {
-            "output": out.tolist(),
-            "activations": {v: trace.values[v] for v in net.quiver.vertices},
-        }
-    if args.sub == "knowledge":
-        net = io.network_from_json(args.net, io.quiver_from_json(args.quiver) if args.quiver else None)
-        k = network.knowledge_map(net, _parse_inputs(args.input))
-        payload = io.thin_to_json(k)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-        return payload
-    if args.sub == "psihat":
-        t = io.thin_from_json(args.rep, io.quiver_from_json(args.quiver) if args.quiver else None)
-        return {"psi_hat": network.psi_hat(t).tolist()}
-    if args.sub == "train":
-        net = io.network_from_json(args.net, io.quiver_from_json(args.quiver) if args.quiver else None)
-        data = io.load_data_csv(args.data, len(net.input_vertices), len(net.output_vertices))
-        trace_rows = []
-
-        def on_epoch(epoch, current, value):
-            try:
-                point = moduli.project(network.knowledge_map(current, data[0][0]).to_triple())
-                coords = _point_payload(point)["blocks"]
-            except SingularPreActivation:
-                coords = None
-            trace_rows.append({"epoch": epoch, "loss": value, "coords": coords})
-
-        result = grad.train(
-            net, data, args.loss, args.lr, args.epochs, on_epoch=on_epoch if args.trace_moduli else None
-        )
-        if args.trace_moduli:
-            with open(args.trace_moduli, "w") as fh:
-                for row in trace_rows:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(io.network_to_json(result.network), fh, sort_keys=True)
-        return {"final_loss": result.losses[-1], "epochs": args.epochs, "losses_head": result.losses[:5]}
-    if args.sub == "gradcheck":
-        if not (np.isfinite(args.tol) and args.tol >= 0):
-            raise QmnError(f"--tol must be finite and >= 0, got {args.tol}")
-        net = io.network_from_json(args.net, io.quiver_from_json(args.quiver) if args.quiver else None)
-        rng = _rng(args.seed)
-        x = rng.standard_normal(len(net.input_vertices))
-        y = rng.standard_normal(len(net.output_vertices))
-        analytic = grad.backprop(net, x, y, "mse")
-        worst = float(_fd_worst_err(net, x, y, analytic))
-        return {"max_rel_err": worst, "ok": bool(worst <= args.tol)}
-    raise UsageError("unknown net subcommand")
+def _simple_exists(args):
+    report = moduli.simple_rep_exists(*_dims(args))
+    return {"exists": report.exists, "reason": report.reason, "single_cycle": report.single_cycle}
 
 
-def _fd_worst_err(net, x, y, analytic, h=1e-5):
+def _invertible(args):
+    a = io.thin_from_json(args.a)
+    ok = thincat.is_invertible(a)
+    out = {"invertible": ok}
+    if ok:
+        out["inverse"] = io.thin_to_json(thincat.inverse(a))["weights"]
+    return out
+
+
+def _morphism(args):
+    a = io.thin_from_json(args.a)
+    b = io.thin_from_json(args.b)
+    g = thincat.solve_morphism(a, b, args.tol)
+    if g is None:
+        return {"morphism": None}
+    return {"morphism": g, "invertible": thincat.check_morphism(g, a, b, args.tol).invertible}
+
+
+def _net_eval(args):
+    net = _net(args)
+    out, trace = network.forward(net, _parse_inputs(args.input))
+    return {"output": out.tolist(), "activations": {v: trace.values[v] for v in net.quiver.vertices}}
+
+
+def _knowledge(args):
+    payload = io.thin_to_json(network.knowledge_map(_net(args), _parse_inputs(args.input)))
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+    return payload
+
+
+def _train(args):
+    net = _net(args)
+    data = io.load_data_csv(args.data, len(net.input_vertices), len(net.output_vertices))
+    trace_rows = []
+
+    def on_epoch(epoch, current, value):
+        try:
+            point = moduli.project(network.knowledge_map(current, data[0][0]).to_triple())
+            coords = _point_payload(point)["blocks"]
+        except SingularPreActivation:
+            coords = None
+        trace_rows.append({"epoch": epoch, "loss": value, "coords": coords})
+
+    result = grad.train(
+        net, data, args.loss, args.lr, args.epochs, on_epoch=on_epoch if args.trace_moduli else None
+    )
+    if args.trace_moduli:
+        with open(args.trace_moduli, "w") as fh:
+            for row in trace_rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(io.network_to_json(result.network), fh, sort_keys=True)
+    return {"final_loss": result.losses[-1], "epochs": args.epochs, "losses_head": result.losses[:5]}
+
+
+def _gradcheck(args):
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise QmnError(f"--tol must be finite and >= 0, got {args.tol}")
+    net = _net(args)
+    rng = _rng(args.seed)
+    x = rng.standard_normal(len(net.input_vertices))
+    y = rng.standard_normal(len(net.output_vertices))
+    analytic = grad.backprop(net, x, y, "mse")
+    worst = float(_fd_worst_err(net, x, y, analytic))
+    return {"max_rel_err": worst, "ok": bool(worst <= args.tol)}
+
+
+def _fd_worst_err(net, x, y, analytic):
     c = net.compiled
     loss = grad.get_loss("mse")
     x = network.columns([x], c.n_inputs)
@@ -338,114 +240,190 @@ def _fd_worst_err(net, x, y, analytic, h=1e-5):
     worst = 0.0
     for k, aid in enumerate(c.arrows):
         step = np.zeros_like(base)
-        step[k] = h
-        fd = (value(base + step) - value(base - step)) / (2 * h)
+        step[k] = FD_STEP
+        fd = (value(base + step) - value(base - step)) / (2 * FD_STEP)
         scale = max(abs(fd), abs(analytic.weights[aid]), 1.0)
         worst = max(worst, abs(fd - analytic.weights[aid]) / scale)
     return worst
 
 
-def cmd_relu(args):
-    _, rep = _load_quiver_and_rep(args)
-    t = split(rep)
-    if args.sub == "momentum":
-        mu = relu_mod.momentum(t)
-        return {"momentum": {i: m.tolist() for i, m in mu.values.items()}}
-    if args.sub == "balance":
-        result = relu_mod.balance(t, args.target, args.tol)
-        return {
-            "gauge": {i: float(g[0, 0]) for i, g in result.gauge.items()},
-            "sweeps": result.sweeps,
-            "residual": result.residual,
-        }
-    raise UsageError("unknown relu subcommand")
+def _momentum(args):
+    return {"momentum": {i: m.tolist() for i, m in relu_mod.momentum(_triple(args)).values.items()}}
 
 
-def cmd_example(args):
-    if args.sub == "d4tilde":
-        rng = _rng(args.seed)
-        q = examples.quiver_d4tilde()
-        dims = examples.thin_dims(q)
-        t = random_triple(q, dims, rng)
-        point = moduli.project(t)
-        md = moduli.moduli_dimension(q, dims)
-        net = examples.d4tilde_net(rng=rng, activation="relu")
-        x = rng.standard_normal(len(net.input_vertices))
-        out, _ = network.forward(net, x)
-        try:
-            k = network.knowledge_map(net, x)
-            fact_err = float(np.max(np.abs(out - network.psi_hat(k))))
-        except SingularPreActivation:
-            fact_err = None  # draw hit a zero pre-activation; map undefined there
-        from .rep import join
+def _balance(args):
+    result = relu_mod.balance(_triple(args), args.target, args.tol)
+    return {
+        "gauge": {i: float(g[0, 0]) for i, g in result.gauge.items()},
+        "sweeps": result.sweeps,
+        "residual": result.residual,
+    }
 
-        full = join(t)
-        return {
-            "quiver": io.quiver_to_json(q),
-            "weights": {aid: float(m[0, 0]) for aid, m in full.matrices.items()},
-            "coords": _point_payload(point, assembled=True),
-            "rank": point.rank_vector(),
-            "dimension": md.value,
-            "factorization_err": fact_err,
-        }
-    if args.sub == "a3":
-        q = examples.quiver_a3()
-        dims = examples.thin_dims(q)
-        md = moduli.moduli_dimension(q, dims)
-        report = moduli.simple_rep_exists(q, dims)
-        return {
-            "quiver": io.quiver_to_json(q),
-            "dimension": md.value,
-            "simple_exists": report.exists,
-            "single_cycle": report.single_cycle,
-        }
-    if args.sub == "single-vertex-relu":
-        if not (np.isfinite(args.f) and np.isfinite(args.h)):
-            raise QmnError(f"--f and --h must be finite, got {args.f}, {args.h}")
-        net = examples.single_vertex_net(args.f, args.h)
-        t = net.weights.to_triple()
-        mu = relu_mod.momentum(t).scalars()
-        table = []
-        for u in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            out, _ = network.forward(net, [u])
-            table.append({"input": u, "output": out.tolist()})
-        return {"momentum": mu, "network_function": table}
-    raise UsageError("unknown example")
+
+def _d4tilde(args):
+    rng = _rng(args.seed)
+    q = examples.quiver_d4tilde()
+    dims = examples.thin_dims(q)
+    t = random_triple(q, dims, rng)
+    point = moduli.project(t)
+    md = moduli.moduli_dimension(q, dims)
+    net = examples.d4tilde_net(rng=rng, activation="relu")
+    x = rng.standard_normal(len(net.input_vertices))
+    out, _ = network.forward(net, x)
+    try:
+        k = network.knowledge_map(net, x)
+        fact_err = float(np.max(np.abs(out - network.psi_hat(k))))
+    except SingularPreActivation:
+        fact_err = None  # draw hit a zero pre-activation; map undefined there
+    return {
+        "quiver": io.quiver_to_json(q),
+        "weights": {aid: float(m[0, 0]) for aid, m in join(t).matrices.items()},
+        "coords": _point_payload(point, assembled=True),
+        "rank": point.rank_vector(),
+        "dimension": md.value,
+        "factorization_err": fact_err,
+    }
+
+
+def _a3(args):
+    q = examples.quiver_a3()
+    dims = examples.thin_dims(q)
+    report = moduli.simple_rep_exists(q, dims)
+    return {
+        "quiver": io.quiver_to_json(q),
+        "dimension": moduli.moduli_dimension(q, dims).value,
+        "simple_exists": report.exists,
+        "single_cycle": report.single_cycle,
+    }
+
+
+def _single_vertex_relu(args):
+    if not (np.isfinite(args.f) and np.isfinite(args.h)):
+        raise QmnError(f"--f and --h must be finite, got {args.f}, {args.h}")
+    net = examples.single_vertex_net(args.f, args.h)
+    mu = relu_mod.momentum(net.weights.to_triple()).scalars()
+    table = [{"input": u, "output": network.forward(net, [u])[0].tolist()} for u in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    return {"momentum": mu, "network_function": table}
+
+
+def build_parser():
+    """The `qmn` parser; each subcommand stores its handler as `run`."""
+    top = Parser(prog="qmn", description=__doc__)
+    top.add_argument("--format", choices=["json", "csv", "table"], default="table")
+    verbs = top.add_subparsers(dest="verb", required=True)
+
+    def command(group, name, run, **kwargs):
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        return p
+
+    def group(name, summary):
+        return verbs.add_parser(name, help=summary).add_subparsers(dest="sub", required=True)
+
+    p = command(verbs, "validate", _validate, help="classify a quiver's vertices")
+    p.add_argument("--quiver", required=True)
+
+    mod = group("moduli", "moduli coordinates and tests")
+    p = command(mod, "coords", lambda a: _point_payload(moduli.project(_triple(a)), assembled=a.assembled))
+    p.add_argument("--quiver")
+    p.add_argument("--rep", required=True)
+    p.add_argument("--assembled", action="store_true")
+    p = command(mod, "rank", lambda a: {"rank": moduli.project(_triple(a)).rank_vector(a.tol)})
+    p.add_argument("--quiver")
+    p.add_argument("--rep", required=True)
+    p.add_argument("--tol", type=float, default=1e-8)
+    for name, run in (("dim", _moduli_dim), ("simple-exists", _simple_exists)):
+        p = command(mod, name, run)
+        p.add_argument("--quiver", required=True)
+        p.add_argument("--rep")
+
+    thin = group("thin", "thin representations and tensor structure")
+    p = command(
+        thin, "tensor", lambda a: io.thin_to_json(thincat.tensor(io.thin_from_json(a.a), io.thin_from_json(a.b)))
+    )
+    p.add_argument("a")
+    p.add_argument("b")
+    p = command(thin, "invertible", _invertible)
+    p.add_argument("a")
+    p = command(thin, "morphism", _morphism)
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--tol", type=float, default=1e-9)
+
+    net = group("net", "network evaluation, knowledge map, training")
+    p = command(net, "eval", _net_eval)
+    p.add_argument("--net", required=True)
+    p.add_argument("--quiver")
+    p.add_argument("--input", required=True)
+    p = command(net, "knowledge", _knowledge)
+    p.add_argument("--net", required=True)
+    p.add_argument("--quiver")
+    p.add_argument("--input", required=True)
+    p.add_argument("--out")
+    p = command(
+        net, "psihat", lambda a: {"psi_hat": network.psi_hat(io.thin_from_json(a.rep, _quiver(a))).tolist()}
+    )
+    p.add_argument("--rep", required=True)
+    p.add_argument("--quiver")
+    p = command(net, "train", _train)
+    p.add_argument("--net", required=True)
+    p.add_argument("--quiver")
+    p.add_argument("--data", required=True)
+    p.add_argument("--loss", default="mse", choices=sorted(grad.LOSSES))
+    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--trace-moduli")
+    p.add_argument("--out")
+    p = command(net, "gradcheck", _gradcheck)
+    p.add_argument("--net", required=True)
+    p.add_argument("--quiver")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-5)
+
+    relu = group("relu", "momentum values and positive-gauge balancing")
+    p = command(relu, "momentum", _momentum)
+    p.add_argument("--rep", required=True)
+    p.add_argument("--quiver")
+    p = command(relu, "balance", _balance)
+    p.add_argument("--rep", required=True)
+    p.add_argument("--quiver")
+    p.add_argument("--target", type=float, required=True)
+    p.add_argument("--tol", type=float, default=1e-8)
+
+    ex = group("example", "bundled worked examples")
+    p = command(ex, "d4tilde", _d4tilde)
+    p.add_argument("--seed", type=int, default=0)
+    command(ex, "a3", _a3)
+    p = command(ex, "single-vertex-relu", _single_vertex_relu)
+    p.add_argument("--f", type=float, default=3.0)
+    p.add_argument("--h", type=float, default=2.0)
+    return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.verb == "validate":
-            payload = cmd_validate(args)
-        elif args.verb == "moduli":
-            payload = cmd_moduli(args)
-        elif args.verb == "thin":
-            payload = cmd_thin(args)
-        elif args.verb == "net":
-            payload = cmd_net(args)
-        elif args.verb == "relu":
-            payload = cmd_relu(args)
-        elif args.verb == "example":
-            payload = cmd_example(args)
-        else:
-            print(f"unknown verb {args.verb!r}", file=sys.stderr)
-            return 1
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        payload = args.run(args)
     except (NoConvergence, DivergenceDetected, SingularPreActivation) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (QmnError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.format)
+    if not _finite(payload):
+        print("numeric failure: the result holds a NaN or an infinite number", file=sys.stderr)
+        return 3
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: the command still finished, and pointing
+        # stdout at devnull keeps the interpreter's flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -15,6 +15,7 @@ from .network import NeuralNetwork, columns
 from .quiver import Arrow, Quiver
 from .thincat import ThinRep
 
+DIVERGENCE_LIMIT = 1e12  # a training loss above this has diverged
 
 def softmax(z):
     z = np.asarray(z, dtype=float)
@@ -145,13 +146,12 @@ def train(
     loss="mse",
     lr=0.05,
     epochs=100,
-    divergence_limit=1e12,
     on_epoch=None,
 ) -> TrainResult:
     """Full-batch gradient descent; deterministic, gradients averaged over the
     batch.  Each epoch is one batched forward, whose loss is the epoch's
     recorded loss, and one batched backward.  Raises DivergenceDetected as soon
-    as a recorded loss is not finite or exceeds `divergence_limit`, and
+    as a recorded loss is not finite or exceeds DIVERGENCE_LIMIT, and
     ShapeMismatch on empty data, negative `epochs` or an `lr` that is not a
     finite number >= 0.
 
@@ -177,7 +177,7 @@ def train(
         z = values[c.outputs]
         value = float(np.mean(loss.value(z, y)))
         history.append(value)
-        if not np.isfinite(value) or value > divergence_limit:
+        if not np.isfinite(value) or value > DIVERGENCE_LIMIT:
             raise DivergenceDetected(epoch, value)
         if epoch == epochs:
             break

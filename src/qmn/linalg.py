@@ -9,6 +9,7 @@ import numpy as np
 
 RANK_TOL = 1e-8
 SUBSPACE_TOL = 1e-10
+RESIDUAL_TOL = 1e-8  # relative residual that `contains` still counts as zero
 
 
 def _cut(s, tol):
@@ -21,34 +22,35 @@ def num_rank(a, tol=RANK_TOL):
     return _cut(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False), tol)
 
 
-def svd_cut(a, tol=SUBSPACE_TOL):
+def svd_cut(a):
     """Thin SVD (u, s, vt) of a, cut to the singular values above
-    tol * sigma_max: u is an orthonormal basis of the column space and
-    (u * s) @ vt reproduces a up to the cut."""
+    SUBSPACE_TOL * sigma_max: u is an orthonormal basis of the column space
+    and (u * s) @ vt reproduces a up to the cut."""
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    r = _cut(s, tol)
+    r = _cut(s, SUBSPACE_TOL)
     return u[:, :r], s[:r], vt[:r]
 
 
-def orth(a, tol=SUBSPACE_TOL):
+def orth(a):
     """Orthonormal basis of the column space of a, as columns."""
-    return svd_cut(a, tol)[0]
+    return svd_cut(a)[0]
 
 
-def null(a, tol=SUBSPACE_TOL):
+def null(a):
     """Orthonormal basis of the kernel of a, as columns."""
     _, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
-    return vt[_cut(s, tol) :].T
+    return vt[_cut(s, SUBSPACE_TOL) :].T
 
 
-def contains(a, b, tol=1e-8):
-    """True if span(b) is inside span(a); a orthonormal, b any basis matrix."""
+def contains(a, b):
+    """True if span(b) is inside span(a), up to RESIDUAL_TOL relative to b's
+    largest entry (floored at 1); a orthonormal, b any basis matrix."""
     b = np.asarray(b, dtype=float)
     if b.shape[1] == 0 or b.size == 0:
         return True
     resid = b - a @ (a.T @ b) if a.shape[1] else b
     scale = max(np.abs(b).max(), 1.0)
-    return float(np.abs(resid).max()) <= tol * scale
+    return float(np.abs(resid).max()) <= RESIDUAL_TOL * scale
 
 
 def rel_err(got, want):

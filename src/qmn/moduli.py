@@ -361,11 +361,12 @@ def in_shift_matrix(m: ModuliPoint, arrow):
     return mat
 
 
-def verify_resolution_point(subspaces: dict, m: ModuliPoint, tol=1e-8) -> bool:
+def verify_resolution_point(subspaces: dict, m: ModuliPoint) -> bool:
     """Check a candidate tuple of subspaces against a moduli point: each
     subspace of the stacked in-path space at i must have codimension d_i, be
-    carried into its neighbour by every arrow shift, and lie in the kernel of
-    q^(i)."""
+    carried into its neighbour by every arrow shift (`linalg.contains`), and
+    lie in the kernel of q^(i), up to linalg.RESIDUAL_TOL relative to q^(i)'s
+    largest entry (floored at 1)."""
     q = m.quiver
     u = m.framing.u
     bases = {}
@@ -386,7 +387,7 @@ def verify_resolution_point(subspaces: dict, m: ModuliPoint, tol=1e-8) -> bool:
         bases[i] = b
     for a in q.hidden_quiver().arrows:
         moved = in_shift_matrix(m, a) @ bases[a.source]
-        if not linalg.contains(bases[a.target], moved, tol):
+        if not linalg.contains(bases[a.target], moved):
             return False
     for i in q.hidden:
         qi = m.vertex_block(i)
@@ -394,16 +395,17 @@ def verify_resolution_point(subspaces: dict, m: ModuliPoint, tol=1e-8) -> bool:
             continue
         resid = qi @ bases[i]
         scale = max(float(np.abs(qi).max()), 1.0)
-        if float(np.abs(resid).max()) > tol * scale:
+        if float(np.abs(resid).max()) > linalg.RESIDUAL_TOL * scale:
             return False
     return True
 
 
-def resolution_data(t: DoubleFramedTriple, m: ModuliPoint = None) -> dict:
+def resolution_data(t: DoubleFramedTriple) -> dict:
     """Tautological subspaces for a triple: the kernel of the collected map
-    from m's stacked in-paths into V_i; codimension d_i if t is semistable."""
-    if m is None:
-        m = ModuliPoint(t)
+    from the stacked in-paths into V_i, in `ModuliPoint.in_paths` order, which
+    depends only on the quiver and the framing; codimension d_i if t is
+    semistable."""
+    m = ModuliPoint(t)
     images = dict(_path_images(t))
     out = {}
     for i in t.quiver.hidden:

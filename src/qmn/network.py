@@ -303,7 +303,7 @@ def network_matrix_from_point(m: ModuliPoint) -> np.ndarray:
     return out_matrix(q, m.dims, m.framing) @ m.assembled() @ in_matrix(q, m.dims, m.framing)
 
 
-def knowledge_map(net: NeuralNetwork, x, tol=PREACT_TOL) -> ThinRep:
+def knowledge_map(net: NeuralNetwork, x) -> ThinRep:
     """Input-dependent thin representation: input arrows absorb the input value,
     bias arrows keep their weight, arrows out of hidden vertices are scaled by
     activation / pre-activation.
@@ -316,7 +316,7 @@ def knowledge_map(net: NeuralNetwork, x, tol=PREACT_TOL) -> ThinRep:
     src = c.arrow_sources
     z = pre[src, 0]
     hidden = src >= c.n_sources  # sinks are no arrow's source
-    singular = np.flatnonzero(hidden & (np.abs(z) <= tol))
+    singular = np.flatnonzero(hidden & (np.abs(z) <= PREACT_TOL))
     if singular.size:
         k = singular[0]
         raise SingularPreActivation(c.vertices[src[k]], float(z[k]))

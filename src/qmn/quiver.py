@@ -11,9 +11,10 @@ time against a cap before any is enumerated.
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     CyclicQuiver,
@@ -203,13 +204,18 @@ class FramingData:
 
     in_slots[i] is the ordered list of (arrow, dim(source)) for arrows from
     sources into i; u[i] is the sum of those dims.  out_slots/w mirror this
-    for arrows into sinks.
+    for arrows into sinks.  All four are read-only copies, so triples that
+    share a framing cannot change each other's shapes.
     """
 
-    u: dict
-    w: dict
-    in_slots: dict
-    out_slots: dict
+    u: Mapping
+    w: Mapping
+    in_slots: Mapping
+    out_slots: Mapping
+
+    def __post_init__(self):
+        for name in ("u", "w", "in_slots", "out_slots"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 def framing_data(q: Quiver, dims: dict) -> FramingData:
@@ -228,16 +234,12 @@ def framing_data(q: Quiver, dims: dict) -> FramingData:
     return FramingData(u=u, w=w, in_slots=in_slots, out_slots=out_slots)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """Directed path in the hidden quiver; empty arrow list means the lazy path."""
 
     start: str
     end: str
-    arrows: tuple = field(default_factory=tuple)
-
-    def __len__(self):
-        return len(self.arrows)
+    arrows: tuple = ()
 
     def label(self):
         inner = ".".join(self.arrows) if self.arrows else "~"

@@ -18,6 +18,8 @@ EPS = np.finfo(float).eps
 # |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i is rounding, with M_i the sum of
 # the magnitudes that make up mu_i
 ROUNDING_FLOOR = 16
+LEVEL_TOL = 1e-8  # Frobenius distance to the level that still counts as on it
+MAX_STEPS = 500  # Newton steps before `balance` gives up
 
 
 @dataclass
@@ -64,15 +66,16 @@ class LevelSetReport:
         return all(self.membership.values())
 
 
-def level_set_membership(t: DoubleFramedTriple, target: float, tol=1e-8) -> LevelSetReport:
-    """Distance of the momentum value to target * identity, per vertex."""
+def level_set_membership(t: DoubleFramedTriple, target: float) -> LevelSetReport:
+    """Distance of the momentum value to target * identity, per vertex; within
+    LEVEL_TOL is membership."""
     mu = momentum(t)
     membership, residuals = {}, {}
     for i, m in mu.values.items():
         d = m.shape[0]
         resid = float(np.linalg.norm(m - float(target) * np.eye(d)))
         residuals[i] = resid
-        membership[i] = resid <= tol
+        membership[i] = resid <= LEVEL_TOL
     return LevelSetReport(membership=membership, residuals=residuals, target=float(target))
 
 
@@ -84,9 +87,7 @@ class BalanceResult:
     residual: float
 
 
-def balance(
-    t: DoubleFramedTriple, target: float, tol=1e-8, max_sweeps=500
-) -> BalanceResult:
+def balance(t: DoubleFramedTriple, target: float, tol=LEVEL_TOL) -> BalanceResult:
     """Find positive scalars g_i with the momentum of g . t on the target level.
 
     Damped Newton (one dense solve and an Armijo line search per step; `sweeps`
@@ -97,7 +98,7 @@ def balance(
     rounding floor |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i, or when a
     full step with every residual below sqrt(EPS) * M_i no longer lowers them,
     and accepts when each is within max(tol, that floor).  Raises NoConvergence
-    after max_sweeps steps or when no step makes progress (an unreachable
+    after MAX_STEPS steps or when no step makes progress (an unreachable
     level), and QmnError on a non-finite target or a negative or non-finite tol.
     """
     q = t.quiver
@@ -133,7 +134,7 @@ def balance(
     cur, steps = point(np.zeros(n)), 0
     while not cur[5] <= ROUNDING_FLOOR * EPS:
         x, phi, grad, c, mass, worst = cur
-        if steps == max_sweeps:
+        if steps == MAX_STEPS:
             raise NoConvergence(steps, residual())
         off = np.bincount(src * n + tgt, c, n * n).reshape(n, n)
         try:

@@ -61,12 +61,12 @@ def unit(q: Quiver) -> ThinRep:
     return ThinRep(q, {a.id: 1.0 for a in q.arrows})
 
 
-def is_invertible(a: ThinRep, tol=ZERO_WEIGHT_TOL) -> bool:
-    return all(abs(wt) > tol for wt in a.weights.values())
+def is_invertible(a: ThinRep) -> bool:
+    return all(abs(wt) > ZERO_WEIGHT_TOL for wt in a.weights.values())
 
 
-def inverse(a: ThinRep, tol=ZERO_WEIGHT_TOL) -> ThinRep:
-    if not is_invertible(a, tol):
+def inverse(a: ThinRep) -> ThinRep:
+    if not is_invertible(a):
         raise ShapeMismatch("representation has a zero weight, no tensor inverse")
     return ThinRep(a.quiver, {k: 1.0 / wt for k, wt in a.weights.items()})
 

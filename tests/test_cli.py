@@ -3,6 +3,9 @@ import copy
 import io as stdio
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -330,7 +333,7 @@ FUZZ_DOCS = [
     {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": [[2.0]], "h": 3.0}},
     io.network_to_json(single_vertex_net(2.0, 3.0)),
 ]
-FUZZ_VALUES = ["x", 2.5, 7, -1, True, None, [], {}, ["x"], {"x": 1}]
+FUZZ_VALUES = ["x", 2.5, 7, -1, 1e200, True, None, [], {}, ["x"], {"x": 1}]
 FUZZ_COMMANDS = [
     ["validate", "--quiver"],
     ["moduli", "coords", "--rep"],
@@ -375,6 +378,32 @@ def mutated_docs(draw):
     return doc
 
 
+def run_quietly(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text):
+    """Parse JSON output, refusing the NaN and Infinity extensions."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def check_fuzzed_run(argv):
+    """Exit 0, 2 or 3 without a traceback, and on success strict JSON."""
+    code, out, err = run_quietly(["--format", "json", *argv])
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        strict_json(out)
+
+
 @settings(max_examples=100, deadline=None)
 @given(mutated_docs())
 def test_cli_fuzz_malformed_files(doc):
@@ -383,11 +412,41 @@ def test_cli_fuzz_malformed_files(doc):
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
         for argv in FUZZ_COMMANDS:
-            out, err = stdio.StringIO(), stdio.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*argv, str(path)])
-            assert code in (0, 2, 3), (argv, doc, err.getvalue())
-            assert "Traceback" not in err.getvalue()
+            code, _, err = run_quietly([*argv, str(path)])
+            assert code in (0, 2, 3), (argv, doc, err)
+            assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers().map(lambda n: ["example", "d4tilde", "--seed", str(n)])
+    | st.tuples(st.floats(), st.floats()).map(
+        lambda fh: ["example", "single-vertex-relu", f"--f={fh[0]!r}", f"--h={fh[1]!r}"]
+    )
+)
+def test_cli_fuzz_example_arguments(argv):
+    """The recipes take any seed and any float weights (NaN, infinities and
+    overflowing products included) and still print strict JSON or refuse."""
+    check_fuzzed_run(argv)
+
+
+FINITE_WEIGHTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e200, -sys.float_info.max])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_docs(), st.lists(FINITE_WEIGHTS, min_size=2, max_size=2))
+def test_cli_fuzz_two_file_thin_commands(doc, weights):
+    """`thin tensor` and `thin morphism` on a mutated file and a valid thin
+    file with any finite weights, in both orders; the largest ones overflow
+    a tensor product."""
+    valid = {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": dict(zip("fh", weights))}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "mutated.json", Path(tmp) / "valid.json"]
+        paths[0].write_text(json.dumps(doc))
+        paths[1].write_text(json.dumps(valid))
+        for verb in ("tensor", "morphism"):
+            for a, b in (paths, paths[::-1]):
+                check_fuzzed_run(["thin", verb, str(a), str(b)])
 
 
 FUZZ_CELLS = ["", " ", "x", "nan", "-nan", "inf", "-inf", "1e400", "1e300", "0x1", "1_0", '"1"', "'1'"]
@@ -422,11 +481,9 @@ def test_cli_fuzz_malformed_csv(text):
         npath.write_text(json.dumps(io.network_to_json(single_vertex_net(1.0, 1.0))))
         dpath = Path(tmp) / "data.csv"
         dpath.write_text(text)
-        out, err = stdio.StringIO(), stdio.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["net", "train", "--net", str(npath), "--data", str(dpath), "--epochs", "3"])
-        assert code in (0, 2, 3), (text, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code, _, err = run_quietly(["net", "train", "--net", str(npath), "--data", str(dpath), "--epochs", "3"])
+        assert code in (0, 2, 3), (text, err)
+        assert "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -603,3 +660,41 @@ def test_negative_seed_is_invalid_input(capsys, tmp_path, argv):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_single_vertex_example_non_finite_weight_is_invalid_input(capsys, flag, value):
     assert "must be finite" in run_invalid(capsys, "example", "single-vertex-relu", flag, value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relu", "momentum", "--rep", "{rep}"],
+        ["thin", "tensor", "{rep}", "{rep}"],
+        ["net", "psihat", "--rep", "{rep}"],
+        ["moduli", "coords", "--rep", "{rep}"],
+        ["example", "single-vertex-relu", "--f", "1e200", "--h", "1e200"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_non_finite_result_is_numeric_failure(capsys, tmp_path, argv, fmt):
+    """Weights of 1e200 overflow every product of two; nothing is printed."""
+    doc = {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": 1e200, "h": 1e200}}
+    path = write_json(tmp_path, "rep.json", doc)
+    code = main(["--format", fmt, *(a.format(rep=path) for a in argv)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "numeric failure: the result holds a NaN or an infinite number" in captured.err
+
+
+def test_closed_stdout_exits_zero_quietly(a3_files):
+    """A reader that stops early, as in `qmn ... | head -c 10`, ends only the
+    output: the command finished, so exit 0 with nothing on stderr."""
+    _, rpath = a3_files
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmn.cli", "--format", "json", "moduli", "rank", "--rep", rpath],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -437,7 +437,7 @@ def test_only_block_readers_enumerate_paths(monkeypatch):
     assert m.blocks
     assert sorted(walks) == sorted(q.hidden)
     m.assembled()
-    resolution_data(t, m)
+    resolution_data(t)
     assert len(walks) == len(q.hidden)
 
 
@@ -532,7 +532,7 @@ def test_resolution_point_d4tilde_generic():
         rng.uniform(0.5, 1.5, size=2),
     )
     m = project(t)
-    subspaces = resolution_data(t, m)
+    subspaces = resolution_data(t)
     assert verify_resolution_point(subspaces, m)
 
 
@@ -546,7 +546,7 @@ def test_resolution_point_shift_violation():
         rng.uniform(0.5, 1.5, size=2),
     )
     m = project(t)
-    subspaces = resolution_data(t, m)
+    subspaces = resolution_data(t)
     # replace the subspace at v3 by a generic hyperplane: shift compatibility
     # from v1/v2 fails almost surely
     amb = subspaces["v3"].shape[0]
@@ -582,7 +582,7 @@ def test_resolution_point_codimension_check():
         rng.uniform(0.5, 1.5, size=2),
     )
     m = project(t)
-    subspaces = resolution_data(t, m)
+    subspaces = resolution_data(t)
     subspaces["v5"] = subspaces["v5"][:, :-1]  # drop a basis vector: wrong codim
     with pytest.raises(CodimensionMismatch):
         verify_resolution_point(subspaces, m)

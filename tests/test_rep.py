@@ -5,7 +5,7 @@ import pytest
 
 from qmn.errors import ShapeMismatch, SingularGauge, UnframableArrow
 from qmn.examples import d4tilde_triple, quiver_a3, quiver_d4tilde, quiver_single_vertex, thin_dims
-from qmn.moduli import is_simple
+from qmn.moduli import is_simple, project
 from qmn.quiver import Quiver, framing_data
 from qmn.rep import (
     DoubleFramedTriple,
@@ -249,6 +249,18 @@ def test_triple_dims_are_read_only():
     with pytest.raises(TypeError):
         t.dims["v1"] = 2
     assert t.dims["v1"] == 1 and is_simple(t)
+
+
+def test_shared_framing_is_read_only():
+    """`act` hands its framing to the new triple; an edit through one triple
+    would reshape the other's `assembled` while its `h` keeps its rows."""
+    t = d4tilde_triple(1, 2, 3, 4, 5, [1, 2], [3, 4], [5, 6], [7, 8])
+    t2 = act(random_gauge(t.quiver, t.dims, np.random.default_rng(8)), t)
+    assert t2.framing is t.framing
+    for name in ("u", "w", "in_slots", "out_slots"):
+        with pytest.raises(TypeError):
+            getattr(t2.framing, name)["v4"] = 0
+    assert project(t).assembled().shape == (4, 5)
 
 
 def test_triple_shares_the_caller_arrays():
