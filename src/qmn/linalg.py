@@ -9,7 +9,7 @@ import numpy as np
 
 RANK_TOL = 1e-8
 SUBSPACE_TOL = 1e-10
-RESIDUAL_TOL = 1e-8  # relative residual that `contains` still counts as zero
+RESIDUAL_TOL = 1e-8  # relative residual counted as zero by `contains` and resolution checks
 
 
 def _cut(s, tol):
