@@ -26,6 +26,10 @@ class UsageError(Exception):
     pass
 
 
+class NonFiniteResult(Exception):
+    pass
+
+
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -38,6 +42,20 @@ def _finite(obj):
     if isinstance(obj, list):
         return all(_finite(v) for v in obj)
     return not isinstance(obj, float) or math.isfinite(obj)
+
+
+def _check_finite(obj):
+    if not _finite(obj):
+        raise NonFiniteResult("the result holds a NaN or an infinite number")
+    return obj
+
+
+def _write_json_lines(files):
+    """Write `{path: rows}` as JSON lines, once every row is known finite; a None path is skipped."""
+    files = {path: _check_finite(rows) for path, rows in files.items() if path}
+    for path, rows in files.items():
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 def _emit(obj, fmt):
@@ -183,9 +201,7 @@ def _net_eval(args):
 
 def _knowledge(args):
     payload = io.thin_to_json(network.knowledge_map(_net(args), _parse_inputs(args.input)))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+    _write_json_lines({args.out: [payload]})
     return payload
 
 
@@ -205,13 +221,7 @@ def _train(args):
     result = grad.train(
         net, data, args.loss, args.lr, args.epochs, on_epoch=on_epoch if args.trace_moduli else None
     )
-    if args.trace_moduli:
-        with open(args.trace_moduli, "w") as fh:
-            for row in trace_rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(io.network_to_json(result.network), fh, sort_keys=True)
+    _write_json_lines({args.trace_moduli: trace_rows, args.out: [io.network_to_json(result.network)]})
     return {"final_loss": result.losses[-1], "epochs": args.epochs, "losses_head": result.losses[:5]}
 
 
@@ -407,16 +417,15 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        payload = args.run(args)
-    except (NoConvergence, DivergenceDetected, SingularPreActivation) as exc:
+        # overflow and NaN surface as exit 3 through the finiteness check, not as warnings
+        with np.errstate(all="ignore"):
+            payload = _check_finite(args.run(args))
+    except (NoConvergence, DivergenceDetected, SingularPreActivation, NonFiniteResult) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (QmnError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    if not _finite(payload):
-        print("numeric failure: the result holds a NaN or an infinite number", file=sys.stderr)
-        return 3
     try:
         _emit(payload, args.format)
         sys.stdout.flush()

@@ -7,6 +7,7 @@ paths through i; their ranks bound the hidden dimension vector, with equality
 exactly on simple points.
 """
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError
-from .quiver import Quiver, all_hidden_paths
+from .quiver import Quiver, all_hidden_paths, framing_data, weakly_connected
 from .rep import DoubleFramedTriple, deframe, rep_space_dim, gauge_dim
 
 
@@ -230,19 +231,12 @@ def _one_point_cycle(q: Quiver, dims: dict) -> bool:
     """Underlying graph of the one-point extension is a single cycle: connected,
     all degrees two, as many arrows as vertices."""
     dq = deframe(q, dims)
-    adj = {v: [] for v in dq.vertices}
-    for a in dq.arrows:
-        adj[a.source].append(a.target)
-        adj[a.target].append(a.source)
-    if len(dq.arrows) != len(dq.vertices) or any(len(n) != 2 for n in adj.values()):
-        return False
-    seen, stack = {dq.infinity}, [dq.infinity]
-    while stack:
-        for wv in adj[stack.pop()]:
-            if wv not in seen:
-                seen.add(wv)
-                stack.append(wv)
-    return len(seen) == len(dq.vertices)
+    degree = Counter(v for a in dq.arrows for v in (a.source, a.target))
+    return (
+        len(dq.arrows) == len(dq.vertices)
+        and all(degree[v] == 2 for v in dq.vertices)
+        and weakly_connected(dq.vertices, dq.arrows)
+    )
 
 
 def simple_rep_exists(q: Quiver, dims: dict) -> ExistenceReport:
@@ -253,8 +247,6 @@ def simple_rep_exists(q: Quiver, dims: dict) -> ExistenceReport:
     carries framing mass, and u_i / w_i dominate the in/out Euler defects
     d_i - sum of neighbour dims.
     """
-    from .quiver import framing_data
-
     fr = framing_data(q, dims)
     if not q.hidden:
         return ExistenceReport(False, "no hidden vertices", False)

@@ -64,14 +64,13 @@ class NeuralNetwork:
 
     def __post_init__(self):
         q = self.quiver
-        pairs = {(a.source, a.target) for a in q.arrows}
-        if len(pairs) != len(q.arrows):
+        if q.has_parallel_arrows:
             raise ShapeMismatch("network quivers do not allow parallel arrows")
-        if q.direct_source_sink_arrows():
+        if q.source_sink_arrows:
             raise UnframableArrow("network quivers may not connect a source directly to a sink")
         object.__setattr__(self, "activations", MappingProxyType(dict(self.activations)))
         object.__setattr__(self, "bias", frozenset(self.bias))
-        if not self.bias <= set(q.sources):
+        if not self.bias <= q.source_set:
             raise ShapeMismatch("bias vertices must be sources")
         for v in q.hidden:
             tag = self.activations.get(v)
@@ -128,8 +127,7 @@ class CompiledNetwork:
         for v in q.topological:
             into = q.arrows_into(v)
             level[v] = 1 + max(level[a.source] for a in into) if into else 0
-        hidden = set(q.hidden)
-        tag = {v: net.activations[v] if v in hidden else "identity" for v in q.vertices}
+        tag = {v: "identity" if v in q.source_set or v in q.sink_set else net.activations[v] for v in q.vertices}
         inputs = net.input_vertices
         bias = tuple(v for v in q.sources if v in net.bias)
         later = sorted((v for v in q.topological if level[v] > 0), key=lambda v: (level[v], tag[v]))
@@ -241,17 +239,12 @@ def linear_forward(rep: Representation, inputs: dict) -> dict:
     """Propagate vectors through a representation with no activations; works for
     any dimension vector.  inputs maps each source to a vector of its dimension."""
     q = rep.quiver
-    sources = set(q.sources)
     vals = {}
     for v in q.topological:
-        if v in sources:
-            vec = np.asarray(inputs[v], dtype=float).reshape(rep.dims[v])
-            vals[v] = vec
+        if v in q.source_set:
+            vals[v] = np.asarray(inputs[v], dtype=float).reshape(rep.dims[v])
         else:
-            acc = np.zeros(rep.dims[v])
-            for a in q.arrows_into(v):
-                acc = acc + rep.matrices[a.id] @ vals[a.source]
-            vals[v] = acc
+            vals[v] = sum((rep.matrices[a.id] @ vals[a.source] for a in q.arrows_into(v)), np.zeros(rep.dims[v]))
     return {v: vals[v] for v in q.sinks}
 
 
@@ -292,8 +285,7 @@ def out_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
 def network_matrix(t: DoubleFramedTriple) -> np.ndarray:
     """The linear input-to-output map of a triple, computed through its moduli
     point; equal to activation-free forward propagation."""
-    m = project(t)
-    return network_matrix_from_point(m)
+    return network_matrix_from_point(project(t))
 
 
 def network_matrix_from_point(m: ModuliPoint) -> np.ndarray:
@@ -332,10 +324,7 @@ def psi_hat(obj) -> np.ndarray:
     on projections of thin representations.
     """
     if isinstance(obj, ModuliPoint):
-        q = obj.quiver
-        n = network_matrix_from_point(obj)
-        ones = np.ones(sum(obj.dims[s] for s in q.sources))
-        return n @ ones
+        return network_matrix_from_point(obj) @ np.ones(sum(obj.dims[s] for s in obj.quiver.sources))
     if isinstance(obj, ThinRep):
         rep = obj.to_representation()
         outs = linear_forward(rep, {s: np.ones(1) for s in obj.quiver.sources})

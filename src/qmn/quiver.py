@@ -41,7 +41,8 @@ class Quiver:
     """Acyclic directed multigraph.  Raises on construction if invalid.
 
     `network=True` additionally forbids parallel arrows (the convention for
-    neural-network quivers).
+    neural-network quivers).  Incidence, the vertex split and the shape facts
+    are derived here once; the hidden quiver and its paths on first read.
     """
 
     def __init__(self, vertices, arrows, roles=None, network=False):
@@ -49,36 +50,35 @@ class Quiver:
         self.arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
         self.network = bool(network)
 
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        into = {v: [] for v in self.vertices}
+        out = {v: [] for v in self.vertices}
+        if len(into) != len(self.vertices):
             raise QuiverValidationError("duplicate vertex ids")
         seen = set()
         for a in self.arrows:
             if a.id in seen:
                 raise DuplicateArrowId(a.id)
             seen.add(a.id)
-            if a.source not in vset or a.target not in vset:
+            if a.source not in into or a.target not in into:
                 raise DanglingArrow(f"arrow {a.id}: {a.source}->{a.target} has undeclared endpoint")
-        if self.network:
-            pairs = {(a.source, a.target) for a in self.arrows}
-            if len(pairs) != len(self.arrows):
-                raise MultipleArrows("network quivers do not allow parallel arrows")
-
-        self._into = {v: [] for v in self.vertices}
-        self._out = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            self._into[a.target].append(a)
-            self._out[a.source].append(a)
+            into[a.target].append(a)
+            out[a.source].append(a)
+        self._into = {v: tuple(x) for v, x in into.items()}
+        self._out = {v: tuple(x) for v, x in out.items()}
+        self.has_parallel_arrows = len({(a.source, a.target) for a in self.arrows}) != len(self.arrows)
+        if self.network and self.has_parallel_arrows:
+            raise MultipleArrows("network quivers do not allow parallel arrows")
 
         self.topological = self._toposort()
-        self.sources = tuple(v for v in self.vertices if not self._into[v])
-        self.sinks = tuple(v for v in self.vertices if not self._out[v])
-        ss = set(self.sources) | set(self.sinks)
-        self.hidden = tuple(v for v in self.vertices if v not in ss)
-
+        self.sources = tuple(v for v in self.vertices if not into[v])
+        self.sinks = tuple(v for v in self.vertices if not out[v])
+        self.source_set = frozenset(self.sources)
+        self.sink_set = frozenset(self.sinks)
+        self.hidden = tuple(v for v in self.vertices if v not in self.source_set and v not in self.sink_set)
+        self.source_sink_arrows = tuple(
+            a for a in self.arrows if a.source in self.source_set and a.target in self.sink_set
+        )
         self.roles = self._resolve_roles(roles)
-        self._hidden_quiver = None
-        self._hidden_paths = None
 
     def _toposort(self):
         indeg = {v: len(self._into[v]) for v in self.vertices}
@@ -96,14 +96,10 @@ class Quiver:
         return tuple(order)
 
     def _resolve_roles(self, roles):
-        resolved = {}
-        for v in self.vertices:
-            if v in set(self.sources):
-                resolved[v] = "input"
-            elif v in set(self.sinks):
-                resolved[v] = "output"
-            else:
-                resolved[v] = "hidden"
+        resolved = {
+            v: "input" if v in self.source_set else "output" if v in self.sink_set else "hidden"
+            for v in self.vertices
+        }
         if roles:
             for v, r in roles.items():
                 if v not in resolved:
@@ -112,29 +108,29 @@ class Quiver:
                     raise QuiverValidationError(f"unknown role {r!r} for vertex {v!r}")
                 if r in ("input", "bias") and resolved[v] == "hidden":
                     raise QuiverValidationError(f"{v!r} is hidden, cannot have role {r!r}")
-                if r in ("input", "bias") and v in set(self.sinks) and v not in set(self.sources):
+                if r in ("input", "bias") and resolved[v] == "output":
                     raise QuiverValidationError(f"{v!r} is a sink, cannot have role {r!r}")
-                if r == "output" and v not in set(self.sinks):
+                if r == "output" and v not in self.sink_set:
                     raise QuiverValidationError(f"{v!r} is not a sink, cannot have role 'output'")
-                if r == "hidden" and v not in set(self.hidden):
+                if r == "hidden" and resolved[v] != "hidden":
                     raise QuiverValidationError(f"{v!r} is not hidden")
                 resolved[v] = r
         return resolved
 
     def arrows_into(self, v):
-        return tuple(self._into[v])
+        return self._into[v]
 
     def arrows_out_of(self, v):
-        return tuple(self._out[v])
+        return self._out[v]
 
     def hidden_quiver(self):
         """Full subquiver on the hidden vertices, built on first call and cached."""
-        if self._hidden_quiver is None:
-            hs = set(self.hidden)
-            self._hidden_quiver = Quiver(
-                self.hidden, (a for a in self.arrows if a.source in hs and a.target in hs)
-            )
         return self._hidden_quiver
+
+    @cached_property
+    def _hidden_quiver(self):
+        hidden = set(self.hidden)
+        return Quiver(self.hidden, (a for a in self.arrows if a.source in hidden and a.target in hidden))
 
     @cached_property
     def _path_count(self):
@@ -145,18 +141,11 @@ class Quiver:
             n[i] = 1 + sum(n[a.target] for a in self._out[i])
         return sum(n.values())
 
-    def source_arrows_into(self, v):
-        """Arrows from sources of Q into hidden vertex v, in declaration order."""
-        src = set(self.sources)
-        return tuple(a for a in self._into[v] if a.source in src)
-
-    def sink_arrows_out_of(self, v):
-        snk = set(self.sinks)
-        return tuple(a for a in self._out[v] if a.target in snk)
-
-    def direct_source_sink_arrows(self):
-        src, snk = set(self.sources), set(self.sinks)
-        return tuple(a for a in self.arrows if a.source in src and a.target in snk)
+    @cached_property
+    def _hidden_paths(self):
+        """Paths for every ordered pair of vertices, from one walk per start vertex."""
+        found = {i: _paths_from(self, i) for i in self.vertices}
+        return MappingProxyType({(i, j): tuple(found[i][j]) for i in self.vertices for j in self.vertices})
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
@@ -177,25 +166,26 @@ def validate(q: Quiver) -> Classification:
     Construction of `Quiver` already raises on cycles, dangling arrows, or
     duplicate ids; this returns the classification report.
     """
-    degenerate = tuple(v for v in q.vertices if v in set(q.sources) and v in set(q.sinks))
-    # weak connectivity over the underlying undirected graph
-    if not q.vertices:
-        connected = True
-    else:
-        seen = {q.vertices[0]}
-        frontier = deque(seen)
-        nbrs = {v: set() for v in q.vertices}
-        for a in q.arrows:
-            nbrs[a.source].add(a.target)
-            nbrs[a.target].add(a.source)
-        while frontier:
-            v = frontier.popleft()
-            for w in nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        connected = len(seen) == len(q.vertices)
-    return Classification(q.sources, q.sinks, q.hidden, degenerate, connected)
+    degenerate = tuple(v for v in q.sources if v in q.sink_set)
+    return Classification(q.sources, q.sinks, q.hidden, degenerate, weakly_connected(q.vertices, q.arrows))
+
+
+def weakly_connected(vertices, arrows) -> bool:
+    """The underlying undirected graph is connected; no vertices counts as
+    connected.  Takes raw lists, so cyclic graphs such as the one-point
+    extension are served too."""
+    nbrs = {v: [] for v in vertices}
+    for a in arrows:
+        nbrs[a.source].append(a.target)
+        nbrs[a.target].append(a.source)
+    stack = list(nbrs)[:1]
+    seen = set(stack)
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nbrs)
 
 
 @dataclass(frozen=True)
@@ -223,15 +213,14 @@ def framing_data(q: Quiver, dims: dict) -> FramingData:
     for v in q.sources + q.sinks:
         if dims.get(v, 0) <= 0:
             raise QuiverValidationError(f"dimension at framed vertex {v!r} must be positive")
-    u, w, in_slots, out_slots = {}, {}, {}, {}
-    for i in q.hidden:
-        ins = [(a, dims[a.source]) for a in q.source_arrows_into(i)]
-        outs = [(a, dims[a.target]) for a in q.sink_arrows_out_of(i)]
-        in_slots[i] = tuple(ins)
-        out_slots[i] = tuple(outs)
-        u[i] = sum(d for _, d in ins)
-        w[i] = sum(d for _, d in outs)
-    return FramingData(u=u, w=w, in_slots=in_slots, out_slots=out_slots)
+    in_slots = {i: tuple((a, dims[a.source]) for a in q.arrows_into(i) if a.source in q.source_set) for i in q.hidden}
+    out_slots = {i: tuple((a, dims[a.target]) for a in q.arrows_out_of(i) if a.target in q.sink_set) for i in q.hidden}
+    return FramingData(
+        u={i: sum(d for _, d in slots) for i, slots in in_slots.items()},
+        w={i: sum(d for _, d in slots) for i, slots in out_slots.items()},
+        in_slots=in_slots,
+        out_slots=out_slots,
+    )
 
 
 class Path(NamedTuple):
@@ -278,9 +267,4 @@ def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> Mapping:
     count against its own cap."""
     if hq._path_count > cap:
         raise PathExplosion(hq._path_count, cap)
-    if hq._hidden_paths is None:
-        found = {i: _paths_from(hq, i) for i in hq.vertices}
-        hq._hidden_paths = MappingProxyType(
-            {(i, j): tuple(found[i][j]) for i in hq.vertices for j in hq.vertices}
-        )
     return hq._hidden_paths

@@ -14,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ShapeMismatch, SingularGauge, UnframableArrow
-from .quiver import FramingData, Quiver, framing_data
+from .quiver import Arrow, FramingData, Quiver, framing_data
 
 GAUGE_DET_TOL = 1e-10
 
@@ -101,10 +101,9 @@ def split(r: Representation) -> DoubleFramedTriple:
     declaration order; coframing maps stack sink-arrow matrices row-blockwise.
     """
     q = r.quiver
-    direct = q.direct_source_sink_arrows()
-    if direct:
+    if q.source_sink_arrows:
         raise UnframableArrow(
-            f"arrows {[a.id for a in direct]} run source->sink; the framing split has no slot for them"
+            f"arrows {[a.id for a in q.source_sink_arrows]} run source->sink; the framing split has no slot for them"
         )
     fr = framing_data(q, r.dims)
     hq = q.hidden_quiver()
@@ -182,20 +181,17 @@ class DeframedQuiver:
 
 def deframe(q: Quiver, dims: dict) -> DeframedQuiver:
     """Build the one-point extension: u_i arrows infinity->i, w_i arrows i->infinity."""
-    from .quiver import Arrow
-
     fr = framing_data(q, dims)
     inf = "infinity"
-    while inf in set(q.vertices):
+    while inf in q.vertices:
         inf += "_"
-    arrows = [a for a in q.hidden_quiver().arrows]
+    arrows = list(q.hidden_quiver().arrows)
     for i in q.hidden:
         for k in range(fr.u[i]):
             arrows.append(Arrow(f"in[{i}][{k}]", inf, i))
         for l in range(fr.w[i]):
             arrows.append(Arrow(f"out[{i}][{l}]", i, inf))
-    d = {i: dims[i] for i in q.hidden}
-    d[inf] = 1
+    d = {**{i: dims[i] for i in q.hidden}, inf: 1}
     return DeframedQuiver(vertices=q.hidden + (inf,), arrows=tuple(arrows), dims=d, infinity=inf)
 
 
@@ -221,26 +217,17 @@ class TwoPointExtension:
 
 
 def doubleframe_variant(q: Quiver, dims: dict) -> TwoPointExtension:
-    from .quiver import Arrow
-
-    fr = framing_data(q, dims)
-    zero, inf = "origin", "infinity"
-    taken = set(q.vertices)
-    while zero in taken:
+    """`deframe` with the u_i arrows out of `infinity` moved to a new source `origin`."""
+    dq = deframe(q, dims)
+    zero = "origin"
+    while zero in q.vertices:
         zero += "_"
-    while inf in taken:
-        inf += "_"
-    arrows = list(q.hidden_quiver().arrows)
-    for i in q.hidden:
-        for k in range(fr.u[i]):
-            arrows.append(Arrow(f"in[{i}][{k}]", zero, i))
-        for l in range(fr.w[i]):
-            arrows.append(Arrow(f"out[{i}][{l}]", i, inf))
-    qq = Quiver((zero,) + q.hidden + (inf,), arrows)
-    d = {i: dims[i] for i in q.hidden}
-    d[zero] = 1
-    d[inf] = 1
-    return TwoPointExtension(quiver=qq, dims=d, expected_dim=rep_space_dim(q, dims) - gauge_dim(q, dims) - 1)
+    arrows = [Arrow(a.id, zero, a.target) if a.source == dq.infinity else a for a in dq.arrows]
+    return TwoPointExtension(
+        quiver=Quiver((zero,) + dq.vertices, arrows),
+        dims={zero: 1, **dq.dims},
+        expected_dim=rep_space_dim(q, dims) - gauge_dim(q, dims) - 1,
+    )
 
 
 def rep_space_dim(q: Quiver, dims: dict) -> int:

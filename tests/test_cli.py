@@ -674,14 +674,25 @@ def test_single_vertex_example_non_finite_weight_is_invalid_input(capsys, flag, 
     ],
     ids=lambda argv: "-".join(argv[:2]),
 )
-def test_non_finite_result_is_numeric_failure(capsys, tmp_path, argv, fmt):
-    """Weights of 1e200 overflow every product of two; nothing is printed."""
+def test_non_finite_result_is_numeric_failure(capsys, recwarn, tmp_path, argv, fmt):
+    """Weights of 1e200 overflow every product of two; nothing is printed, and
+    the one-line message is all of stderr, with no numpy warning ahead of it."""
     doc = {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": 1e200, "h": 1e200}}
     path = write_json(tmp_path, "rep.json", doc)
     code = main(["--format", fmt, *(a.format(rep=path) for a in argv)])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert "numeric failure: the result holds a NaN or an infinite number" in captured.err
+    assert captured.err == "numeric failure: the result holds a NaN or an infinite number\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_non_finite_knowledge_writes_no_file(capsys, tmp_path):
+    """The finiteness check runs before `--out` is opened, so exit 3 leaves no file."""
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1e200, 1e200)))
+    kpath = tmp_path / "k.json"
+    code = main(["net", "knowledge", "--net", npath, "--input", "1", "--out", str(kpath)])
+    assert code == 3 and not kpath.exists()
+    assert capsys.readouterr().err.startswith("numeric failure: ")
 
 
 def test_closed_stdout_exits_zero_quietly(a3_files):

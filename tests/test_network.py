@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qmn.errors import SingularPreActivation, UnframableArrow
+from qmn.errors import ShapeMismatch, SingularPreActivation, UnframableArrow
 from qmn.examples import (
     d4tilde_net,
     d4tilde_triple,
@@ -56,6 +56,12 @@ def test_network_rejects_source_sink_arrow():
     q = Quiver(["s", "v", "t"], [("sv", "s", "v"), ("vt", "v", "t"), ("st", "s", "t")])
     with pytest.raises(UnframableArrow):
         NeuralNetwork(ThinRep(q, {"sv": 1.0, "vt": 1.0, "st": 1.0}), {"v": "identity"})
+
+
+def test_network_rejects_parallel_arrows_on_a_non_network_quiver():
+    q = Quiver(["s", "v", "t"], [("a", "s", "v"), ("b", "s", "v"), ("vt", "v", "t")])
+    with pytest.raises(ShapeMismatch, match="parallel arrows"):
+        NeuralNetwork(ThinRep(q, {"a": 1.0, "b": 2.0, "vt": 1.0}), {"v": "identity"})
 
 
 def test_in_out_maps_d4tilde():

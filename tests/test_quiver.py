@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmn.errors import CyclicQuiver, DanglingArrow, DuplicateArrowId, MultipleArrows, PathExplosion
-from qmn.examples import quiver_a3, quiver_d4tilde, thin_dims
+from qmn.examples import quiver_a3, quiver_d4tilde, random_dag_quiver, thin_dims
 from qmn.quiver import (
     Path,
     Quiver,
@@ -117,6 +117,36 @@ def small_dags(draw):
                 arrows.append((f"a{aid}", vertices[i], vertices[j]))
                 aid += 1
     return Quiver(vertices, arrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_dags()
+    | st.builds(
+        lambda seed, n: random_dag_quiver(np.random.default_rng(seed), n_hidden=n),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+    )
+)
+def test_derived_facts_match_brute_force(q):
+    """The facts a quiver derives once equal filters over its arrow list, and
+    the cached ones come back as the same object on every read."""
+    heads = {a.target for a in q.arrows}
+    tails = {a.source for a in q.arrows}
+    for v in q.vertices:
+        assert q.arrows_into(v) == tuple(a for a in q.arrows if a.target == v)
+        assert q.arrows_out_of(v) == tuple(a for a in q.arrows if a.source == v)
+        assert q.arrows_into(v) is q.arrows_into(v)
+    assert q.sources == tuple(v for v in q.vertices if v not in heads)
+    assert q.sinks == tuple(v for v in q.vertices if v not in tails)
+    assert q.hidden == tuple(v for v in q.vertices if v in heads and v in tails)
+    assert (q.source_set, q.sink_set) == (set(q.sources), set(q.sinks))
+    pairs = [(a.source, a.target) for a in q.arrows]
+    assert q.has_parallel_arrows == any(pairs.count(p) > 1 for p in pairs)
+    assert q.source_sink_arrows == tuple(a for a in q.arrows if a.source not in heads and a.target not in tails)
+    hq = q.hidden_quiver()
+    assert hq is q.hidden_quiver()
+    assert all_hidden_paths(hq) is all_hidden_paths(hq)
 
 
 def adjacency_power_sum(q):
