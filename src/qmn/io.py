@@ -127,7 +127,7 @@ def network_from_json(obj, quiver: Quiver = None) -> NeuralNetwork:
     obj = _load(obj, "network")
     if quiver is None:
         quiver = quiver_from_json({**_embedded_quiver(obj, "network"), "network": True})
-    thin = thin_from_json({**obj, "quiver": quiver_to_json(quiver)}, quiver)
+    thin = thin_from_json(obj, quiver)
     activations, bias = obj.get("activations", {}), obj.get("bias", [])
     if not isinstance(activations, dict) or not all(isinstance(t, str) for t in activations.values()):
         raise QmnError("malformed network file: 'activations' is not a mapping of vertices to tags")

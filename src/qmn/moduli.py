@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError
-from .quiver import Quiver, all_hidden_paths, framing_data, weakly_connected
+from .quiver import Path, Quiver, all_hidden_paths, framing_data, weakly_connected
 from .rep import DoubleFramedTriple, deframe, rep_space_dim, gauge_dim
 
 
@@ -95,10 +95,8 @@ class ModuliPoint:
 
     def vertex_block(self, i):
         """q^(i): all coordinates of paths through i, rows by out-paths, columns
-        by in-paths.  Blocks are looked up by (start, arrows), which determine
-        a path."""
+        by in-paths."""
         u, w = self.framing.u, self.framing.w
-        index = {(p.start, p.arrows): b for p, b in self.blocks.items()}
         ins = self.in_paths(i)
         outs = self.out_paths(i)
         ncols = sum(u[p.start] for p in ins)
@@ -108,7 +106,7 @@ class ModuliPoint:
         for po in outs:
             c = 0
             for pi in ins:
-                m[r : r + w[po.end], c : c + u[pi.start]] = index[(pi.start, pi.arrows + po.arrows)]
+                m[r : r + w[po.end], c : c + u[pi.start]] = self.blocks[Path(pi.start, po.end, pi.arrows + po.arrows)]
                 c += u[pi.start]
             r += w[po.end]
         return m

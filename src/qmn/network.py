@@ -21,9 +21,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ShapeMismatch, SingularPreActivation, UnframableArrow
-from .moduli import ModuliPoint, project
+from .moduli import ModuliPoint
 from .quiver import Quiver
-from .rep import DoubleFramedTriple, Representation
+from .rep import DoubleFramedTriple, Representation, join
 from .thincat import ThinRep
 
 PREACT_TOL = 1e-12
@@ -235,17 +235,23 @@ def forward(net: NeuralNetwork, x) -> tuple:
     return values[c.outputs, 0], trace
 
 
-def linear_forward(rep: Representation, inputs: dict) -> dict:
-    """Propagate vectors through a representation with no activations; works for
-    any dimension vector.  inputs maps each source to a vector of its dimension."""
-    q = rep.quiver
-    vals = {}
+def linear_map(rep: Representation) -> np.ndarray:
+    """The activation-free input-to-output map of a representation, from the
+    stacked source spaces (in `q.sources` order) to the stacked sink spaces,
+    in one sweep over `q.topological`: a source holds its identity slot and
+    every other vertex v the sum of M_a T_x over its arrows a : x -> v.  Works
+    for any dimension vector, parallel and source->sink arrows; reads no path."""
+    q, dims = rep.quiver, rep.dims
+    slot, n = {}, 0
+    for s in q.sources:
+        slot[s], n = n, n + dims[s]
+    t = {}
     for v in q.topological:
         if v in q.source_set:
-            vals[v] = np.asarray(inputs[v], dtype=float).reshape(rep.dims[v])
+            t[v] = np.eye(dims[v], n, slot[v])
         else:
-            vals[v] = sum((rep.matrices[a.id] @ vals[a.source] for a in q.arrows_into(v)), np.zeros(rep.dims[v]))
-    return {v: vals[v] for v in q.sinks}
+            t[v] = sum((rep.matrices[a.id] @ t[a.source] for a in q.arrows_into(v)), np.zeros((dims[v], n)))
+    return np.vstack([t[v] for v in q.sinks]) if q.sinks else np.zeros((0, n))
 
 
 def in_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
@@ -283,16 +289,10 @@ def out_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
 
 
 def network_matrix(t: DoubleFramedTriple) -> np.ndarray:
-    """The linear input-to-output map of a triple, computed through its moduli
-    point; equal to activation-free forward propagation."""
-    return network_matrix_from_point(project(t))
-
-
-def network_matrix_from_point(m: ModuliPoint) -> np.ndarray:
-    # assembled() spans exactly the vertices with nonzero framing, in hidden
-    # declaration order, which matches the in/out matrix slot layouts
-    q = m.quiver
-    return out_matrix(q, m.dims, m.framing) @ m.assembled() @ in_matrix(q, m.dims, m.framing)
+    """The linear input-to-output map of a triple: `linear_map` of its join.
+    By the paper it equals out_matrix @ project(t).assembled() @ in_matrix, a
+    function of the moduli point alone."""
+    return linear_map(join(t))
 
 
 def knowledge_map(net: NeuralNetwork, x) -> ThinRep:
@@ -318,15 +318,11 @@ def knowledge_map(net: NeuralNetwork, x) -> ThinRep:
 
 
 def psi_hat(obj) -> np.ndarray:
-    """Evaluate on the all-ones input with identity activations.
-
-    Accepts a thin representation or a moduli point; the two entry points agree
-    on projections of thin representations.
-    """
+    """Evaluate on the all-ones input with identity activations: the row sums
+    of the linear map.  Accepts a thin representation or a moduli point; the
+    two entry points agree on projections of thin representations."""
     if isinstance(obj, ModuliPoint):
-        return network_matrix_from_point(obj) @ np.ones(sum(obj.dims[s] for s in obj.quiver.sources))
+        return network_matrix(obj.triple).sum(axis=1)
     if isinstance(obj, ThinRep):
-        rep = obj.to_representation()
-        outs = linear_forward(rep, {s: np.ones(1) for s in obj.quiver.sources})
-        return np.array([outs[s][0] for s in obj.quiver.sinks])
+        return linear_map(obj.to_representation()).sum(axis=1)
     raise ShapeMismatch(f"cannot evaluate object of type {type(obj).__name__}")

@@ -24,10 +24,10 @@ class ThinRep:
     weights: dict
 
     def __post_init__(self):
-        for a in self.quiver.arrows:
-            if a.id not in self.weights:
-                raise ShapeMismatch(f"no weight for arrow {a.id!r}")
-        self.weights = {a.id: float(self.weights[a.id]) for a in self.quiver.arrows}
+        try:
+            self.weights = {a.id: float(self.weights[a.id]) for a in self.quiver.arrows}
+        except KeyError as exc:
+            raise ShapeMismatch(f"no weight for arrow {exc.args[0]!r}") from None
 
     def to_representation(self):
         from .rep import Representation

@@ -8,8 +8,8 @@ import pytest
 from qmn.errors import NoConvergence, ShapeMismatch
 from qmn.grad import GradientRep, get_loss
 from qmn.linalg import RANK_TOL, num_rank
-from qmn.moduli import ModuliPoint
-from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork
+from qmn.moduli import ModuliPoint, project
+from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork, in_matrix, out_matrix
 from qmn.quiver import Quiver
 from qmn.relu import BalanceResult
 from qmn.rep import DoubleFramedTriple, act
@@ -125,6 +125,15 @@ def path_matrix(t: DoubleFramedTriple, p) -> np.ndarray:
     for aid in p.arrows:
         m = t.hidden_matrices[aid] @ m
     return m
+
+
+def path_network_matrix(t: DoubleFramedTriple) -> np.ndarray:
+    """out_matrix @ assembled @ in_matrix: the network map read from the
+    point's path coordinates h_j V_w f_i, the paper's side of the identity
+    that `qmn.network.linear_map` computes by one sweep.  The path form has
+    no slot for a vertex that is both a source and a sink."""
+    q = t.quiver
+    return out_matrix(q, t.dims, t.framing) @ project(t).assembled() @ in_matrix(q, t.dims, t.framing)
 
 
 def equilibrate(a):

@@ -25,13 +25,13 @@ from qmn.examples import (
 )
 from qmn.grad import backprop, gradient_transform, train
 from qmn.moduli import is_simple, project, simple_rep_exists
-from qmn.network import NeuralNetwork, forward, knowledge_map, psi_hat
+from qmn.network import NeuralNetwork, forward, knowledge_map, linear_map, psi_hat
 from qmn.quiver import Quiver
 from qmn.relu import balance, level_set_membership, momentum
 from qmn.rep import Representation, act, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, inverse, is_invertible, tensor, unit
 
-from conftest import ACCEPTANCE_LINES, fd_gradient, path_rank_vector
+from conftest import ACCEPTANCE_LINES, fd_gradient, path_network_matrix, path_rank_vector
 
 
 def report(num, ok, text):
@@ -225,8 +225,6 @@ def test_criterion_06_network_factorization():
 
 
 def test_criterion_07_linear_operator_identity():
-    from qmn.network import linear_forward, network_matrix
-
     worst = 0.0
     q = quiver_d4tilde()
     cases = [thin_dims(q)]
@@ -241,18 +239,9 @@ def test_criterion_07_linear_operator_identity():
                 dims,
                 {a.id: gen.standard_normal((dims[a.target], dims[a.source])) for a in q.arrows},
             )
-            n = network_matrix(split(r))
-            total_in = sum(dims[s] for s in q.sources)
-            for col in range(total_in):
-                x = np.zeros(total_in)
-                x[col] = 1.0
-                inputs, off = {}, 0
-                for s in q.sources:
-                    inputs[s] = x[off : off + dims[s]]
-                    off += dims[s]
-                outs = linear_forward(r, inputs)
-                stacked = np.concatenate([outs[s] for s in q.sinks])
-                worst = max(worst, linalg.rel_err(n[:, col], stacked))
+            n, want = linear_map(r), path_network_matrix(split(r))
+            for col in range(n.shape[1]):
+                worst = max(worst, linalg.rel_err(n[:, col], want[:, col]))
     report(7, worst <= 1e-10, f"propagation equals out . coords . in as matrices (max rel err {worst:.2e})")
 
 

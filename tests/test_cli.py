@@ -4,6 +4,7 @@ import io as stdio
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from conftest import layered_quiver
 from hypothesis import given, settings, strategies as st
 
 from qmn import grad, io
-from qmn.cli import main
+from qmn.cli import build_parser, main
 from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, single_vertex_net
 from qmn.thincat import ThinRep, unit
 
@@ -693,6 +694,27 @@ def test_non_finite_knowledge_writes_no_file(capsys, tmp_path):
     code = main(["net", "knowledge", "--net", npath, "--input", "1", "--out", str(kpath)])
     assert code == 3 and not kpath.exists()
     assert capsys.readouterr().err.startswith("numeric failure: ")
+
+
+def test_nan_gradcheck_is_numeric_failure(capsys, tmp_path):
+    """On 1e200 weights the finite differences are NaN; the worst error keeps
+    the NaN, so gradcheck exits 3 instead of reporting success."""
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1e200, 1e200)))
+    code = main(["--format", "json", "net", "gradcheck", "--net", npath, "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numeric failure: ")
+
+
+def test_readme_command_lines_parse():
+    """Every `qmn` line of the README's CLI block, continuations joined,
+    parses; a flag renamed without its README line fails here."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = next(b for b in text.split("```sh\n")[1:] if b.startswith("qmn "))
+    lines = [line for line in block.split("```")[0].replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(lines) >= 18
+    for line in lines:
+        assert callable(build_parser().parse_args(shlex.split(line)[1:]).run)
 
 
 def test_closed_stdout_exits_zero_quietly(a3_files):

@@ -27,6 +27,7 @@ from qmn.moduli import (
     simple_rep_exists,
     verify_resolution_point,
 )
+from qmn.network import network_matrix, psi_hat
 from qmn.quiver import Path, Quiver, enumerate_paths, framing_data
 from qmn.rep import DoubleFramedTriple, Representation, act, join, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
@@ -416,8 +417,9 @@ def test_sweep_runs_once_per_direction(monkeypatch):
 
 
 def test_only_block_readers_enumerate_paths(monkeypatch):
-    """`project` and the sweep readers walk no path; the first read of
-    `blocks` walks once from each hidden vertex, and nothing walks again."""
+    """`project`, the sweep readers and the network map walk no path; the
+    first read of `blocks` walks once from each hidden vertex, and nothing
+    walks again."""
     walks = []
     paths_from = quiver_module._paths_from
 
@@ -433,6 +435,8 @@ def test_only_block_readers_enumerate_paths(monkeypatch):
     is_simple(t)
     is_semistable(t)
     closed_orbit_representative(m)
+    network_matrix(t)
+    psi_hat(m)
     assert walks == []
     assert m.blocks
     assert sorted(walks) == sorted(q.hidden)

@@ -2,17 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import layered_quiver, path_network_matrix
+from hypothesis import given, settings, strategies as st
 
-from qmn.errors import ShapeMismatch, SingularPreActivation, UnframableArrow
+from qmn.errors import PathExplosion, ShapeMismatch, SingularPreActivation, UnframableArrow
 from qmn.examples import (
     d4tilde_net,
     d4tilde_triple,
     quiver_a3,
     quiver_d4tilde,
+    random_dag_quiver,
     random_mlp_net,
     single_vertex_net,
     thin_dims,
 )
+from qmn.linalg import rel_err
 from qmn.moduli import project
 from qmn.network import (
     ACTIVATIONS,
@@ -20,13 +24,13 @@ from qmn.network import (
     forward,
     in_matrix,
     knowledge_map,
-    linear_forward,
+    linear_map,
     network_matrix,
     out_matrix,
     psi_hat,
 )
 from qmn.quiver import Quiver, framing_data
-from qmn.rep import act, random_gauge, random_representation, random_triple, split
+from qmn.rep import act, join, random_gauge, random_representation, random_triple, split
 from qmn.thincat import ThinRep, unit
 
 
@@ -114,24 +118,50 @@ def test_network_matrix_gauge_invariant(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_network_matrix_equals_linear_forward_nonthin(seed):
+    """The sweep equals the path form out @ assembled @ in on non-thin dims."""
     q = quiver_d4tilde()
     rng = np.random.default_rng(seed)
     dims = {v: int(rng.integers(1, 4)) for v in q.vertices}
-    r = random_representation(q, dims, rng)
+    t = split(random_representation(q, dims, rng))
+    assert np.allclose(network_matrix(t), path_network_matrix(t), atol=1e-10)
+
+
+@st.composite
+def dag_representations(draw):
+    """Representations on a random DAG, hidden dims 0-3 and framing dims 1-2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    hidden = set(q.hidden)
+    dims = {v: draw(st.integers(0, 3) if v in hidden else st.integers(1, 2)) for v in q.vertices}
+    return random_representation(q, dims, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_representations())
+def test_linear_map_equals_path_coordinates(r):
+    """One sweep gives the paper's out @ assembled @ in, on quivers with no
+    vertex that is both a source and a sink."""
     t = split(r)
-    n = network_matrix(t)
-    src_sizes = [dims[s] for s in q.sources]
-    total_in = sum(src_sizes)
-    for col in range(total_in):
-        x = np.zeros(total_in)
-        x[col] = 1.0
-        inputs, off = {}, 0
-        for s in q.sources:
-            inputs[s] = x[off : off + dims[s]]
-            off += dims[s]
-        outs = linear_forward(r, inputs)
-        stacked = np.concatenate([outs[s] for s in q.sinks])
-        assert np.allclose(n[:, col], stacked, atol=1e-10)
+    want = path_network_matrix(t)
+    assert rel_err(linear_map(r), want) <= 1e-10
+    assert rel_err(network_matrix(t), want) <= 1e-10
+
+
+def test_network_matrix_past_the_path_cap():
+    """4-16^5-2 has more hidden paths than the cap; the sweep reads none, and
+    equals the product of the layer matrices."""
+    widths = [4, 16, 16, 16, 16, 16, 2]
+    q = layered_quiver(widths)
+    t = random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(0))
+    w = join(t).matrices
+    product = np.eye(widths[0])
+    for k, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+        layer = np.array([[w[f"L{k}_{s}>L{k + 1}_{j}"][0, 0] for s in range(n_in)] for j in range(n_out)])
+        product = layer @ product
+    assert rel_err(network_matrix(t), product) <= 1e-10
+    assert rel_err(psi_hat(project(t)), product.sum(axis=1)) <= 1e-10
+    with pytest.raises(PathExplosion):
+        project(t).assembled()
 
 
 def test_knowledge_map_identity_only_rescales_input_arrows():
@@ -187,7 +217,28 @@ def test_psi_hat_point_and_rep_agree(seed):
     rng = np.random.default_rng(seed)
     q = quiver_d4tilde()
     w = ThinRep(q, {a.id: float(rng.standard_normal()) for a in q.arrows})
+    paths = path_network_matrix(w.to_triple()).sum(axis=1)
     assert np.allclose(psi_hat(w), psi_hat(project(w.to_triple())), atol=1e-10)
+    assert np.allclose(psi_hat(w), paths, atol=1e-10)
+
+
+def test_psi_hat_isolated_vertex():
+    """A vertex that is both a source and a sink passes its input through, on
+    both entry points."""
+    q = Quiver(["s", "v", "t", "x"], [("f", "s", "v"), ("h", "v", "t")])
+    thin = ThinRep(q, {"f": 2.0, "h": 3.0})
+    assert psi_hat(thin).tolist() == psi_hat(project(thin.to_triple())).tolist() == [6.0, 1.0]
+
+
+def test_psi_hat_parallel_and_source_sink_arrows():
+    """The sweep needs no framing split: parallel arrows add, and a
+    source->sink arrow is a path of its own."""
+    q = Quiver(
+        ["s1", "s2", "v", "t1", "t2"],
+        [("a", "s1", "v"), ("b", "s1", "v"), ("c", "v", "t1"), ("d", "s2", "t1"), ("e", "s1", "t2")],
+    )
+    k = ThinRep(q, {"a": 2.0, "b": 3.0, "c": 5.0, "d": 7.0, "e": 11.0})
+    assert psi_hat(k).tolist() == [2.0 * 5.0 + 3.0 * 5.0 + 7.0, 11.0]
 
 
 def test_psi_hat_zero_rep():

@@ -221,3 +221,8 @@ def test_stability_under_tensor():
     not_sst = ThinRep(D4, dead)
     assert not is_semistable(not_sst.to_triple())
     assert not is_semistable(tensor(not_sst, b).to_triple())
+
+
+def test_missing_weight_names_the_first_missing_arrow():
+    with pytest.raises(ShapeMismatch, match=r"^no weight for arrow 'psi1'$"):
+        ThinRep(D4, {"phi1": 1.0, "phi2": 2.0, "psi2": 3.0})
