@@ -136,8 +136,12 @@ def batch_loss(net: NeuralNetwork, data, loss="mse") -> float:
 
 
 def _snapshot(net: NeuralNetwork, w) -> NeuralNetwork:
+    """`net` with weights w; it shares net's quiver, activations and bias, so
+    it is given net's compiled structure instead of building its own."""
     thin = ThinRep(net.quiver, dict(zip(net.compiled.arrows, w.tolist())))
-    return NeuralNetwork(thin, net.activations, net.bias)
+    snap = NeuralNetwork(thin, net.activations, net.bias)
+    object.__setattr__(snap, "compiled", net.compiled)
+    return snap
 
 
 def train(

@@ -64,7 +64,10 @@ def quiver_from_json(obj) -> Quiver:
     roles = obj.get("roles")
     if roles is not None and not isinstance(roles, dict):
         raise QmnError("malformed quiver file: 'roles' is not a mapping")
-    return Quiver(vertices, arrows, roles=roles, network=obj.get("network", False))
+    network = obj.get("network", False)
+    if not isinstance(network, bool):
+        raise QmnError("malformed quiver file: 'network' is not a boolean")
+    return Quiver(vertices, arrows, roles=roles, network=network)
 
 
 def quiver_to_json(q: Quiver) -> dict:

@@ -29,8 +29,12 @@ class ModuliPoint:
     `paths` is the quiver's cached, read-only mapping of every hidden path for
     every ordered vertex pair, checked against the path cap on each read.
     blocks[w] (shape (w_end, u_start)) is the literal coordinate h_j V_w f_i of
-    each hidden path between framed vertices, built on first read and kept on
-    the point; `assembled`, `vertex_block` and `qmn moduli coords` read it.
+    each hidden path between framed vertices, a column slice of h_j times the
+    stacked path images at j, built on first read and kept on the point;
+    `assembled` and `qmn moduli coords` read it.  `vertex_block` and the
+    resolution helpers read the triple's uncut path sweeps, whose slots come
+    in one order: the lazy path first, then one slot per arrow in
+    `arrows_into` (`arrows_out_of` for rows) order, recursively.
     """
 
     triple: DoubleFramedTriple
@@ -53,8 +57,14 @@ class ModuliPoint:
 
     @cached_property
     def blocks(self) -> dict:
-        h, w = self.triple.h, self.framing.w
-        return {p: h[p.end] @ image for p, image in _path_images(self.triple) if w[p.end]}
+        images, slots = _path_images(self.triple)
+        u, out = self.framing.u, {}
+        for j in self.framed_out():
+            coords, c = self.triple.h[j] @ images[j], 0
+            for p in slots[j]:
+                out[p] = coords[:, c : c + u[p.start]]
+                c += u[p.start]
+        return out
 
     # --- layout helpers -------------------------------------------------
 
@@ -63,14 +73,6 @@ class ModuliPoint:
 
     def framed_out(self):
         return [j for j in self.quiver.hidden if self.framing.w[j] > 0]
-
-    def in_paths(self, i):
-        """Paths j ~> i from framed-in vertices, column order of q^(i)."""
-        return [p for j in self.framed_in() for p in self.paths[(j, i)]]
-
-    def out_paths(self, i):
-        """Paths i ~> k into framed-out vertices, row order of q^(i)."""
-        return [p for k in self.framed_out() for p in self.paths[(i, k)]]
 
     # --- views ----------------------------------------------------------
 
@@ -94,22 +96,10 @@ class ModuliPoint:
         return m
 
     def vertex_block(self, i):
-        """q^(i): all coordinates of paths through i, rows by out-paths, columns
-        by in-paths."""
-        u, w = self.framing.u, self.framing.w
-        ins = self.in_paths(i)
-        outs = self.out_paths(i)
-        ncols = sum(u[p.start] for p in ins)
-        nrows = sum(w[p.end] for p in outs)
-        m = np.zeros((nrows, ncols))
-        r = 0
-        for po in outs:
-            c = 0
-            for pi in ins:
-                m[r : r + w[po.end], c : c + u[pi.start]] = self.blocks[Path(pi.start, po.end, pi.arrows + po.arrows)]
-                c += u[pi.start]
-            r += w[po.end]
-        return m
+        """q^(i) = H_i C_i: all coordinates of paths through i, rows by the
+        out-path slots of `_path_coimages`, columns by the in-path slots of
+        `_path_images`."""
+        return _path_coimages(self.triple)[i] @ _path_images(self.triple)[0][i]
 
     def rank_vector(self, tol=linalg.RANK_TOL):
         """Numerical rank of each q^(i), which factors through V_i as path
@@ -124,24 +114,6 @@ class ModuliPoint:
 def project(t: DoubleFramedTriple) -> ModuliPoint:
     """Quotient map: the point of t's orbit; its readers compute on first use."""
     return ModuliPoint(t)
-
-
-def _path_images(t: DoubleFramedTriple):
-    """(w, V_w f_i) for every hidden path w : i ~> j with u_i > 0, walked by
-    end in topological order, so each image is one arrow past the image of its
-    prefix; the lazy path at i gives f_i.  The one builder of path images."""
-    hq = t.quiver.hidden_quiver()
-    paths = all_hidden_paths(hq)
-    mats = t.hidden_matrices
-    for i in t.quiver.hidden:
-        if t.framing.u[i] == 0:
-            continue
-        images = {(): t.f[i]}
-        for j in hq.topological:
-            for p in paths[(i, j)]:
-                if p.arrows:
-                    images[p.arrows] = mats[p.arrows[-1]] @ images[p.arrows[:-1]]
-                yield p, images[p.arrows]
 
 
 # --- stability and simplicity -------------------------------------------
@@ -199,6 +171,39 @@ def _coimages(t: DoubleFramedTriple):
 def _scaled(factors):
     u, s, _ = factors
     return u * s
+
+
+@_memoised
+def _path_images(t: DoubleFramedTriple):
+    """Uncut stacked path images C_i = [f_i | V_a C_x ...] at each hidden
+    vertex, arrows a : x -> i in `arrows_into` order, and the Path of each
+    column slot: the lazy path at i if u_i > 0, then each slot of x extended
+    by a.  Slot w is u[w.start] columns wide and holds V_w f_start.  Refuses
+    quivers past the path cap, as `all_hidden_paths` does."""
+    hq = t.quiver.hidden_quiver()
+    all_hidden_paths(hq)
+    mats = t.hidden_matrices
+    images, slots = {}, {}
+    for i in hq.topological:
+        into = hq.arrows_into(i)
+        images[i] = np.hstack([t.f[i]] + [mats[a.id] @ images[a.source] for a in into])
+        slots[i] = [Path(i, i)] if t.framing.u[i] else []
+        slots[i] += [Path(p.start, i, p.arrows + (a.id,)) for a in into for p in slots[a.source]]
+    return images, slots
+
+
+@_memoised
+def _path_coimages(t: DoubleFramedTriple):
+    """The reverse half of `_path_images`: H_i = [h_i; H_y V_a ...] over
+    arrows a : i -> y in `arrows_out_of` order, so row slots run the lazy
+    path first, then each slot of y prefixed by a."""
+    hq = t.quiver.hidden_quiver()
+    all_hidden_paths(hq)
+    mats = t.hidden_matrices
+    coimages = {}
+    for i in reversed(hq.topological):
+        coimages[i] = np.vstack([t.h[i]] + [coimages[a.target] @ mats[a.id] for a in hq.arrows_out_of(i)])
+    return coimages
 
 
 def is_semistable(t: DoubleFramedTriple) -> bool:
@@ -330,38 +335,18 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
 # --- resolution points ------------------------------------------------------
 
 
-def in_shift_matrix(m: ModuliPoint, arrow):
-    """Shift map on stacked in-path spaces: the slot of path w at the arrow's
-    source moves to the slot of (arrow appended to w) at its target."""
-    u = m.framing.u
-    i, j = arrow.source, arrow.target
-    ins_i, ins_j = m.in_paths(i), m.in_paths(j)
-    off_i, off = {}, 0
-    for p in ins_i:
-        off_i[p.start, p.arrows] = off
-        off += u[p.start]
-    off_j, off = {}, 0
-    for p in ins_j:
-        off_j[p.start, p.arrows] = off
-        off += u[p.start]
-    mat = np.zeros((sum(u[p.start] for p in ins_j), sum(u[p.start] for p in ins_i)))
-    for p in ins_i:
-        ro, co = off_j[p.start, p.arrows + (arrow.id,)], off_i[p.start, p.arrows]
-        mat[ro : ro + u[p.start], co : co + u[p.start]] = np.eye(u[p.start])
-    return mat
-
-
 def verify_resolution_point(subspaces: dict, m: ModuliPoint) -> bool:
     """Check a candidate tuple of subspaces against a moduli point: each
-    subspace of the stacked in-path space at i must have codimension d_i, be
-    carried into its neighbour by every arrow shift (`linalg.contains`), and
-    lie in the kernel of q^(i), up to linalg.RESIDUAL_TOL relative to q^(i)'s
-    largest entry (floored at 1)."""
+    subspace of the stacked in-path space at i (the column slots of
+    `_path_images`) must have codimension d_i, be carried into its neighbour
+    by every arrow shift, which moves the space at a's source onto a's slot
+    at its target (`linalg.contains`), and lie in the kernel of q^(i), up to
+    linalg.RESIDUAL_TOL relative to q^(i)'s largest entry (floored at 1)."""
     q = m.quiver
-    u = m.framing.u
+    images, _ = _path_images(m.triple)
     bases = {}
     for i in q.hidden:
-        ambient = sum(u[p.start] for p in m.in_paths(i))
+        ambient = images[i].shape[1]
         v = np.asarray(subspaces[i], dtype=float)
         if v.ndim == 1:
             v = v.reshape(-1, 1)
@@ -375,10 +360,16 @@ def verify_resolution_point(subspaces: dict, m: ModuliPoint) -> bool:
                 f"subspace at {i!r} has codimension {ambient - b.shape[1]}, expected {m.dims[i]}"
             )
         bases[i] = b
-    for a in q.hidden_quiver().arrows:
-        moved = in_shift_matrix(m, a) @ bases[a.source]
-        if not linalg.contains(bases[a.target], moved):
-            return False
+    hq = q.hidden_quiver()
+    for i in q.hidden:
+        off = m.framing.u[i]
+        for a in hq.arrows_into(i):
+            n = images[a.source].shape[1]
+            moved = np.zeros((images[i].shape[1], bases[a.source].shape[1]))
+            moved[off : off + n] = bases[a.source]
+            if not linalg.contains(bases[i], moved):
+                return False
+            off += n
     for i in q.hidden:
         qi = m.vertex_block(i)
         if qi.size == 0 or bases[i].shape[1] == 0:
@@ -391,15 +382,8 @@ def verify_resolution_point(subspaces: dict, m: ModuliPoint) -> bool:
 
 
 def resolution_data(t: DoubleFramedTriple) -> dict:
-    """Tautological subspaces for a triple: the kernel of the collected map
-    from the stacked in-paths into V_i, in `ModuliPoint.in_paths` order, which
-    depends only on the quiver and the framing; codimension d_i if t is
-    semistable."""
-    m = ModuliPoint(t)
-    images = dict(_path_images(t))
-    out = {}
-    for i in t.quiver.hidden:
-        blocks = [images[p] for p in m.in_paths(i)]
-        collected = np.hstack(blocks) if blocks else np.zeros((t.dims[i], 0))
-        out[i] = linalg.null(collected)
-    return out
+    """Tautological subspaces for a triple: the kernel of the stacked path
+    images C_i of `_path_images`, whose slot order depends only on the quiver
+    and the framing; codimension d_i if t is semistable."""
+    images, _ = _path_images(t)
+    return {i: linalg.null(images[i]) for i in t.quiver.hidden}

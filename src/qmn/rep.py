@@ -141,6 +141,8 @@ def check_gauge_block(g, vertex):
     d = g.shape[0]
     if g.shape != (d, d):
         raise ShapeMismatch(f"gauge block at {vertex!r} is not square")
+    if not np.isfinite(g).all():
+        raise SingularGauge(f"gauge block at {vertex!r} is not finite")
     scale = np.abs(g).max()
     if scale == 0.0 or abs(np.linalg.det(g)) < GAUGE_DET_TOL * scale**d:
         raise SingularGauge(f"gauge block at {vertex!r} is numerically singular")

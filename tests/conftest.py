@@ -10,7 +10,7 @@ from qmn.grad import GradientRep, get_loss
 from qmn.linalg import RANK_TOL, num_rank
 from qmn.moduli import ModuliPoint, project
 from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork, in_matrix, out_matrix
-from qmn.quiver import Quiver
+from qmn.quiver import Path, Quiver
 from qmn.relu import BalanceResult
 from qmn.rep import DoubleFramedTriple, act
 from qmn.thincat import ThinRep
@@ -150,11 +150,42 @@ def equilibrate(a):
     return a / np.maximum(np.sqrt(np.einsum("ij,ij->j", a, a)), tiny)
 
 
+def paths_through(t: DoubleFramedTriple, i) -> tuple:
+    """(in-paths, out-paths) of hidden vertex i from `brute_force_paths`:
+    every j ~> i with u_j > 0 by start, then arrow-id sequence, and every
+    i ~> k with w_k > 0 by end, then arrow-id sequence."""
+    hq = t.quiver.hidden_quiver()
+    u, w = t.framing.u, t.framing.w
+    ins = [Path(j, i, ws) for j in hq.vertices if u[j] for ws in brute_force_paths(hq, j, i)]
+    outs = [Path(i, k, ws) for k in hq.vertices if w[k] for ws in brute_force_paths(hq, i, k)]
+    return ins, outs
+
+
+def path_vertex_block(t: DoubleFramedTriple, ins, outs) -> np.ndarray:
+    """q^(i) with rows by the out-paths `outs` and columns by the in-paths
+    `ins` of i, each block h_k V_w f_j multiplied out by `path_matrix`."""
+    u, w = t.framing.u, t.framing.w
+    m = np.zeros((sum(w[p.end] for p in outs), sum(u[p.start] for p in ins)))
+    r = 0
+    for po in outs:
+        c = 0
+        for pi in ins:
+            whole = Path(pi.start, po.end, pi.arrows + po.arrows)
+            m[r : r + w[po.end], c : c + u[pi.start]] = t.h[po.end] @ path_matrix(t, whole) @ t.f[pi.start]
+            c += u[pi.start]
+        r += w[po.end]
+    return m
+
+
 def path_rank_vector(m: ModuliPoint, tol=RANK_TOL) -> dict:
-    """Numerical rank of each vertex block q^(i), assembled from the enumerated
-    path blocks and equilibrated first.  The rank the path-span reading of
+    """Numerical rank of each vertex block q^(i), assembled from enumerated
+    paths and `path_matrix` (reading neither `m.vertex_block` nor `m.blocks`)
+    and equilibrated first.  The rank the path-span reading of
     `ModuliPoint.rank_vector` replaced; its independent oracle."""
-    return {i: num_rank(equilibrate(m.vertex_block(i)), tol) for i in m.quiver.hidden}
+    t = m.triple
+    return {
+        i: num_rank(equilibrate(path_vertex_block(t, *paths_through(t, i))), tol) for i in t.quiver.hidden
+    }
 
 
 def balance_reference(

@@ -15,7 +15,7 @@ import pytest
 from conftest import layered_quiver
 from hypothesis import given, settings, strategies as st
 
-from qmn import grad, io
+from qmn import grad, io, network
 from qmn.cli import build_parser, main
 from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, single_vertex_net
 from qmn.thincat import ThinRep, unit
@@ -48,6 +48,18 @@ def test_validate(capsys, a3_files):
     assert code == 0
     payload = json.loads(out)
     assert payload["hidden"] == ["j"]
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None])
+@pytest.mark.parametrize("parallel", [False, True])
+def test_validate_rejects_non_boolean_network(capsys, tmp_path, flag, parallel):
+    """Only a JSON boolean is read as the `network` flag, with or without
+    parallel arrows; "no" was read as true."""
+    arrows = [{"id": "a", "from": "s", "to": "t"}]
+    if parallel:
+        arrows.append({"id": "b", "from": "s", "to": "t"})
+    qpath = write_json(tmp_path, "q.json", {"vertices": ["s", "t"], "arrows": arrows, "network": flag})
+    assert "'network' is not a boolean" in run_invalid(capsys, "validate", "--quiver", qpath)
 
 
 def test_moduli_dim_a3(capsys, a3_files):
@@ -244,6 +256,27 @@ def test_net_train_builds_no_epoch_snapshot_without_trace(capsys, tmp_path, monk
     dpath.write_text("1.0,2.0\n2.0,4.0\n")
     code, _ = run(capsys, "net", "train", "--net", npath, "--data", str(dpath), "--epochs", "20")
     assert code == 0
+    assert len(built) == 1
+
+
+def test_net_train_trace_compiles_the_network_once(capsys, tmp_path, monkeypatch):
+    """With --trace-moduli every epoch's snapshot network shares the compiled
+    structure of the network it came from: one build over the whole run."""
+    built = []
+
+    class Counted(network.CompiledNetwork):
+        def __init__(self, net):
+            built.append(net)
+            super().__init__(net)
+
+    monkeypatch.setattr(network, "CompiledNetwork", Counted)
+    npath = write_json(tmp_path, "net.json", io.network_to_json(single_vertex_net(1.0, 1.0)))
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("1.0,2.0\n2.0,4.0\n")
+    tpath = str(tmp_path / "trace.jsonl")
+    code, _ = run(capsys, "net", "train", "--net", npath, "--data", str(dpath), "--epochs", "20", "--trace-moduli", tpath)
+    assert code == 0
+    assert len(open(tpath).readlines()) == 20
     assert len(built) == 1
 
 

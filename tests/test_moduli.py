@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmn import linalg, quiver as quiver_module
-from qmn.errors import CodimensionMismatch, QmnError
+from qmn.errors import CodimensionMismatch, PathExplosion, QmnError
 from qmn.examples import (
     d4tilde_template,
     d4tilde_triple,
@@ -32,7 +32,7 @@ from qmn.quiver import Path, Quiver, enumerate_paths, framing_data
 from qmn.rep import DoubleFramedTriple, Representation, act, join, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
 
-from conftest import equilibrate, path_matrix, path_rank_vector
+from conftest import equilibrate, layered_quiver, path_matrix, path_rank_vector, path_vertex_block, paths_through
 
 
 def zeroed(t):
@@ -116,7 +116,7 @@ def test_vertex_blocks_d4tilde_layout():
     c, d = block("v1", "v5"), block("v2", "v5")
     e = block("v5", "v5")
     assert np.allclose(m.vertex_block("v3"), np.block([[a, b], [c, d]]))
-    assert np.allclose(m.vertex_block("v5"), np.hstack([c, d, e]))
+    assert np.allclose(m.vertex_block("v5"), np.hstack([e, c, d]))
     assert np.allclose(m.vertex_block("v4"), np.hstack([a, b]))
     assert np.allclose(m.vertex_block("v1"), np.vstack([a, c]))
     assert np.allclose(m.vertex_block("v2"), np.vstack([b, d]))
@@ -302,7 +302,7 @@ def test_stability_matches_path_oracles(t):
     m = project(t)
     spanned = True
     for i in t.quiver.hidden:
-        images = [path_matrix(t, p) @ t.f[p.start] for p in m.in_paths(i)]
+        images = [path_matrix(t, p) @ t.f[p.start] for p in paths_through(t, i)[0]]
         stacked = np.hstack(images) if images else np.zeros((t.dims[i], 0))
         spanned &= linalg.num_rank(equilibrate(stacked)) == t.dims[i]
     assert is_semistable(t) == spanned
@@ -338,6 +338,47 @@ def test_rank_vector_matches_path_rank_oracle(t):
     assert m.rank_vector() == path_rank_vector(m)
 
 
+def sweep_in_paths(t, i):
+    """In-path slots of i in sweep order: the lazy path if u_i > 0, then the
+    slots of each arrow a : x -> i in `arrows_into` order, x's extended by a."""
+    into = t.quiver.hidden_quiver().arrows_into(i)
+    lazy = [Path(i, i)] if t.framing.u[i] else []
+    return lazy + [Path(p.start, i, p.arrows + (a.id,)) for a in into for p in sweep_in_paths(t, a.source)]
+
+
+def sweep_out_paths(t, i):
+    """Out-path slots of i in sweep order, mirroring `sweep_in_paths`."""
+    out = t.quiver.hidden_quiver().arrows_out_of(i)
+    lazy = [Path(i, i)] if t.framing.w[i] else []
+    return lazy + [Path(i, p.end, (a.id,) + p.arrows) for a in out for p in sweep_out_paths(t, a.target)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_triples())
+def test_path_spaces_in_sweep_order(t):
+    """q^(i) is the path-matrix oracle with rows and columns in sweep order;
+    resolution_data(t)[i] is an orthonormal basis of the kernel of the
+    stacked in-path images in that order; and a semistable triple's
+    resolution data verify against its own point."""
+    m = project(t)
+    subspaces = resolution_data(t)
+    for i in t.quiver.hidden:
+        ins, outs = sweep_in_paths(t, i), sweep_out_paths(t, i)
+        assert sorted(ins) == sorted(paths_through(t, i)[0])
+        assert sorted(outs) == sorted(paths_through(t, i)[1])
+        got, want = m.vertex_block(i), path_vertex_block(t, ins, outs)
+        assert got.shape == want.shape and linalg.rel_err(got, want) <= 1e-12
+        images = [path_matrix(t, p) @ t.f[p.start] for p in ins]
+        stacked = np.hstack(images) if images else np.zeros((t.dims[i], 0))
+        b = subspaces[i]
+        assert b.shape == (stacked.shape[1], stacked.shape[1] - linalg.num_rank(stacked, linalg.SUBSPACE_TOL))
+        assert np.allclose(b.T @ b, np.eye(b.shape[1]), rtol=0.0, atol=1e-12)
+        if b.size:
+            assert np.abs(stacked @ b).max() <= linalg.RESIDUAL_TOL * max(np.abs(stacked).max(), 1.0)
+    if is_semistable(t):
+        assert verify_resolution_point(subspaces, m)
+
+
 @settings(max_examples=200, deadline=None)
 @given(degenerate_triples())
 def test_closed_orbit_round_trip(t):
@@ -354,10 +395,9 @@ def test_closed_orbit_in_orthonormal_gauge(t):
     section would also project back onto the point)."""
     m = project(t)
     c = closed_orbit_representative(m)
-    mc = project(c)
     ranks = m.rank_vector()
     for i in t.quiver.hidden:
-        rows = [c.h[p.end] @ path_matrix(c, p) for p in mc.out_paths(i)]
+        rows = [c.h[p.end] @ path_matrix(c, p) for p in paths_through(c, i)[1]]
         o = np.vstack(rows) if rows else np.zeros((0, t.dims[i]))
         want = np.zeros((t.dims[i], t.dims[i]))
         want[: ranks[i], : ranks[i]] = np.eye(ranks[i])
@@ -443,6 +483,24 @@ def test_only_block_readers_enumerate_paths(monkeypatch):
     m.assembled()
     resolution_data(t)
     assert len(walks) == len(q.hidden)
+
+
+def test_path_space_readers_refuse_past_the_path_cap():
+    """Thin 4-16^5-2 has 1,193,040 hidden paths: every reader of the path
+    spaces refuses it with the cap's message, while the rank needs no path."""
+    q = layered_quiver([4, 16, 16, 16, 16, 16, 2])
+    t = random_triple(q, thin_dims(q), np.random.default_rng(0))
+    m = project(t)
+    readers = [
+        lambda: m.blocks,
+        lambda: m.vertex_block(q.hidden[0]),
+        lambda: resolution_data(t),
+        lambda: verify_resolution_point({}, m),
+    ]
+    for read in readers:
+        with pytest.raises(PathExplosion, match="hidden path count 1193040 exceeds cap 1000000"):
+            read()
+    assert m.rank_vector() == {v: 1 for v in q.hidden}
 
 
 def test_memo_belongs_to_its_triple():

@@ -121,6 +121,17 @@ def test_act_rejects_singular_gauge():
         act({"j": np.array([[0.0]])}, t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_act_rejects_non_finite_gauge(bad):
+    """A NaN or infinite block is refused, where the determinant test, which
+    compares against NaN, let it through to a NaN triple."""
+    q = quiver_d4tilde()
+    t = random_triple(q, thin_dims(q), np.random.default_rng(0))
+    g = {i: np.eye(1) for i in q.hidden}
+    with pytest.raises(SingularGauge, match="'v3' is not finite"):
+        act({**g, "v3": [[bad]]}, t)
+
+
 def test_scalar_redundancy_compensated_by_gauge():
     """Rescaling all framings by lambda / 1/lambda is the same orbit move as the
     constant gauge."""
