@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DivergenceDetected, ShapeMismatch
 from .network import NeuralNetwork, columns
-from .quiver import Arrow, Quiver
+from .quiver import Quiver
 from .thincat import ThinRep
 
 DIVERGENCE_LIMIT = 1e12  # a training loss above this has diverged
@@ -81,13 +81,7 @@ class GradientRep:
     vertex_adjoints: dict
 
     def as_opposite_rep(self) -> ThinRep:
-        q = self.quiver
-        rev = Quiver(
-            q.vertices,
-            [Arrow(a.id, a.target, a.source) for a in q.arrows],
-            network=False,
-        )
-        return ThinRep(rev, dict(self.weights))
+        return ThinRep(self.quiver.opposite, dict(self.weights))
 
 
 def _labels(c, ys):

@@ -5,19 +5,23 @@ h_j V_w f_i over hidden paths w : i ~> j.  That family is a complete invariant
 of closed gauge orbits.  Per-vertex blocks q^(i) collect all coordinates of
 paths through i; their ranks bound the hidden dimension vector, with equality
 exactly on simple points.
+
+Every sweep here runs one way, from the framing into the hidden quiver.  What
+the coframing sees (path co-images, subrepresentations killed by h) is the
+same sweep run on `rep.dual(t)`, the transpose triple on the opposite quiver.
 """
 
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError
 from .quiver import Path, Quiver, all_hidden_paths, framing_data, weakly_connected
-from .rep import DoubleFramedTriple, deframe, rep_space_dim, gauge_dim
+from .rep import DoubleFramedTriple, deframe, dual, gauge_dim, memoised, rep_space_dim
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,9 @@ class ModuliPoint:
     each hidden path between framed vertices, a column slice of h_j times the
     stacked path images at j, built on first read and kept on the point;
     `assembled` and `qmn moduli coords` read it.  `vertex_block` and the
-    resolution helpers read the triple's uncut path sweeps, whose slots come
-    in one order: the lazy path first, then one slot per arrow in
-    `arrows_into` (`arrows_out_of` for rows) order, recursively.
+    resolution helpers read the uncut path sweeps of the triple and of its
+    dual, whose slots come in one order: the lazy path first, then one slot
+    per arrow in `arrows_into` order, recursively.
     """
 
     triple: DoubleFramedTriple
@@ -57,8 +61,12 @@ class ModuliPoint:
 
     @cached_property
     def blocks(self) -> dict:
-        images, slots = _path_images(self.triple)
-        u, out = self.framing.u, {}
+        images = _path_images(self.triple)
+        hq, u = self.quiver.hidden_quiver(), self.framing.u
+        slots, out = {}, {}
+        for i in hq.topological:
+            slots[i] = [Path(i, i)] if u[i] else []
+            slots[i] += [Path(p.start, i, p.arrows + (a.id,)) for a in hq.arrows_into(i) for p in slots[a.source]]
         for j in self.framed_out():
             coords, c = self.triple.h[j] @ images[j], 0
             for p in slots[j]:
@@ -96,18 +104,19 @@ class ModuliPoint:
         return m
 
     def vertex_block(self, i):
-        """q^(i) = H_i C_i: all coordinates of paths through i, rows by the
-        out-path slots of `_path_coimages`, columns by the in-path slots of
-        `_path_images`."""
-        return _path_coimages(self.triple)[i] @ _path_images(self.triple)[0][i]
+        """q^(i) = H_i C_i: all coordinates of paths through i, columns by the
+        in-path slots of `_path_images(t)`, rows by those of the dual's, whose
+        path images are the transposed co-images H_i^T = [h_i^T | V_a^T ...]."""
+        return _path_images(dual(self.triple))[i].T @ _path_images(self.triple)[i]
 
     def rank_vector(self, tol=linalg.RANK_TOL):
         """Numerical rank of each q^(i), which factors through V_i as path
-        co-images times path images: the number of cosines of principal angles
-        between the two orthonormal spans above tol times the largest."""
+        co-images (the dual's path images) times path images: the number of
+        cosines of principal angles between the two orthonormal spans above
+        tol times the largest."""
         if not 0.0 <= tol < 1.0:
             raise QmnError(f"rank tolerance must lie in [0, 1), got {tol}")
-        images, coimages = _images(self.triple), _coimages(self.triple)
+        images, coimages = _images(self.triple), _images(dual(self.triple))
         return {i: linalg.num_rank(coimages[i][0].T @ images[i][0], tol) for i in self.quiver.hidden}
 
 
@@ -119,27 +128,14 @@ def project(t: DoubleFramedTriple) -> ModuliPoint:
 # --- stability and simplicity -------------------------------------------
 
 
-def _memoised(sweep):
-    """Cache sweep(t) in t._memo on first use; the triple is frozen, so no
-    field it was computed from can be reassigned."""
-
-    @wraps(sweep)
-    def cached(t: DoubleFramedTriple):
-        if sweep.__name__ not in t._memo:
-            t._memo[sweep.__name__] = sweep(t)
-        return t._memo[sweep.__name__]
-
-    return cached
-
-
-@_memoised
+@memoised
 def _images(t: DoubleFramedTriple):
     """Cut thin SVDs (u, s, vt) of the stacked path images V_w f at each hidden
     vertex, from one topological sweep over [f_i | V_a u_x s_x ...], arrows
     a : x -> i.  Passing u * s on keeps the Gram matrix of the stacked path
     images: u is an orthonormal basis of their span, u * s has their singular
     values, and the columns of vt split by slot, f_i first, then one slot per
-    arrow."""
+    arrow.  On `dual(t)` it gives the stacked path co-images (h V_w)^T."""
     hq = t.quiver.hidden_quiver()
     mats = t.hidden_matrices
     images, passed = {}, {}
@@ -151,59 +147,26 @@ def _images(t: DoubleFramedTriple):
     return images
 
 
-@_memoised
-def _coimages(t: DoubleFramedTriple):
-    """The reverse half of `_images`: cut thin SVDs of the stacked path
-    co-images (h V_w)^T, from one reverse topological sweep over
-    [h_i^T | V_a^T u_y s_y ...], arrows a : i -> y in `arrows_out_of` order;
-    the columns of vt split as h_i first, then one slot per arrow."""
-    hq = t.quiver.hidden_quiver()
-    mats = t.hidden_matrices
-    coimages, passed = {}, {}
-    for i in reversed(hq.topological):
-        coimages[i] = linalg.svd_cut(
-            np.hstack([t.h[i].T] + [mats[a.id].T @ passed[a.target] for a in hq.arrows_out_of(i)])
-        )
-        passed[i] = _scaled(coimages[i])
-    return coimages
-
-
 def _scaled(factors):
     u, s, _ = factors
     return u * s
 
 
-@_memoised
+@memoised
 def _path_images(t: DoubleFramedTriple):
     """Uncut stacked path images C_i = [f_i | V_a C_x ...] at each hidden
-    vertex, arrows a : x -> i in `arrows_into` order, and the Path of each
-    column slot: the lazy path at i if u_i > 0, then each slot of x extended
-    by a.  Slot w is u[w.start] columns wide and holds V_w f_start.  Refuses
-    quivers past the path cap, as `all_hidden_paths` does."""
+    vertex, arrows a : x -> i in `arrows_into` order: the lazy path's slot at
+    i if u_i > 0, then each slot of x extended by a.  Slot w is u[w.start]
+    columns wide and holds V_w f_start.  On `dual(t)` it gives the transposed
+    co-images H_i^T.  Refuses quivers past the path cap, as
+    `all_hidden_paths` does."""
     hq = t.quiver.hidden_quiver()
     all_hidden_paths(hq)
     mats = t.hidden_matrices
-    images, slots = {}, {}
+    images = {}
     for i in hq.topological:
-        into = hq.arrows_into(i)
-        images[i] = np.hstack([t.f[i]] + [mats[a.id] @ images[a.source] for a in into])
-        slots[i] = [Path(i, i)] if t.framing.u[i] else []
-        slots[i] += [Path(p.start, i, p.arrows + (a.id,)) for a in into for p in slots[a.source]]
-    return images, slots
-
-
-@_memoised
-def _path_coimages(t: DoubleFramedTriple):
-    """The reverse half of `_path_images`: H_i = [h_i; H_y V_a ...] over
-    arrows a : i -> y in `arrows_out_of` order, so row slots run the lazy
-    path first, then each slot of y prefixed by a."""
-    hq = t.quiver.hidden_quiver()
-    all_hidden_paths(hq)
-    mats = t.hidden_matrices
-    coimages = {}
-    for i in reversed(hq.topological):
-        coimages[i] = np.vstack([t.h[i]] + [coimages[a.target] @ mats[a.id] for a in hq.arrows_out_of(i)])
-    return coimages
+        images[i] = np.hstack([t.f[i]] + [mats[a.id] @ images[a.source] for a in hq.arrows_into(i)])
+    return images
 
 
 def is_semistable(t: DoubleFramedTriple) -> bool:
@@ -214,10 +177,9 @@ def is_semistable(t: DoubleFramedTriple) -> bool:
 
 def is_simple(t: DoubleFramedTriple) -> bool:
     """Generated by the framing and with no subrepresentation killed by the
-    coframing; equivalent to the rank vector of the projection being full."""
-    return all(
-        side[i][1].size == t.dims[i] for side in (_images(t), _coimages(t)) for i in t.quiver.hidden
-    )
+    coframing (the dual is generated by its framing); equivalent to the rank
+    vector of the projection being full."""
+    return is_semistable(t) and is_semistable(dual(t))
 
 
 # --- existence criterion ---------------------------------------------------
@@ -248,7 +210,8 @@ def simple_rep_exists(q: Quiver, dims: dict) -> ExistenceReport:
 
     Outside the single-cycle case the three conditions are: some hidden vertex
     carries framing mass, and u_i / w_i dominate the in/out Euler defects
-    d_i - sum of neighbour dims.
+    d_i - sum of neighbour dims; the out-defect is the in-defect on the
+    opposite quiver.
     """
     fr = framing_data(q, dims)
     if not q.hidden:
@@ -260,14 +223,12 @@ def simple_rep_exists(q: Quiver, dims: dict) -> ExistenceReport:
         return ExistenceReport(thin, reason, True)
     if not any(dims[i] * (fr.u[i] + fr.w[i]) != 0 for i in q.hidden):
         return ExistenceReport(False, "no framed hidden vertex with positive dimension", False)
-    for i in q.hidden:
-        need = dims[i] - sum(dims[a.source] for a in hq.arrows_into(i))
-        if fr.u[i] < need:
-            return ExistenceReport(False, f"u[{i}] = {fr.u[i]} < in-defect {need}", False)
-    for i in q.hidden:
-        need = dims[i] - sum(dims[a.target] for a in hq.arrows_out_of(i))
-        if fr.w[i] < need:
-            return ExistenceReport(False, f"w[{i}] = {fr.w[i]} < out-defect {need}", False)
+    sides = (("u", fr.u, "in", hq), ("w", fr.w, "out", q.opposite.hidden_quiver()))
+    for name, frame, side, oriented in sides:
+        for i in q.hidden:
+            need = dims[i] - sum(dims[a.source] for a in oriented.arrows_into(i))
+            if frame[i] < need:
+                return ExistenceReport(False, f"{name}[{i}] = {frame[i]} < {side}-defect {need}", False)
     return ExistenceReport(True, "all numerical conditions hold", False)
 
 
@@ -292,20 +253,20 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
 
     The image of each q^(i) in the stacked out-path space carries an induced
     representation by path shifts; the representative takes orthonormal
-    coordinates on it, padded with zeros up to d_i, read from m.triple's
-    sweeps `_images` and `_coimages`.  With R_i = s u^T (reverse) and
-    S_i = u s (forward), q^(i) = Y_i R_i S_i Z_i^T for Y_i, Z_i with
-    orthonormal columns, and the rows of Y_i on the out-paths through
-    a : i -> j are Y_j times the slot-a rows of the reverse vt_i^T.  With U_i
-    the leading m.rank_vector(tol)[i] left singular vectors of the core
-    R_i S_i (which has q^(i)'s singular values), the coordinates are Y_i U_i,
-    so h_i = (h-slot rows) U_i, V_a = U_j^T (slot-a rows) U_i and
-    f_i = U_i^T R_i f_i.
+    coordinates on it, padded with zeros up to d_i, read from the sweeps
+    `_images` of m.triple (forward) and of its dual (reverse).  With
+    R_i = s u^T (reverse) and S_i = u s (forward), q^(i) = Y_i R_i S_i Z_i^T
+    for Y_i, Z_i with orthonormal columns, and the rows of Y_i on the
+    out-paths through a : i -> j are Y_j times the slot-a rows of the reverse
+    vt_i^T.  With U_i the leading m.rank_vector(tol)[i] left singular vectors
+    of the core R_i S_i (which has q^(i)'s singular values), the coordinates
+    are Y_i U_i, so h_i = (h-slot rows) U_i, V_a = U_j^T (slot-a rows) U_i
+    and f_i = U_i^T R_i f_i.
     """
     t = m.triple
     hq = t.quiver.hidden_quiver()
     dims, u, w = t.dims, t.framing.u, t.framing.w
-    images, coimages = _images(t), _coimages(t)
+    images, coimages = _images(t), _images(dual(t))
     ranks = m.rank_vector(tol)
     coimage_factor, basis = {}, {}
     for i in hq.vertices:
@@ -343,10 +304,12 @@ def verify_resolution_point(subspaces: dict, m: ModuliPoint) -> bool:
     at its target (`linalg.contains`), and lie in the kernel of q^(i), up to
     linalg.RESIDUAL_TOL relative to q^(i)'s largest entry (floored at 1)."""
     q = m.quiver
-    images, _ = _path_images(m.triple)
+    images = _path_images(m.triple)
     bases = {}
     for i in q.hidden:
         ambient = images[i].shape[1]
+        if i not in subspaces:
+            raise CodimensionMismatch(f"no subspace given at {i!r}")
         v = np.asarray(subspaces[i], dtype=float)
         if v.ndim == 1:
             v = v.reshape(-1, 1)
@@ -385,5 +348,5 @@ def resolution_data(t: DoubleFramedTriple) -> dict:
     """Tautological subspaces for a triple: the kernel of the stacked path
     images C_i of `_path_images`, whose slot order depends only on the quiver
     and the framing; codimension d_i if t is semistable."""
-    images, _ = _path_images(t)
+    images = _path_images(t)
     return {i: linalg.null(images[i]) for i in t.quiver.hidden}

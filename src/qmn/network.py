@@ -272,20 +272,9 @@ def in_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
 
 
 def out_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
-    """Sum the framing-out slots into the stacked sink values."""
-    snk_off, off = {}, 0
-    for s in q.sinks:
-        snk_off[s] = off
-        off += dims[s]
-    total_out = off
-    cols = sum(framing.w[i] for i in q.hidden)
-    m = np.zeros((total_out, cols))
-    c = 0
-    for j in q.hidden:
-        for a, d in framing.out_slots[j]:
-            m[snk_off[a.target] : snk_off[a.target] + d, c : c + d] = np.eye(d)
-            c += d
-    return m
+    """Sum the framing-out slots into the stacked sink values: the transpose
+    of `in_matrix` on the opposite quiver, whose sources are q's sinks."""
+    return in_matrix(q.opposite, dims, framing.opposite(q)).T
 
 
 def network_matrix(t: DoubleFramedTriple) -> np.ndarray:

@@ -54,11 +54,11 @@ class Quiver:
         out = {v: [] for v in self.vertices}
         if len(into) != len(self.vertices):
             raise QuiverValidationError("duplicate vertex ids")
-        seen = set()
+        self.arrow_by_id = {}
         for a in self.arrows:
-            if a.id in seen:
+            if a.id in self.arrow_by_id:
                 raise DuplicateArrowId(a.id)
-            seen.add(a.id)
+            self.arrow_by_id[a.id] = a
             if a.source not in into or a.target not in into:
                 raise DanglingArrow(f"arrow {a.id}: {a.source}->{a.target} has undeclared endpoint")
             into[a.target].append(a)
@@ -131,6 +131,15 @@ class Quiver:
     def _hidden_quiver(self):
         hidden = set(self.hidden)
         return Quiver(self.hidden, (a for a in self.arrows if a.source in hidden and a.target in hidden))
+
+    @cached_property
+    def opposite(self):
+        """Every arrow reversed, in declaration order, so that
+        `opposite.arrows_into(v)` lists the arrows of `arrows_out_of(v)`;
+        sources and sinks trade places, and its own opposite is this quiver."""
+        op = Quiver(self.vertices, (Arrow(a.id, a.target, a.source) for a in self.arrows), network=self.network)
+        op.__dict__["opposite"] = self
+        return op
 
     @cached_property
     def _path_count(self):
@@ -206,6 +215,16 @@ class FramingData:
     def __post_init__(self):
         for name in ("u", "w", "in_slots", "out_slots"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def opposite(self, q: Quiver) -> "FramingData":
+        """The framing of `q.opposite` (this is a framing of `q`): u trades
+        places with w and the in-slots with the out-slots, on reversed arrows."""
+        rev = q.opposite.arrow_by_id
+
+        def flip(slots):
+            return {i: tuple((rev[a.id], d) for a, d in s) for i, s in slots.items()}
+
+        return FramingData(u=self.w, w=self.u, in_slots=flip(self.out_slots), out_slots=flip(self.in_slots))
 
 
 def framing_data(q: Quiver, dims: dict) -> FramingData:

@@ -1,9 +1,10 @@
 """Momentum-map values, level-set membership, and positive-gauge balancing.
 
 The per-vertex momentum value collects incoming squares minus outgoing squares
-of a triple; its zero and identity level sets model the two moduli spaces for
-the positive-scaling subgroup relevant to ReLU networks.  `balance` searches a
-positive gauge moving a thin triple onto a prescribed level set.
+of a triple, the outgoing ones being the incoming squares of its dual; its zero
+and identity level sets model the two moduli spaces for the positive-scaling
+subgroup relevant to ReLU networks.  `balance` searches a positive gauge moving
+a thin triple onto a prescribed level set.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, QmnError, ShapeMismatch
-from .rep import DoubleFramedTriple, act
+from .rep import DoubleFramedTriple, act, dual
 
 EPS = np.finfo(float).eps
 # |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i is rounding, with M_i the sum of
@@ -35,25 +36,18 @@ class MomentumValue:
         return out
 
 
+def _in_squares(t: DoubleFramedTriple) -> dict:
+    """Per hidden vertex: f f* plus the sum of V V* over in-arrows."""
+    into, mats = t.quiver.hidden_quiver().arrows_into, t.hidden_matrices
+    return {i: sum((mats[a.id] @ mats[a.id].T for a in into(i)), t.f[i] @ t.f[i].T) for i in t.quiver.hidden}
+
+
 def momentum(t: DoubleFramedTriple) -> MomentumValue:
     """Per hidden vertex: sum of V V* over in-arrows minus V* V over out-arrows,
-    plus f f* minus h* h.  Real scalars; adjoints are transposes."""
-    q = t.quiver
-    hq = q.hidden_quiver()
-    vals = {}
-    for i in q.hidden:
-        d = t.dims[i]
-        m = np.zeros((d, d))
-        for a in hq.arrows_into(i):
-            v = t.hidden_matrices[a.id]
-            m += v @ v.T
-        for a in hq.arrows_out_of(i):
-            v = t.hidden_matrices[a.id]
-            m -= v.T @ v
-        m += t.f[i] @ t.f[i].T
-        m -= t.h[i].T @ t.h[i]
-        vals[i] = m
-    return MomentumValue(vals)
+    plus f f* minus h* h; the second half is the first half of `dual(t)`.
+    Real scalars; adjoints are transposes."""
+    into, out = _in_squares(t), _in_squares(dual(t))
+    return MomentumValue({i: into[i] - out[i] for i in t.quiver.hidden})
 
 
 @dataclass

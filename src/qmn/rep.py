@@ -9,6 +9,7 @@ inverses, no arithmetic involved.
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import wraps
 from types import MappingProxyType
 
 import numpy as np
@@ -63,9 +64,10 @@ class DoubleFramedTriple:
     """Hidden representation plus framing maps f_i : U_i -> V_i and h_i : V_i -> W_i.
 
     Frozen, with read-only mappings of the dims and coerced matrices, so what is
-    computed from it can be cached on it: `_memo` holds such results (the
-    sweeps of `qmn.moduli`), filled on first use.  The arrays themselves are
-    shared with the caller, not copied; writing into them is not supported.
+    computed from it can be cached on it: `_memo` holds such results (its
+    `dual` and the sweeps of `qmn.moduli`), filled on first use.  The arrays
+    themselves are shared with the caller, not copied; writing into them is
+    not supported.
     """
 
     quiver: Quiver
@@ -92,6 +94,38 @@ class DoubleFramedTriple:
 
     def hidden_dims(self):
         return {i: self.dims[i] for i in self.quiver.hidden}
+
+
+def memoised(compute):
+    """Cache compute(t) in t._memo on first use; the triple is frozen, so no
+    field it was computed from can be reassigned."""
+
+    @wraps(compute)
+    def cached(t: DoubleFramedTriple):
+        if compute.__name__ not in t._memo:
+            t._memo[compute.__name__] = compute(t)
+        return t._memo[compute.__name__]
+
+    return cached
+
+
+@memoised
+def dual(t: DoubleFramedTriple) -> DoubleFramedTriple:
+    """The transpose triple (V^T, h^T, f^T) on `t.quiver.opposite`, framed by
+    t's coframing: what a forward computation finds on it, t has in reverse
+    (co-images, subrepresentations killed by h, the out-arrow half of the
+    moment map).  Its arrays are transposed views of t's, and it holds no link
+    back to t, so the memo makes no reference cycle; dual(dual(t)) is on
+    t's quiver with t's arrays."""
+    q = t.quiver
+    return DoubleFramedTriple(
+        q.opposite,
+        t.dims,
+        {k: m.T for k, m in t.hidden_matrices.items()},
+        {i: m.T for i, m in t.h.items()},
+        {i: m.T for i, m in t.f.items()},
+        t.framing.opposite(q),
+    )
 
 
 def split(r: Representation) -> DoubleFramedTriple:
@@ -134,17 +168,20 @@ def join(t: DoubleFramedTriple) -> Representation:
     return Representation(q, dict(t.dims), mats)
 
 
-def check_gauge_block(g, vertex):
+def check_gauge_block(g, vertex, d):
+    """The gauge block at `vertex` as a float (d, d) matrix that is finite and
+    numerically invertible; None means the gauge has no block there."""
+    if g is None:
+        raise ShapeMismatch(f"no gauge block at {vertex!r}")
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         g = g.reshape(1, 1)
-    d = g.shape[0]
     if g.shape != (d, d):
-        raise ShapeMismatch(f"gauge block at {vertex!r} is not square")
+        raise ShapeMismatch(f"gauge block at {vertex!r} has shape {g.shape}, expected {(d, d)}")
     if not np.isfinite(g).all():
         raise SingularGauge(f"gauge block at {vertex!r} is not finite")
-    scale = np.abs(g).max()
-    if scale == 0.0 or abs(np.linalg.det(g)) < GAUGE_DET_TOL * scale**d:
+    scale = np.abs(g).max(initial=0.0)
+    if d and (scale == 0.0 or abs(np.linalg.det(g)) < GAUGE_DET_TOL * scale**d):
         raise SingularGauge(f"gauge block at {vertex!r} is numerically singular")
     return g
 
@@ -156,7 +193,7 @@ def compose_gauge(g1: dict, g2: dict) -> dict:
 def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     """Base change at hidden vertices: V_a -> g V_a g^-1, f -> g f, h -> h g^-1."""
     q = t.quiver
-    blocks = {i: check_gauge_block(g[i], i) for i in q.hidden}
+    blocks = {i: check_gauge_block(g.get(i), i, t.dims[i]) for i in q.hidden}
     inv = {i: np.linalg.inv(blocks[i]) for i in q.hidden}
     hq = q.hidden_quiver()
     mats = {

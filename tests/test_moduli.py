@@ -650,6 +650,14 @@ def test_resolution_point_codimension_check():
         verify_resolution_point(subspaces, m)
 
 
+def test_verify_resolution_point_names_a_missing_vertex():
+    t = d4tilde_triple(1, 1, 1, 1, 1, [1, 1], [1, 1], [1, 1], [1, 1])
+    subspaces = resolution_data(t)
+    del subspaces["v4"]
+    with pytest.raises(CodimensionMismatch, match="no subspace given at 'v4'"):
+        verify_resolution_point(subspaces, project(t))
+
+
 def thin_of(t):
     return ThinRep(t.quiver, {aid: float(m[0, 0]) for aid, m in join(t).matrices.items()})
 

@@ -132,6 +132,30 @@ def test_act_rejects_non_finite_gauge(bad):
         act({**g, "v3": [[bad]]}, t)
 
 
+@pytest.mark.parametrize("make", [quiver_single_vertex, quiver_d4tilde])
+def test_act_rejects_a_gauge_block_of_the_wrong_size(make):
+    """A block of the wrong size, or none at all, is a ShapeMismatch that names
+    the vertex, not numpy's matmul error or a KeyError."""
+    q = make()
+    t = random_triple(q, thin_dims(q), np.random.default_rng(0))
+    g = {i: np.eye(1) for i in q.hidden}
+    v = q.hidden[-1]
+    with pytest.raises(ShapeMismatch, match=f"gauge block at {v!r} has shape \\(2, 2\\), expected \\(1, 1\\)"):
+        act({**g, v: np.eye(2)}, t)
+    del g[v]
+    with pytest.raises(ShapeMismatch, match=f"no gauge block at {v!r}"):
+        act(g, t)
+
+
+def test_act_takes_the_empty_block_at_a_zero_dimensional_vertex():
+    q = quiver_d4tilde()
+    dims = {**thin_dims(q), "v3": 0}
+    t = random_triple(q, dims, np.random.default_rng(0))
+    g = {i: 2.0 * np.eye(dims[i]) for i in q.hidden}
+    moved = act(g, t)
+    assert moved.f["v3"].shape == (0, 0) and np.array_equal(moved.f["v1"], 2.0 * t.f["v1"])
+
+
 def test_scalar_redundancy_compensated_by_gauge():
     """Rescaling all framings by lambda / 1/lambda is the same orbit move as the
     constant gauge."""
