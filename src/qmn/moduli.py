@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError
-from .quiver import Path, Quiver, all_hidden_paths, framing_data, weakly_connected
+from .quiver import Path, Quiver, all_hidden_paths, capped_path_count, framing_data, weakly_connected
 from .rep import DoubleFramedTriple, deframe, dual, gauge_dim, memoised, rep_space_dim
 
 
@@ -113,11 +113,11 @@ class ModuliPoint:
         """Numerical rank of each q^(i), which factors through V_i as path
         co-images (the dual's path images) times path images: the number of
         cosines of principal angles between the two orthonormal spans above
-        tol times the largest."""
+        tol times the largest.  Computed once per triple and tol; each call
+        returns a fresh dict."""
         if not 0.0 <= tol < 1.0:
             raise QmnError(f"rank tolerance must lie in [0, 1), got {tol}")
-        images, coimages = _images(self.triple), _images(dual(self.triple))
-        return {i: linalg.num_rank(coimages[i][0].T @ images[i][0], tol) for i in self.quiver.hidden}
+        return dict(_rank_vector(self.triple, tol))
 
 
 def project(t: DoubleFramedTriple) -> ModuliPoint:
@@ -147,6 +147,13 @@ def _images(t: DoubleFramedTriple):
     return images
 
 
+@memoised
+def _rank_vector(t: DoubleFramedTriple, tol):
+    """The ranks `ModuliPoint.rank_vector` hands out copies of."""
+    images, coimages = _images(t), _images(dual(t))
+    return {i: linalg.num_rank(coimages[i][0].T @ images[i][0], tol) for i in t.quiver.hidden}
+
+
 def _scaled(factors):
     u, s, _ = factors
     return u * s
@@ -159,9 +166,9 @@ def _path_images(t: DoubleFramedTriple):
     i if u_i > 0, then each slot of x extended by a.  Slot w is u[w.start]
     columns wide and holds V_w f_start.  On `dual(t)` it gives the transposed
     co-images H_i^T.  Refuses quivers past the path cap, as
-    `all_hidden_paths` does."""
+    `all_hidden_paths` does, but enumerates no path."""
     hq = t.quiver.hidden_quiver()
-    all_hidden_paths(hq)
+    capped_path_count(hq)
     mats = t.hidden_matrices
     images = {}
     for i in hq.topological:

@@ -278,12 +278,19 @@ def enumerate_paths(hq: Quiver, start, end):
     return _paths_from(hq, start)[end]
 
 
+def capped_path_count(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> int:
+    """The number of paths of `hq`, counted without enumerating any; raises
+    PathExplosion when it is above the cap."""
+    if hq._path_count > cap:
+        raise PathExplosion(hq._path_count, cap)
+    return hq._path_count
+
+
 def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> Mapping:
     """Paths for every ordered pair of hidden vertices, as a read-only mapping
     of tuples.  Raises PathExplosion when the path count is above the cap,
     before anything is enumerated.  The paths come from one walk per start
     vertex on the first call and are cached on `hq`; every call checks the
     count against its own cap."""
-    if hq._path_count > cap:
-        raise PathExplosion(hq._path_count, cap)
+    capped_path_count(hq, cap)
     return hq._hidden_paths

@@ -73,6 +73,18 @@ def level_set_membership(t: DoubleFramedTriple, target: float) -> LevelSetReport
     return LevelSetReport(membership=membership, residuals=residuals, target=float(target))
 
 
+def _square_norms(blocks) -> np.ndarray:
+    """np.sum(b ** 2) of each block, as one stacked sum per block size: a row
+    sum of the stack adds in np.sum's order, so each value is bit for bit the
+    same (a BLAS dot product is not)."""
+    out, by_size = np.zeros(len(blocks)), {}
+    for k, b in enumerate(blocks):
+        by_size.setdefault(b.size, []).append(k)
+    for n, ks in by_size.items():
+        out[ks] = np.square(np.concatenate([blocks[k].ravel() for k in ks]).reshape(len(ks), n)).sum(axis=1)
+    return out
+
+
 @dataclass
 class BalanceResult:
     gauge: dict  # hidden vertex -> positive scalar
@@ -105,8 +117,9 @@ def balance(t: DoubleFramedTriple, target: float, tol=LEVEL_TOL) -> BalanceResul
     n, index = len(hidden), {v: k for k, v in enumerate(hidden)}
     src = np.array([index[a.source] for a in arrows], dtype=np.intp)
     tgt = np.array([index[a.target] for a in arrows], dtype=np.intp)
-    w2 = np.array([t.hidden_matrices[a.id][0, 0] ** 2 for a in arrows])
-    fw, hw = (np.array([np.sum(m[i] ** 2) for i in hidden]) for m in (t.f, t.h))
+    mats = t.hidden_matrices
+    w2 = np.fromiter((mats[a.id][0, 0] ** 2 for a in arrows), float, len(arrows))
+    fw, hw = (_square_norms([m[i] for i in hidden]) for m in (t.f, t.h))
     weighted = fw + hw + np.bincount(tgt, w2, n) + np.bincount(src, w2, n) > 0.0
 
     @np.errstate(all="ignore")

@@ -97,14 +97,16 @@ class DoubleFramedTriple:
 
 
 def memoised(compute):
-    """Cache compute(t) in t._memo on first use; the triple is frozen, so no
-    field it was computed from can be reassigned."""
+    """Cache compute(t, *args) in t._memo on first use, one entry per tuple of
+    further arguments; the triple is frozen, so no field it was computed from
+    can be reassigned."""
 
     @wraps(compute)
-    def cached(t: DoubleFramedTriple):
-        if compute.__name__ not in t._memo:
-            t._memo[compute.__name__] = compute(t)
-        return t._memo[compute.__name__]
+    def cached(t: DoubleFramedTriple, *args):
+        key = (compute.__name__, *args)
+        if key not in t._memo:
+            t._memo[key] = compute(t, *args)
+        return t._memo[key]
 
     return cached
 
@@ -168,9 +170,9 @@ def join(t: DoubleFramedTriple) -> Representation:
     return Representation(q, dict(t.dims), mats)
 
 
-def check_gauge_block(g, vertex, d):
-    """The gauge block at `vertex` as a float (d, d) matrix that is finite and
-    numerically invertible; None means the gauge has no block there."""
+def _gauge_block(g, vertex, d):
+    """The gauge block at `vertex` as a float (d, d) matrix; None means the
+    gauge has no block there."""
     if g is None:
         raise ShapeMismatch(f"no gauge block at {vertex!r}")
     g = np.asarray(g, dtype=float)
@@ -178,12 +180,30 @@ def check_gauge_block(g, vertex, d):
         g = g.reshape(1, 1)
     if g.shape != (d, d):
         raise ShapeMismatch(f"gauge block at {vertex!r} has shape {g.shape}, expected {(d, d)}")
-    if not np.isfinite(g).all():
-        raise SingularGauge(f"gauge block at {vertex!r} is not finite")
-    scale = np.abs(g).max(initial=0.0)
-    if d and (scale == 0.0 or abs(np.linalg.det(g)) < GAUGE_DET_TOL * scale**d):
-        raise SingularGauge(f"gauge block at {vertex!r} is numerically singular")
     return g
+
+
+def _inverted(blocks, vertices):
+    """Inverses of the stacked (n, d, d) gauge blocks of `vertices`, which must
+    all be finite and numerically invertible: |det| at least GAUGE_DET_TOL
+    times the d-th power of the largest entry.  One check of each kind covers
+    the whole stack, and a failure names the first vertex that fails it."""
+    bad = ~np.isfinite(blocks).all(axis=(1, 2))
+    if bad.any():
+        raise SingularGauge(f"gauge block at {vertices[bad.argmax()]!r} is not finite")
+    d = blocks.shape[1]
+    if d:
+        scale = np.abs(blocks).max(axis=(1, 2))
+        bad = (scale == 0.0) | (np.abs(np.linalg.det(blocks)) < GAUGE_DET_TOL * scale**d)
+        if bad.any():
+            raise SingularGauge(f"gauge block at {vertices[bad.argmax()]!r} is numerically singular")
+    return np.linalg.inv(blocks)
+
+
+def _stacked(mats, keys):
+    """The matrices mats[k] of one shape (r, c) as one (n, r, c) array."""
+    r, c = mats[keys[0]].shape
+    return np.concatenate([mats[k] for k in keys]).reshape(len(keys), r, c)
 
 
 def compose_gauge(g1: dict, g2: dict) -> dict:
@@ -191,17 +211,46 @@ def compose_gauge(g1: dict, g2: dict) -> dict:
 
 
 def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
-    """Base change at hidden vertices: V_a -> g V_a g^-1, f -> g f, h -> h g^-1."""
-    q = t.quiver
-    blocks = {i: check_gauge_block(g.get(i), i, t.dims[i]) for i in q.hidden}
-    inv = {i: np.linalg.inv(blocks[i]) for i in q.hidden}
-    hq = q.hidden_quiver()
-    mats = {
-        a.id: blocks[a.target] @ t.hidden_matrices[a.id] @ inv[a.source] for a in hq.arrows
-    }
-    f = {i: blocks[i] @ t.f[i] for i in q.hidden}
-    h = {i: t.h[i] @ inv[i] for i in q.hidden}
-    return DoubleFramedTriple(q, dict(t.dims), mats, f, h, t.framing)
+    """Base change at hidden vertices: V_a -> g V_a g^-1, f -> g f, h -> h g^-1.
+
+    Every block is checked before anything is computed: a missing block or
+    one of the wrong size raises ShapeMismatch, a non-finite or numerically
+    singular one SingularGauge, each naming the vertex.  The blocks of one
+    size are checked and inverted as one stack, and the products of one
+    block shape run as one stacked product, the gauge blocks gathered by
+    index."""
+    q, dims = t.quiver, t.dims
+    blocks = {i: _gauge_block(g.get(i), i, dims[i]) for i in q.hidden}
+    by_size, at = {}, {}  # size -> its vertices; vertex -> its row in that stack
+    for i in q.hidden:
+        at[i] = len(by_size.setdefault(dims[i], []))
+        by_size[dims[i]].append(i)
+    gauge, inverse = {}, {}
+    for d, vertices in by_size.items():
+        gauge[d] = _stacked(blocks, vertices)
+        inverse[d] = _inverted(gauge[d], vertices)
+
+    def moved(mats, terms):
+        # {key: g_x @ mats[key] @ g_y^-1} for (key, x, y) in terms; x or y None
+        # drops that factor
+        by_shape, out = {}, {}
+        for term in terms:
+            by_shape.setdefault(mats[term[0]].shape, []).append(term)
+        for (r, c), group in by_shape.items():
+            keys, xs, ys = zip(*group)
+            prod = _stacked(mats, keys)
+            if xs[0] is not None:
+                prod = gauge[r][[at[x] for x in xs]] @ prod
+            if ys[0] is not None:
+                prod = prod @ inverse[c][[at[y] for y in ys]]
+            out.update(zip(keys, prod))
+        return out
+
+    arrows = [(a.id, a.target, a.source) for a in q.hidden_quiver().arrows]
+    mats = moved(t.hidden_matrices, arrows)
+    f = moved(t.f, [(i, i, None) for i in q.hidden])
+    h = moved(t.h, [(i, None, i) for i in q.hidden])
+    return DoubleFramedTriple(q, dict(dims), mats, f, h, t.framing)
 
 
 @dataclass(frozen=True)

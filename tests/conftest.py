@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from qmn.errors import NoConvergence, ShapeMismatch
+from qmn.errors import NoConvergence, ShapeMismatch, SingularGauge
 from qmn.grad import GradientRep, get_loss
 from qmn.linalg import RANK_TOL, num_rank
 from qmn.moduli import ModuliPoint, project
 from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork, in_matrix, out_matrix
 from qmn.quiver import Path, Quiver
 from qmn.relu import BalanceResult
-from qmn.rep import DoubleFramedTriple, act
+from qmn.rep import GAUGE_DET_TOL, DoubleFramedTriple, act
 from qmn.thincat import ThinRep
 
 ACCEPTANCE_LINES = []
@@ -186,6 +186,37 @@ def path_rank_vector(m: ModuliPoint, tol=RANK_TOL) -> dict:
     return {
         i: num_rank(equilibrate(path_vertex_block(t, *paths_through(t, i))), tol) for i in t.quiver.hidden
     }
+
+
+def reference_act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
+    """Base change at hidden vertices, one vertex check and one arrow product
+    at a time: the per-arrow loop the stacked `rep.act` replaced, and its
+    oracle.  Each block is checked in `q.hidden` order for presence, shape,
+    finiteness and |det| >= GAUGE_DET_TOL * (largest entry)^d."""
+    q = t.quiver
+    blocks = {}
+    for i in q.hidden:
+        d, b = t.dims[i], g.get(i)
+        if b is None:
+            raise ShapeMismatch(f"no gauge block at {i!r}")
+        b = np.asarray(b, dtype=float)
+        if b.ndim == 0:
+            b = b.reshape(1, 1)
+        if b.shape != (d, d):
+            raise ShapeMismatch(f"gauge block at {i!r} has shape {b.shape}, expected {(d, d)}")
+        if not np.isfinite(b).all():
+            raise SingularGauge(f"gauge block at {i!r} is not finite")
+        scale = np.abs(b).max(initial=0.0)
+        if d and (scale == 0.0 or abs(np.linalg.det(b)) < GAUGE_DET_TOL * scale**d):
+            raise SingularGauge(f"gauge block at {i!r} is numerically singular")
+        blocks[i] = b
+    inv = {i: np.linalg.inv(blocks[i]) for i in q.hidden}
+    mats = {
+        a.id: blocks[a.target] @ t.hidden_matrices[a.id] @ inv[a.source] for a in q.hidden_quiver().arrows
+    }
+    f = {i: blocks[i] @ t.f[i] for i in q.hidden}
+    h = {i: t.h[i] @ inv[i] for i in q.hidden}
+    return DoubleFramedTriple(q, dict(t.dims), mats, f, h, t.framing)
 
 
 def balance_reference(

@@ -457,9 +457,10 @@ def test_sweep_runs_once_per_direction(monkeypatch):
 
 
 def test_only_block_readers_enumerate_paths(monkeypatch):
-    """`project`, the sweep readers and the network map walk no path; the
-    first read of `blocks` walks once from each hidden vertex, and nothing
-    walks again."""
+    """`project`, the sweep readers, the network map, `blocks` and the path
+    space readers walk no path, on the quiver or on its opposite; the first
+    reader of `m.paths` (`assembled`) walks once from each hidden vertex, and
+    nothing walks again."""
     walks = []
     paths_from = quiver_module._paths_from
 
@@ -477,12 +478,53 @@ def test_only_block_readers_enumerate_paths(monkeypatch):
     closed_orbit_representative(m)
     network_matrix(t)
     psi_hat(m)
-    assert walks == []
     assert m.blocks
+    for i in q.hidden:
+        m.vertex_block(i)
+    verify_resolution_point(resolution_data(t), m)
+    assert walks == []
+    m.assembled()
     assert sorted(walks) == sorted(q.hidden)
     m.assembled()
     resolution_data(t)
     assert len(walks) == len(q.hidden)
+
+
+def test_first_vertex_block_of_a_deep_quiver_walks_no_path(monkeypatch):
+    """Thin 4-12^5-2 has 296,124 hidden paths: the first vertex block checks
+    their count, on the quiver and on its opposite, and walks none."""
+
+    def walk(hq, start):
+        raise AssertionError(f"walked the paths from {start!r}")
+
+    monkeypatch.setattr(quiver_module, "_paths_from", walk)
+    q = layered_quiver([4, 12, 12, 12, 12, 12, 2])
+    m = project(random_triple(q, thin_dims(q), np.random.default_rng(0)))
+    assert m.vertex_block(q.hidden[-1]).shape == (2, 4 * 12**4)
+
+
+def test_rank_vector_is_computed_once_per_tol(monkeypatch):
+    """A second rank_vector, or the closed orbit's own, counts no rank again;
+    another tol does, and an edit to a returned dict reaches no later one."""
+    calls = []
+    num_rank = linalg.num_rank
+
+    def counted(a, tol=linalg.RANK_TOL):
+        calls.append(tol)
+        return num_rank(a, tol)
+
+    monkeypatch.setattr(linalg, "num_rank", counted)
+    q = random_dag_quiver(np.random.default_rng(7), n_hidden=5)
+    t = random_triple(q, {v: 2 for v in q.vertices}, np.random.default_rng(8))
+    m = project(t)
+    first = m.rank_vector()
+    assert len(calls) == len(q.hidden)
+    first[q.hidden[0]] = -1
+    assert m.rank_vector() == project(t).rank_vector() == {v: 2 for v in q.hidden}
+    closed_orbit_representative(m)
+    assert len(calls) == len(q.hidden)
+    m.rank_vector(1e-3)
+    assert len(calls) == 2 * len(q.hidden)
 
 
 def test_path_space_readers_refuse_past_the_path_cap():

@@ -1,12 +1,22 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from conftest import reference_act
+from hypothesis import assume, given, settings, strategies as st
 
-from qmn.errors import ShapeMismatch, SingularGauge, UnframableArrow
-from qmn.examples import d4tilde_triple, quiver_a3, quiver_d4tilde, quiver_single_vertex, thin_dims
+from qmn.errors import QmnError, ShapeMismatch, SingularGauge, UnframableArrow
+from qmn.examples import (
+    d4tilde_triple,
+    quiver_a3,
+    quiver_d4tilde,
+    quiver_single_vertex,
+    random_dag_quiver,
+    thin_dims,
+)
 from qmn.moduli import is_simple, project
-from qmn.quiver import Quiver, framing_data
+from qmn.quiver import Arrow, Quiver, framing_data
 from qmn.rep import (
     DoubleFramedTriple,
     Representation,
@@ -312,3 +322,71 @@ def test_act_returns_a_triple_with_a_fresh_memo():
     assert is_simple(t) and t._memo
     moved = act(random_gauge(q, thin_dims(q), rng), t)
     assert moved._memo == {} and moved._memo is not t._memo
+
+
+@st.composite
+def gauged_triples(draw):
+    """A triple on a random DAG whose hidden arrows are each doubled by a
+    parallel arrow with probability 1/2, hidden dims 0-3, framing dims 1-2,
+    and a `random_gauge` for it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    hidden = set(base.hidden)
+    inner = [a for a in base.arrows if a.source in hidden and a.target in hidden]
+    twins = [Arrow(a.id + "'", a.source, a.target) for a in inner if draw(st.booleans())]
+    q = Quiver(base.vertices, base.arrows + tuple(twins))
+    dims = {v: draw(st.integers(0, 3) if v in hidden else st.integers(1, 2)) for v in q.vertices}
+    return random_triple(q, dims, rng), random_gauge(q, dims, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauged_triples())
+def test_stacked_act_matches_the_per_arrow_reference(case):
+    t, g = case
+    got, want = act(g, t), reference_act(g, t)
+    for new, ref in [(got.hidden_matrices, want.hidden_matrices), (got.f, want.f), (got.h, want.h)]:
+        assert new.keys() == ref.keys()
+        for k in ref:
+            assert new[k].shape == ref[k].shape
+            assert np.abs(new[k] - ref[k]).max(initial=0.0) <= 1e-12 * np.abs(ref[k]).max(initial=0.0)
+
+
+BAD_BLOCKS = ["missing", "wrong shape", "nan", "inf", "zero", "rank-deficient", "later size group"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gauged_triples(), st.sampled_from(BAD_BLOCKS), st.data())
+def test_stacked_act_refuses_a_bad_block_as_the_reference_does(case, kind, data):
+    """One bad block at a random vertex: the same exception, naming the same
+    vertex.  "later size group" zeroes a block whose size differs from the
+    first hidden vertex's, so its stack is checked after another passed."""
+    t, g = case
+    q, dims = t.quiver, t.dims
+    if kind in ("missing", "wrong shape"):
+        candidates = list(q.hidden)
+    elif kind == "rank-deficient":
+        candidates = [v for v in q.hidden if dims[v] >= 2]
+    elif kind == "later size group":
+        candidates = [v for v in q.hidden if dims[v] and dims[v] != dims[q.hidden[0]]]
+    else:
+        candidates = [v for v in q.hidden if dims[v]]
+    assume(candidates)
+    v = data.draw(st.sampled_from(candidates))
+    d, bad = dims[v], dict(g)
+    if kind == "missing":
+        del bad[v]
+    elif kind == "wrong shape":
+        bad[v] = np.eye(d + 1)
+    elif kind in ("nan", "inf"):
+        bad[v] = g[v].copy()
+        bad[v][data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))] = np.nan if kind == "nan" else -np.inf
+    elif kind == "rank-deficient":
+        bad[v] = g[v].copy()
+        bad[v][:, 0] = 2.0 * bad[v][:, 1]
+    else:
+        bad[v] = np.zeros((d, d))
+    with pytest.raises(QmnError) as want:
+        reference_act(bad, t)
+    assert type(want.value) in (ShapeMismatch, SingularGauge) and repr(v) in str(want.value)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        act(bad, t)
