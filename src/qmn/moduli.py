@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError
-from .quiver import Path, Quiver, all_hidden_paths, capped_path_count, framing_data, weakly_connected
+from .quiver import Path, Quiver, all_hidden_paths, check_path_cap, framing_data, weakly_connected
 from .rep import DoubleFramedTriple, deframe, dual, gauge_dim, memoised, rep_space_dim
 
 
@@ -168,7 +168,7 @@ def _path_images(t: DoubleFramedTriple):
     co-images H_i^T.  Refuses quivers past the path cap, as
     `all_hidden_paths` does, but enumerates no path."""
     hq = t.quiver.hidden_quiver()
-    capped_path_count(hq)
+    check_path_cap(hq)
     mats = t.hidden_matrices
     images = {}
     for i in hq.topological:

@@ -278,12 +278,11 @@ def enumerate_paths(hq: Quiver, start, end):
     return _paths_from(hq, start)[end]
 
 
-def capped_path_count(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> int:
-    """The number of paths of `hq`, counted without enumerating any; raises
-    PathExplosion when it is above the cap."""
+def check_path_cap(hq: Quiver, cap: int = DEFAULT_PATH_CAP):
+    """Raise PathExplosion when `hq` has more paths than the cap, counting
+    them without enumerating any."""
     if hq._path_count > cap:
         raise PathExplosion(hq._path_count, cap)
-    return hq._path_count
 
 
 def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> Mapping:
@@ -292,5 +291,5 @@ def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> Mapping:
     before anything is enumerated.  The paths come from one walk per start
     vertex on the first call and are cached on `hq`; every call checks the
     count against its own cap."""
-    capped_path_count(hq, cap)
+    check_path_cap(hq, cap)
     return hq._hidden_paths

@@ -221,10 +221,10 @@ def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     index."""
     q, dims = t.quiver, t.dims
     blocks = {i: _gauge_block(g.get(i), i, dims[i]) for i in q.hidden}
-    by_size, at = {}, {}  # size -> its vertices; vertex -> its row in that stack
+    by_size = {}
     for i in q.hidden:
-        at[i] = len(by_size.setdefault(dims[i], []))
-        by_size[dims[i]].append(i)
+        by_size.setdefault(dims[i], []).append(i)
+    at = {i: k for vertices in by_size.values() for k, i in enumerate(vertices)}  # row in its stack
     gauge, inverse = {}, {}
     for d, vertices in by_size.items():
         gauge[d] = _stacked(blocks, vertices)

@@ -490,19 +490,6 @@ def test_only_block_readers_enumerate_paths(monkeypatch):
     assert len(walks) == len(q.hidden)
 
 
-def test_first_vertex_block_of_a_deep_quiver_walks_no_path(monkeypatch):
-    """Thin 4-12^5-2 has 296,124 hidden paths: the first vertex block checks
-    their count, on the quiver and on its opposite, and walks none."""
-
-    def walk(hq, start):
-        raise AssertionError(f"walked the paths from {start!r}")
-
-    monkeypatch.setattr(quiver_module, "_paths_from", walk)
-    q = layered_quiver([4, 12, 12, 12, 12, 12, 2])
-    m = project(random_triple(q, thin_dims(q), np.random.default_rng(0)))
-    assert m.vertex_block(q.hidden[-1]).shape == (2, 4 * 12**4)
-
-
 def test_rank_vector_is_computed_once_per_tol(monkeypatch):
     """A second rank_vector, or the closed orbit's own, counts no rank again;
     another tol does, and an edit to a returned dict reaches no later one."""
