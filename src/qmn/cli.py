@@ -139,9 +139,15 @@ def _rng(seed):
 
 
 def _point_payload(point, assembled=False):
-    blocks = {
-        p.label(): b.tolist() for p, b in sorted(point.blocks.items(), key=lambda kv: kv[0].label())
-    }
+    """The blocks keyed by path label; two paths with one label (an arrow id
+    holding '.' or '>') are refused rather than one of them dropped."""
+    blocks = {}
+    for label, b in sorted(((p.label(), b) for p, b in point.blocks.items()), key=lambda kv: kv[0]):
+        if label in blocks:
+            raise QmnError(
+                f"two hidden paths share the block label {label!r}; rename arrows whose ids hold '.' or '>'"
+            )
+        blocks[label] = b.tolist()
     payload = {"blocks": blocks}
     if assembled:
         payload["matrix"] = point.assembled().tolist()

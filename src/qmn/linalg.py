@@ -12,23 +12,71 @@ SUBSPACE_TOL = 1e-10
 RESIDUAL_TOL = 1e-8  # relative residual counted as zero by `contains` and resolution checks
 
 
-def _cut(s, tol):
-    """How many of the singular values s (descending) exceed tol * sigma_max."""
-    return int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+def _cuts(s, tol):
+    """How many of each row of singular values s (descending) exceed tol
+    times the row's largest, as a list."""
+    if not s.shape[1]:
+        return [0] * s.shape[0]
+    if s.shape[0] == 1:  # a reduction along an axis costs more than the count
+        return [int(np.count_nonzero(s[0] > tol * s[0, 0]))]
+    return np.add.reduce(s > tol * s[:, :1], axis=1).tolist()
+
+
+def svd_stacks(mats, compute_uv=True, full_matrices=False):
+    """Factor the float matrices `mats` with one stacked np.linalg.svd per
+    matrix shape: a list of (positions in mats, that svd's result).  The stack
+    is factored matrix by matrix, so each result is the one np.linalg.svd
+    gives for that matrix alone."""
+    by_shape = {}
+    for k, a in enumerate(mats):
+        by_shape.setdefault(a.shape, []).append(k)
+    out = []
+    for shape, ks in by_shape.items():
+        if len(ks) == 1:
+            stack = mats[ks[0]][None]
+        else:
+            stack = np.concatenate([mats[k] for k in ks]).reshape(len(ks), *shape)
+        out.append((ks, np.linalg.svd(stack, full_matrices=full_matrices, compute_uv=compute_uv)))
+    return out
+
+
+def svds(mats, full_matrices=False):
+    """SVD (u, s, vt) of each of `mats`, thin unless full_matrices."""
+    out = [None] * len(mats)
+    for ks, (u, s, vt) in svd_stacks(mats, full_matrices=full_matrices):
+        for n, k in enumerate(ks):
+            out[k] = (u[n], s[n], vt[n])
+    return out
+
+
+def svd_cuts(mats):
+    """Thin SVD (u, s, vt) of each of `mats`, cut to the singular values above
+    SUBSPACE_TOL * sigma_max: u is an orthonormal basis of the column space
+    and (u * s) @ vt reproduces the matrix up to the cut."""
+    out = [None] * len(mats)
+    for ks, (u, s, vt) in svd_stacks(mats):
+        for n, (k, r) in enumerate(zip(ks, _cuts(s, SUBSPACE_TOL))):
+            out[k] = (u[n, :, :r], s[n, :r], vt[n, :r])
+    return out
+
+
+def num_ranks(mats, tol=RANK_TOL):
+    """Numerical rank of each of `mats`: singular values above tol * sigma_max."""
+    out = [0] * len(mats)
+    for ks, s in svd_stacks(mats, compute_uv=False):
+        for k, r in zip(ks, _cuts(s, tol)):
+            out[k] = r
+    return out
 
 
 def num_rank(a, tol=RANK_TOL):
-    """Numerical rank: singular values above tol * sigma_max."""
-    return _cut(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False), tol)
+    """Numerical rank of one matrix, as `num_ranks` counts it."""
+    return num_ranks([np.asarray(a, dtype=float)], tol)[0]
 
 
 def svd_cut(a):
-    """Thin SVD (u, s, vt) of a, cut to the singular values above
-    SUBSPACE_TOL * sigma_max: u is an orthonormal basis of the column space
-    and (u * s) @ vt reproduces a up to the cut."""
-    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    r = _cut(s, SUBSPACE_TOL)
-    return u[:, :r], s[:r], vt[:r]
+    """The cut thin SVD of one matrix, as `svd_cuts` gives it."""
+    return svd_cuts([np.asarray(a, dtype=float)])[0]
 
 
 def orth(a):
@@ -38,8 +86,8 @@ def orth(a):
 
 def null(a):
     """Orthonormal basis of the kernel of a, as columns."""
-    _, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
-    return vt[_cut(s, SUBSPACE_TOL) :].T
+    _, s, vt = svds([np.asarray(a, dtype=float)], full_matrices=True)[0]
+    return vt[_cuts(s[None], SUBSPACE_TOL)[0] :].T
 
 
 def contains(a, b):

@@ -12,15 +12,15 @@ same sweep run on `rep.dual(t)`, the transpose triple on the opposite quiver.
 """
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError
-from .quiver import Path, Quiver, all_hidden_paths, check_path_cap, framing_data, weakly_connected
+from .quiver import Path, Quiver, check_path_cap, framing_data, weakly_connected
 from .rep import DoubleFramedTriple, deframe, dual, gauge_dim, memoised, rep_space_dim
 
 
@@ -30,15 +30,15 @@ class ModuliPoint:
     quiver, dims and framing; spans, ranks and the closed orbit are read from
     its sweeps, which are memoised on it, and enumerate no path.
 
-    `paths` is the quiver's cached, read-only mapping of every hidden path for
-    every ordered vertex pair, checked against the path cap on each read.
     blocks[w] (shape (w_end, u_start)) is the literal coordinate h_j V_w f_i of
     each hidden path between framed vertices, a column slice of h_j times the
     stacked path images at j, built on first read and kept on the point;
     `assembled` and `qmn moduli coords` read it.  `vertex_block` and the
     resolution helpers read the uncut path sweeps of the triple and of its
     dual, whose slots come in one order: the lazy path first, then one slot
-    per arrow in `arrows_into` order, recursively.
+    per arrow in `arrows_into` order, recursively.  The slot paths and columns
+    of that order are `_slot_layout`'s, built once per quiver and framing, so
+    no reader here walks a path.
     """
 
     triple: DoubleFramedTriple
@@ -55,29 +55,14 @@ class ModuliPoint:
     def framing(self):
         return self.triple.framing
 
-    @property
-    def paths(self) -> Mapping:
-        return all_hidden_paths(self.quiver.hidden_quiver())
-
     @cached_property
     def blocks(self) -> dict:
-        images = _path_images(self.triple)
-        hq, u = self.quiver.hidden_quiver(), self.framing.u
-        slots, out = {}, {}
-        for i in hq.topological:
-            slots[i] = [Path(i, i)] if u[i] else []
-            slots[i] += [Path(p.start, i, p.arrows + (a.id,)) for a in hq.arrows_into(i) for p in slots[a.source]]
+        images, h = _path_images(self.triple), self.triple.h
+        layout, out = _slot_layout_of(self.triple), {}
         for j in self.framed_out():
-            coords, c = self.triple.h[j] @ images[j], 0
-            for p in slots[j]:
-                out[p] = coords[:, c : c + u[p.start]]
-                c += u[p.start]
+            coords = h[j] @ images[j]
+            out.update(zip(layout[j].paths, [coords[k] for k in layout[j].columns]))
         return out
-
-    # --- layout helpers -------------------------------------------------
-
-    def framed_in(self):
-        return [i for i in self.quiver.hidden if self.framing.u[i] > 0]
 
     def framed_out(self):
         return [j for j in self.quiver.hidden if self.framing.w[j] > 0]
@@ -87,19 +72,18 @@ class ModuliPoint:
     def assembled(self):
         """Single operator from stacked framing-in spaces to stacked framing-out
         spaces; each (start, end) pair is written once, with the sum of the
-        blocks of its parallel paths, and pairs without a path stay zero."""
+        blocks of its parallel paths, and pairs without a path stay zero.  The
+        blocks at j, read from `blocks` in slot order, are summed into their
+        start columns by one np.add.reduceat."""
         u, w = self.framing.u, self.framing.w
-        paths, blocks = self.paths, self.blocks
-        cols = self.framed_in()
+        layout, blocks = _slot_layout_of(self.triple), self.blocks
         m = np.zeros((sum(w.values()), sum(u.values())))
         r = 0
         for j in self.framed_out():
-            c = 0
-            for i in cols:
-                bucket = paths[(i, j)]
-                if bucket:
-                    m[r : r + w[j], c : c + u[i]] = sum(blocks[p] for p in bucket)
-                c += u[i]
+            slots = layout[j]
+            if slots.paths:
+                coords = np.concatenate([blocks[p] for p in slots.paths], axis=1)
+                m[r : r + w[j], slots.targets] = np.add.reduceat(coords[:, slots.order], slots.starts, axis=1)
             r += w[j]
         return m
 
@@ -135,23 +119,42 @@ def _images(t: DoubleFramedTriple):
     a : x -> i.  Passing u * s on keeps the Gram matrix of the stacked path
     images: u is an orthonormal basis of their span, u * s has their singular
     values, and the columns of vt split by slot, f_i first, then one slot per
-    arrow.  On `dual(t)` it gives the stacked path co-images (h V_w)^T."""
+    arrow.  The sweep runs level by level (`_levels`), each level's matrices
+    factored by one `linalg.svd_cuts`.  On `dual(t)` it gives the stacked path
+    co-images (h V_w)^T."""
     hq = t.quiver.hidden_quiver()
     mats = t.hidden_matrices
     images, passed = {}, {}
-    for i in hq.topological:
-        images[i] = linalg.svd_cut(
-            np.hstack([t.f[i]] + [mats[a.id] @ passed[a.source] for a in hq.arrows_into(i)])
-        )
-        passed[i] = _scaled(images[i])
+    for level in _levels(hq):
+        stacked = [
+            np.concatenate([t.f[i]] + [mats[a.id] @ passed[a.source] for a in hq.arrows_into(i)], axis=1)
+            for i in level
+        ]
+        for i, factors in zip(level, linalg.svd_cuts(stacked)):
+            images[i] = factors
+            passed[i] = _scaled(factors)
     return images
+
+
+@memoised
+def _levels(hq: Quiver):
+    """The vertices of hq by longest-path distance from its sources, each
+    level in topological order: a level's in-arrows come from earlier levels."""
+    depth, levels = {}, []
+    for i in hq.topological:
+        depth[i] = max((depth[a.source] + 1 for a in hq.arrows_into(i)), default=0)
+        if depth[i] == len(levels):
+            levels.append([])
+        levels[depth[i]].append(i)
+    return levels
 
 
 @memoised
 def _rank_vector(t: DoubleFramedTriple, tol):
     """The ranks `ModuliPoint.rank_vector` hands out copies of."""
     images, coimages = _images(t), _images(dual(t))
-    return {i: linalg.num_rank(coimages[i][0].T @ images[i][0], tol) for i in t.quiver.hidden}
+    hidden = t.quiver.hidden
+    return dict(zip(hidden, linalg.num_ranks([coimages[i][0].T @ images[i][0] for i in hidden], tol)))
 
 
 def _scaled(factors):
@@ -163,17 +166,68 @@ def _scaled(factors):
 def _path_images(t: DoubleFramedTriple):
     """Uncut stacked path images C_i = [f_i | V_a C_x ...] at each hidden
     vertex, arrows a : x -> i in `arrows_into` order: the lazy path's slot at
-    i if u_i > 0, then each slot of x extended by a.  Slot w is u[w.start]
-    columns wide and holds V_w f_start.  On `dual(t)` it gives the transposed
-    co-images H_i^T.  Refuses quivers past the path cap, as
+    i if u_i > 0, then each slot of x extended by a (`_slot_layout`).  Slot w
+    is u[w.start] columns wide and holds V_w f_start.  On `dual(t)` it gives
+    the transposed co-images H_i^T.  Refuses quivers past the path cap, as
     `all_hidden_paths` does, but enumerates no path."""
     hq = t.quiver.hidden_quiver()
     check_path_cap(hq)
     mats = t.hidden_matrices
     images = {}
     for i in hq.topological:
-        images[i] = np.hstack([t.f[i]] + [mats[a.id] @ images[a.source] for a in hq.arrows_into(i)])
+        images[i] = np.concatenate([t.f[i]] + [mats[a.id] @ images[a.source] for a in hq.arrows_into(i)], axis=1)
     return images
+
+
+class _Slots(NamedTuple):
+    """The slots of `_path_images` at one hidden vertex."""
+
+    paths: tuple  # the slot paths, in column order
+    columns: tuple  # index of each slot's columns, (slice(None), slice(lo, hi))
+    order: np.ndarray  # slot columns grouped by start column, each group in path order
+    starts: np.ndarray  # where each group begins in `order`
+    targets: np.ndarray  # the start column of each group in `assembled`
+
+
+def _slot_layout_of(t: DoubleFramedTriple) -> dict:
+    """The `_slot_layout` of t's quiver and framing, refused past the path cap."""
+    hq, fr = t.quiver.hidden_quiver(), t.framing
+    check_path_cap(hq)
+    return _slot_layout(hq, tuple(fr.u[i] for i in hq.vertices), tuple(fr.w[i] > 0 for i in hq.vertices))
+
+
+@memoised
+def _slot_layout(hq: Quiver, u, framed_out):
+    """`_Slots` of the framed-out vertices of hq (flagged by framed_out) under
+    the framing widths u, both in hq.vertices order; built once per quiver and
+    framing.  The paths of one start column are summed in arrow-id order, the
+    order `all_hidden_paths` lists them in."""
+    width = dict(zip(hq.vertices, u))
+    offset, c = {}, 0
+    for i in hq.vertices:
+        offset[i], c = c, c + width[i]
+    every, paths, layout = slice(None), {}, {}
+    for i in hq.topological:
+        paths[i] = [Path(i, i)] if width[i] else []
+        paths[i] += [Path(p.start, i, p.arrows + (a.id,)) for a in hq.arrows_into(i) for p in paths[a.source]]
+    for i, out in zip(hq.vertices, framed_out):
+        if not out:
+            continue
+        n = len(paths[i])
+        widths = np.array([width[p.start] for p in paths[i]], dtype=int)
+        bounds = np.concatenate(([0], np.cumsum(widths)))
+        first = np.array([offset[p.start] for p in paths[i]], dtype=int)
+        position = np.empty(n, dtype=int)  # of each slot's path in arrow-id order
+        position[sorted(range(n), key=lambda k: paths[i][k].arrows)] = np.arange(n)
+        column = np.repeat(first - bounds[:-1], widths) + np.arange(bounds[-1])
+        order = np.lexsort((np.repeat(position, widths), column))
+        grouped = column[order]
+        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+        spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        layout[i] = _Slots(
+            tuple(paths[i]), tuple((every, slice(lo, hi)) for lo, hi in spans), order, starts, grouped[starts]
+        )
+    return layout
 
 
 def is_semistable(t: DoubleFramedTriple) -> bool:
@@ -268,18 +322,17 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
     vt_i^T.  With U_i the leading m.rank_vector(tol)[i] left singular vectors
     of the core R_i S_i (which has q^(i)'s singular values), the coordinates
     are Y_i U_i, so h_i = (h-slot rows) U_i, V_a = U_j^T (slot-a rows) U_i
-    and f_i = U_i^T R_i f_i.
+    and f_i = U_i^T R_i f_i.  The cores of one shape are factored as one
+    stack (`linalg.svds`).
     """
     t = m.triple
     hq = t.quiver.hidden_quiver()
     dims, u, w = t.dims, t.framing.u, t.framing.w
     images, coimages = _images(t), _images(dual(t))
     ranks = m.rank_vector(tol)
-    coimage_factor, basis = {}, {}
-    for i in hq.vertices:
-        coimage_factor[i] = _scaled(coimages[i]).T
-        core = coimage_factor[i] @ _scaled(images[i])
-        basis[i] = np.linalg.svd(core, full_matrices=False)[0][:, : ranks[i]]
+    coimage_factor = {i: _scaled(coimages[i]).T for i in hq.vertices}
+    cores = linalg.svds([coimage_factor[i] @ _scaled(images[i]) for i in hq.vertices])
+    basis = {i: left[:, : ranks[i]] for i, (left, _, _) in zip(hq.vertices, cores)}
 
     def padded(a, rows, cols):
         out = np.zeros((rows, cols))

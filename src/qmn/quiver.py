@@ -42,7 +42,8 @@ class Quiver:
 
     `network=True` additionally forbids parallel arrows (the convention for
     neural-network quivers).  Incidence, the vertex split and the shape facts
-    are derived here once; the hidden quiver and its paths on first read.
+    are derived here once; the hidden quiver, its paths and `_memo` on first
+    read.
     """
 
     def __init__(self, vertices, arrows, roles=None, network=False):
@@ -140,6 +141,12 @@ class Quiver:
         op = Quiver(self.vertices, (Arrow(a.id, a.target, a.source) for a in self.arrows), network=self.network)
         op.__dict__["opposite"] = self
         return op
+
+    @cached_property
+    def _memo(self):
+        """What `rep.memoised` readers derive from this quiver alone (the
+        sweep levels and slot layouts of `qmn.moduli`), filled on first use."""
+        return {}
 
     @cached_property
     def _path_count(self):

@@ -98,11 +98,11 @@ class DoubleFramedTriple:
 
 def memoised(compute):
     """Cache compute(t, *args) in t._memo on first use, one entry per tuple of
-    further arguments; the triple is frozen, so no field it was computed from
-    can be reassigned."""
+    further arguments; t is a triple or a quiver, neither of which lets a
+    field it was computed from be reassigned."""
 
     @wraps(compute)
-    def cached(t: DoubleFramedTriple, *args):
+    def cached(t, *args):
         key = (compute.__name__, *args)
         if key not in t._memo:
             t._memo[key] = compute(t, *args)

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qmn.errors import NoConvergence, ShapeMismatch, SingularGauge
+from qmn.examples import random_dag_quiver
 from qmn.grad import GradientRep, get_loss
-from qmn.linalg import RANK_TOL, num_rank
+from qmn.linalg import RANK_TOL, SUBSPACE_TOL, num_rank
 from qmn.moduli import ModuliPoint, project
 from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork, in_matrix, out_matrix
-from qmn.quiver import Path, Quiver
+from qmn.quiver import Arrow, Path, Quiver
 from qmn.relu import BalanceResult
-from qmn.rep import GAUGE_DET_TOL, DoubleFramedTriple, act
+from qmn.rep import GAUGE_DET_TOL, DoubleFramedTriple, act, random_triple
 from qmn.thincat import ThinRep
 
 ACCEPTANCE_LINES = []
@@ -186,6 +188,46 @@ def path_rank_vector(m: ModuliPoint, tol=RANK_TOL) -> dict:
     return {
         i: num_rank(equilibrate(path_vertex_block(t, *paths_through(t, i))), tol) for i in t.quiver.hidden
     }
+
+
+def reference_images(t: DoubleFramedTriple) -> dict:
+    """Cut thin SVDs (u, s, vt) of the stacked path images at each hidden
+    vertex, one vertex and one np.linalg.svd at a time in topological order:
+    the per-vertex sweep the level-stacked `moduli._images` replaced, and its
+    oracle."""
+    hq = t.quiver.hidden_quiver()
+    images, passed = {}, {}
+    for i in hq.topological:
+        a = np.hstack([t.f[i]] + [t.hidden_matrices[a.id] @ passed[a.source] for a in hq.arrows_into(i)])
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        r = int(np.count_nonzero(s > SUBSPACE_TOL * s[0])) if s.size else 0
+        images[i] = (u[:, :r], s[:r], vt[:r])
+        passed[i] = u[:, :r] * s[:r]
+    return images
+
+
+def reference_svd_stacks(mats, compute_uv=True, full_matrices=False):
+    """`linalg.svd_stacks` with one np.linalg.svd per matrix and no stack:
+    each result gets a leading axis of length one."""
+    out = []
+    for k, a in enumerate(mats):
+        res = np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        out.append(([k], tuple(f[None] for f in res) if compute_uv else res[None]))
+    return out
+
+
+@st.composite
+def parallel_dag_triples(draw):
+    """A random triple on a random DAG whose hidden arrows are each doubled by
+    a parallel arrow with probability 1/2, hidden dims 0-3, framing dims 1-2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    hidden = set(base.hidden)
+    inner = [a for a in base.arrows if a.source in hidden and a.target in hidden]
+    twins = [Arrow(a.id + "'", a.source, a.target) for a in inner if draw(st.booleans())]
+    q = Quiver(base.vertices, base.arrows + tuple(twins))
+    dims = {v: draw(st.integers(0, 3) if v in hidden else st.integers(1, 2)) for v in q.vertices}
+    return random_triple(q, dims, rng)
 
 
 def reference_act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from qmn import grad, io, network
 from qmn.cli import build_parser, main
 from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, single_vertex_net
+from qmn.quiver import Quiver
 from qmn.thincat import ThinRep, unit
 
 
@@ -238,6 +239,20 @@ def test_moduli_rank_answers_past_the_path_cap(capsys, tmp_path):
     assert json.loads(out)["rank"] == {v: 1 for v in q.hidden}
     err = run_invalid(capsys, "moduli", "coords", "--rep", rpath)
     assert "hidden path count 1193040 exceeds cap 1000000" in err
+
+
+def test_moduli_coords_refuses_colliding_block_labels(capsys, tmp_path):
+    """Arrow ids with '.' give two paths x -> z the label x>a.b>z: the lazy
+    pair a.b and the path a then b.  Printing one of them beside the sum of
+    both would drop a block, so the command exits 2 naming the label."""
+    q = Quiver(
+        ["s", "x", "y", "z", "t"],
+        [("in", "s", "x"), ("a", "x", "y"), ("b", "y", "z"), ("a.b", "x", "z"), ("out", "z", "t")],
+    )
+    weights = {"in": 1.0, "a": 2.0, "b": 3.0, "a.b": 5.0, "out": 1.0}
+    rpath = write_json(tmp_path, "rep.json", io.thin_to_json(ThinRep(q, weights)))
+    err = run_invalid(capsys, "moduli", "coords", "--rep", rpath, "--assembled")
+    assert "'x>a.b>z'" in err
 
 
 def test_net_train_builds_no_epoch_snapshot_without_trace(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn import linalg, quiver as quiver_module
+from qmn import linalg, moduli as moduli_module, quiver as quiver_module
 from qmn.errors import CodimensionMismatch, PathExplosion, QmnError
 from qmn.examples import (
     d4tilde_template,
@@ -28,11 +28,22 @@ from qmn.moduli import (
     verify_resolution_point,
 )
 from qmn.network import network_matrix, psi_hat
-from qmn.quiver import Path, Quiver, enumerate_paths, framing_data
-from qmn.rep import DoubleFramedTriple, Representation, act, join, random_gauge, random_triple, split
+from qmn.quiver import Path, Quiver, all_hidden_paths, enumerate_paths, framing_data
+from qmn.rep import DoubleFramedTriple, Representation, act, dual, join, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
 
-from conftest import equilibrate, layered_quiver, path_matrix, path_rank_vector, path_vertex_block, paths_through
+from conftest import (
+    brute_force_paths,
+    equilibrate,
+    layered_quiver,
+    parallel_dag_triples,
+    path_matrix,
+    path_rank_vector,
+    path_vertex_block,
+    paths_through,
+    reference_images,
+    reference_svd_stacks,
+)
 
 
 def zeroed(t):
@@ -432,35 +443,126 @@ def test_memoised_readings_independent_of_call_order(t, order):
     assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3], strict=True))
 
 
+@settings(max_examples=200, deadline=None)
+@given(parallel_dag_triples())
+def test_stacked_sweeps_match_the_per_vertex_reference(t):
+    """The level-stacked sweeps are bit-equal to `reference_images` in both
+    directions, and the ranks and the closed orbit to those read with every
+    SVD taken alone (`reference_svd_stacks`) on the reference sweeps."""
+    for side in (t, dual(t)):
+        got, want = moduli_module._images(side), reference_images(side)
+        assert all(np.array_equal(a, b) for i in t.quiver.hidden for a, b in zip(got[i], want[i], strict=True))
+    m = project(t)
+    ranks, c = m.rank_vector(), closed_orbit_representative(m)
+    fresh = DoubleFramedTriple(t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h), t.framing)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moduli_module, "_images", reference_images)
+        mp.setattr(linalg, "svd_stacks", reference_svd_stacks)
+        want_ranks, want_c = project(fresh).rank_vector(), closed_orbit_representative(project(fresh))
+    assert ranks == want_ranks
+    for got, want in ((c.hidden_matrices, want_c.hidden_matrices), (c.f, want_c.f), (c.h, want_c.h)):
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def path_assembled(t):
+    """`assembled` summed from `brute_force_paths`: h_j V_w f_i over every
+    path w : i ~> j, V_w multiplied out by `path_matrix`."""
+    hq = t.quiver.hidden_quiver()
+    rows = np.cumsum([0] + [t.framing.w[j] for j in hq.vertices])
+    cols = np.cumsum([0] + [t.framing.u[i] for i in hq.vertices])
+    out = np.zeros((rows[-1], cols[-1]))
+    for a, j in enumerate(hq.vertices):
+        for b, i in enumerate(hq.vertices):
+            for ws in brute_force_paths(hq, i, j):
+                out[rows[a] : rows[a + 1], cols[b] : cols[b + 1]] += t.h[j] @ path_matrix(t, Path(i, j, ws)) @ t.f[i]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(parallel_dag_triples())
+def test_assembled_matches_the_enumerated_path_sum(t):
+    got, want = project(t).assembled(), path_assembled(t)
+    assert got.shape == want.shape and linalg.rel_err(got, want) <= 1e-12
+
+
+def test_edited_block_moves_assembled_by_the_edit(ten_arrow_quiver):
+    """`assembled` reads `m.blocks`: adding E to the block of one of two
+    parallel paths h1 ~> h3 moves the (h1, h3) cell by exactly E and nothing
+    else (integer entries, so every sum is exact)."""
+    q = ten_arrow_quiver
+    dims = {"s1": 1, "s2": 2, "h1": 2, "h2": 3, "h3": 2, "t1": 2, "t2": 1}
+    rng = np.random.default_rng(9)
+    mats = {a.id: rng.integers(-3, 4, (dims[a.target], dims[a.source])).astype(float) for a in q.arrows}
+    m = project(split(Representation(q, dims, mats)))
+    before = m.assembled()
+    p = Path("h1", "h3", ("e12", "e23"))
+    assert {w for w in m.blocks if (w.start, w.end) == ("h1", "h3")} == {p, Path("h1", "h3", ("e13",))}
+    e = rng.integers(-5, 6, m.blocks[p].shape).astype(float)
+    m.blocks[p] = m.blocks[p] + e
+    w, u = m.framing.w, m.framing.u
+    want = before.copy()
+    want[w["h1"] + w["h2"] :, : u["h1"]] += e
+    assert np.array_equal(m.assembled(), want)
+
+
+def count_factored(monkeypatch):
+    """Count the matrices that `linalg.svd_stacks` factors, keyed by whether
+    it computes singular vectors."""
+    factored = {True: 0, False: 0}
+    svd_stacks = linalg.svd_stacks
+
+    def counted(mats, compute_uv=True, **kwargs):
+        factored[compute_uv] += len(mats)
+        return svd_stacks(mats, compute_uv, **kwargs)
+
+    monkeypatch.setattr(linalg, "svd_stacks", counted)
+    return factored
+
+
 def test_sweep_runs_once_per_direction(monkeypatch):
     """One triple costs one cut SVD per hidden vertex and direction, however
-    many readings use it; semistability needs only the forward direction."""
-    calls = []
-    svd_cut = linalg.svd_cut
-
-    def counted(a, *args):
-        calls.append(a.shape)
-        return svd_cut(a, *args)
-
-    monkeypatch.setattr(linalg, "svd_cut", counted)
+    many readings use it; semistability needs only the forward direction, and
+    the closed orbit adds one core per hidden vertex and no sweep."""
+    factored = count_factored(monkeypatch)
     q = random_dag_quiver(np.random.default_rng(2), n_hidden=5)
     dims = {v: 2 for v in q.vertices}
     t = random_triple(q, dims, np.random.default_rng(3))
     is_semistable(t)
-    assert len(calls) == len(q.hidden)
+    assert factored[True] == len(q.hidden)
     m = project(t)
     m.rank_vector()
     is_simple(t)
     is_semistable(t)
+    assert factored[True] == 2 * len(q.hidden)
     closed_orbit_representative(m)
-    assert len(calls) == 2 * len(q.hidden)
+    assert factored[True] == 3 * len(q.hidden)
 
 
-def test_only_block_readers_enumerate_paths(monkeypatch):
-    """`project`, the sweep readers, the network map, `blocks` and the path
-    space readers walk no path, on the quiver or on its opposite; the first
-    reader of `m.paths` (`assembled`) walks once from each hidden vertex, and
-    nothing walks again."""
+def test_sweep_factors_one_stack_per_level(monkeypatch):
+    """On a thin layered quiver every vertex of a level has the same stacked
+    path images' shape, so each direction runs one np.linalg.svd per level,
+    and the ranks and the closed orbit's cores one each."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    q = layered_quiver([3, 4, 4, 4, 2])
+    t = random_triple(q, thin_dims(q), np.random.default_rng(4))
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    is_semistable(t)
+    assert calls == [(4, 1, 3), (4, 1, 4), (4, 1, 4)]
+    closed_orbit_representative(project(t))
+    assert calls[3:] == [(4, 1, 2), (4, 1, 4), (4, 1, 4), (12, 1, 1), (12, 1, 1)]
+
+
+def test_no_moduli_reader_walks_a_path(monkeypatch):
+    """`project`, the sweep readers, the network map, `blocks`, `assembled`
+    and the path space readers walk no path, on the quiver or on its
+    opposite: the slots of `blocks` and the sums of `assembled` come from a
+    layout built without enumerating paths."""
     walks = []
     paths_from = quiver_module._paths_from
 
@@ -479,39 +581,29 @@ def test_only_block_readers_enumerate_paths(monkeypatch):
     network_matrix(t)
     psi_hat(m)
     assert m.blocks
+    m.assembled()
     for i in q.hidden:
         m.vertex_block(i)
     verify_resolution_point(resolution_data(t), m)
+    project(random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(7))).assembled()
     assert walks == []
-    m.assembled()
-    assert sorted(walks) == sorted(q.hidden)
-    m.assembled()
-    resolution_data(t)
-    assert len(walks) == len(q.hidden)
 
 
 def test_rank_vector_is_computed_once_per_tol(monkeypatch):
     """A second rank_vector, or the closed orbit's own, counts no rank again;
     another tol does, and an edit to a returned dict reaches no later one."""
-    calls = []
-    num_rank = linalg.num_rank
-
-    def counted(a, tol=linalg.RANK_TOL):
-        calls.append(tol)
-        return num_rank(a, tol)
-
-    monkeypatch.setattr(linalg, "num_rank", counted)
+    factored = count_factored(monkeypatch)
     q = random_dag_quiver(np.random.default_rng(7), n_hidden=5)
     t = random_triple(q, {v: 2 for v in q.vertices}, np.random.default_rng(8))
     m = project(t)
     first = m.rank_vector()
-    assert len(calls) == len(q.hidden)
+    assert factored[False] == len(q.hidden)
     first[q.hidden[0]] = -1
     assert m.rank_vector() == project(t).rank_vector() == {v: 2 for v in q.hidden}
     closed_orbit_representative(m)
-    assert len(calls) == len(q.hidden)
+    assert factored[False] == len(q.hidden)
     m.rank_vector(1e-3)
-    assert len(calls) == 2 * len(q.hidden)
+    assert factored[False] == 2 * len(q.hidden)
 
 
 def test_path_space_readers_refuse_past_the_path_cap():
@@ -522,6 +614,7 @@ def test_path_space_readers_refuse_past_the_path_cap():
     m = project(t)
     readers = [
         lambda: m.blocks,
+        m.assembled,
         lambda: m.vertex_block(q.hidden[0]),
         lambda: resolution_data(t),
         lambda: verify_resolution_point({}, m),
@@ -534,12 +627,12 @@ def test_path_space_readers_refuse_past_the_path_cap():
 
 def test_memo_belongs_to_its_triple():
     """A sweep memoised on one triple is not read for another on the same
-    quiver, and every point of a quiver shares its cached paths."""
+    quiver, and every triple of a quiver shares its cached paths."""
     t = d4tilde_triple(1, 1, 1, 1, 1, [1, 1], [1, 1], [1, 1], [1, 1])
     z = zeroed(t)
     assert is_simple(t) and not is_simple(z)
     assert project(t).rank_vector() != project(z).rank_vector()
-    assert project(t).paths is project(z).paths
+    assert all_hidden_paths(t.quiver.hidden_quiver()) is all_hidden_paths(z.quiver.hidden_quiver())
 
 
 def test_simple_rep_exists_a3_single_cycle():

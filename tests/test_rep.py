@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import reference_act
+from conftest import parallel_dag_triples, reference_act
 from hypothesis import assume, given, settings, strategies as st
 
 from qmn.errors import QmnError, ShapeMismatch, SingularGauge, UnframableArrow
@@ -12,11 +12,10 @@ from qmn.examples import (
     quiver_a3,
     quiver_d4tilde,
     quiver_single_vertex,
-    random_dag_quiver,
     thin_dims,
 )
 from qmn.moduli import is_simple, project
-from qmn.quiver import Arrow, Quiver, framing_data
+from qmn.quiver import Quiver, framing_data
 from qmn.rep import (
     DoubleFramedTriple,
     Representation,
@@ -326,17 +325,9 @@ def test_act_returns_a_triple_with_a_fresh_memo():
 
 @st.composite
 def gauged_triples(draw):
-    """A triple on a random DAG whose hidden arrows are each doubled by a
-    parallel arrow with probability 1/2, hidden dims 0-3, framing dims 1-2,
-    and a `random_gauge` for it."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
-    hidden = set(base.hidden)
-    inner = [a for a in base.arrows if a.source in hidden and a.target in hidden]
-    twins = [Arrow(a.id + "'", a.source, a.target) for a in inner if draw(st.booleans())]
-    q = Quiver(base.vertices, base.arrows + tuple(twins))
-    dims = {v: draw(st.integers(0, 3) if v in hidden else st.integers(1, 2)) for v in q.vertices}
-    return random_triple(q, dims, rng), random_gauge(q, dims, rng)
+    """A `parallel_dag_triples` triple and a `random_gauge` for it."""
+    t = draw(parallel_dag_triples())
+    return t, random_gauge(t.quiver, t.dims, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
 @settings(max_examples=200, deadline=None)
