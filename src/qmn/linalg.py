@@ -74,14 +74,10 @@ def num_rank(a, tol=RANK_TOL):
     return num_ranks([np.asarray(a, dtype=float)], tol)[0]
 
 
-def svd_cut(a):
-    """The cut thin SVD of one matrix, as `svd_cuts` gives it."""
-    return svd_cuts([np.asarray(a, dtype=float)])[0]
-
-
 def orth(a):
-    """Orthonormal basis of the column space of a, as columns."""
-    return svd_cut(a)[0]
+    """Orthonormal basis of the column space of a, as columns: the u of its
+    `svd_cuts`."""
+    return svd_cuts([np.asarray(a, dtype=float)])[0][0]
 
 
 def null(a):
