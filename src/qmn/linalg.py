@@ -15,10 +15,6 @@ RESIDUAL_TOL = 1e-8  # relative residual counted as zero by `contains` and resol
 def _cuts(s, tol):
     """How many of each row of singular values s (descending) exceed tol
     times the row's largest, as a list."""
-    if not s.shape[1]:
-        return [0] * s.shape[0]
-    if s.shape[0] == 1:  # a reduction along an axis costs more than the count
-        return [int(np.count_nonzero(s[0] > tol * s[0, 0]))]
     return np.add.reduce(s > tol * s[:, :1], axis=1).tolist()
 
 
@@ -32,10 +28,7 @@ def svd_stacks(mats, compute_uv=True, full_matrices=False):
         by_shape.setdefault(a.shape, []).append(k)
     out = []
     for shape, ks in by_shape.items():
-        if len(ks) == 1:
-            stack = mats[ks[0]][None]
-        else:
-            stack = np.concatenate([mats[k] for k in ks]).reshape(len(ks), *shape)
+        stack = np.concatenate([mats[k] for k in ks]).reshape(len(ks), *shape)
         out.append((ks, np.linalg.svd(stack, full_matrices=full_matrices, compute_uv=compute_uv)))
     return out
 
