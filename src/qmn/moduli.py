@@ -350,7 +350,8 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
             hidden_mats[a.id] = padded(red, dims[a.target], dims[i])
             off += n
         f[i] = padded(basis[i].T @ coimage_factor[i] @ t.f[i], dims[i], u[i])
-    return DoubleFramedTriple(t.quiver, dict(dims), hidden_mats, f, h, t.framing)
+    hidden_mats = {a.id: hidden_mats[a.id] for a in hq.arrows}
+    return DoubleFramedTriple._built(t.quiver, dims, hidden_mats, f, h, t.framing)
 
 
 # --- resolution points ------------------------------------------------------

@@ -145,9 +145,11 @@ class Quiver:
     @cached_property
     def _memo(self):
         """What `rep.memoised` readers derive from this quiver alone (the
-        sweep levels and slot layouts of `qmn.moduli`), filled on first use.
+        sweep levels and slot layouts of `qmn.moduli`, the stacking plan of
+        `rep.act` and the arrow ends of `relu.balance`), filled on first use.
         Nothing is evicted: one slot layout, with every slot path, stays here
-        per framing the quiver was read under, for the quiver's life."""
+        per framing the quiver was read under, and one act plan per hidden
+        dims and framing it was acted under, for the quiver's life."""
         return {}
 
     @cached_property

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, QmnError, ShapeMismatch
-from .rep import DoubleFramedTriple, act, dual
+from .rep import DoubleFramedTriple, act, dual, memoised
 
 EPS = np.finfo(float).eps
 # |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i is rounding, with M_i the sum of
@@ -85,6 +85,17 @@ def _square_norms(blocks) -> np.ndarray:
     return out
 
 
+@memoised
+def _arrow_ends(q) -> tuple:
+    """The rows of each hidden arrow's source and target in q.hidden order,
+    as two np.intp arrays in hidden-arrow order; built once per quiver."""
+    index = {v: k for k, v in enumerate(q.hidden)}
+    arrows = q.hidden_quiver().arrows
+    src = np.array([index[a.source] for a in arrows], dtype=np.intp)
+    tgt = np.array([index[a.target] for a in arrows], dtype=np.intp)
+    return src, tgt
+
+
 @dataclass
 class BalanceResult:
     gauge: dict  # hidden vertex -> positive scalar
@@ -114,9 +125,7 @@ def balance(t: DoubleFramedTriple, target: float, tol=LEVEL_TOL) -> BalanceResul
     if not (math.isfinite(target) and math.isfinite(tol) and tol >= 0.0):
         raise QmnError(f"balance needs a finite target and a finite tol >= 0, got {target}, {tol}")
     hidden, arrows = q.hidden, q.hidden_quiver().arrows
-    n, index = len(hidden), {v: k for k, v in enumerate(hidden)}
-    src = np.array([index[a.source] for a in arrows], dtype=np.intp)
-    tgt = np.array([index[a.target] for a in arrows], dtype=np.intp)
+    n, (src, tgt) = len(hidden), _arrow_ends(q)
     mats = t.hidden_matrices
     w2 = np.fromiter((mats[a.id][0, 0] ** 2 for a in arrows), float, len(arrows))
     fw, hw = (_square_norms([m[i] for i in hidden]) for m in (t.f, t.h))

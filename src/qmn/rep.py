@@ -11,6 +11,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import wraps
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +93,27 @@ class DoubleFramedTriple:
         object.__setattr__(self, "f", MappingProxyType(f))
         object.__setattr__(self, "h", MappingProxyType(h))
 
+    @classmethod
+    def _built(cls, quiver, dims, hidden_matrices, f, h, framing):
+        """A triple on arrays qmn has just built itself (`act`, `dual`,
+        `closed_orbit_representative`): each float64 of its declared shape,
+        keyed in the order the public constructor gives.  The fields are set
+        as given, the mappings read-only and `_memo` fresh; nothing is coerced
+        again, which would cost as much as the product that built them."""
+        t = object.__new__(cls)
+        fields = (
+            ("quiver", quiver),
+            ("dims", MappingProxyType(dict(dims))),
+            ("hidden_matrices", MappingProxyType(hidden_matrices)),
+            ("f", MappingProxyType(f)),
+            ("h", MappingProxyType(h)),
+            ("framing", framing),
+            ("_memo", {}),
+        )
+        for name, value in fields:
+            object.__setattr__(t, name, value)
+        return t
+
     def hidden_dims(self):
         return {i: self.dims[i] for i in self.quiver.hidden}
 
@@ -120,7 +142,7 @@ def dual(t: DoubleFramedTriple) -> DoubleFramedTriple:
     back to t, so the memo makes no reference cycle; dual(dual(t)) is on
     t's quiver with t's arrays."""
     q = t.quiver
-    return DoubleFramedTriple(
+    return DoubleFramedTriple._built(
         q.opposite,
         t.dims,
         {k: m.T for k, m in t.hidden_matrices.items()},
@@ -210,6 +232,62 @@ def compose_gauge(g1: dict, g2: dict) -> dict:
     return {i: np.asarray(g1[i]) @ np.asarray(g2[i]) for i in g1}
 
 
+class _Moves(NamedTuple):
+    """How `act` moves one mapping (the hidden arrows, f or h): its keys in
+    the order of the mapping it returns, and the matrices grouped by shape."""
+
+    keys: tuple
+    order: tuple  # where each key's matrix lands among the groups' products
+    groups: tuple  # (keys, r, c, x rows, y rows) per shape (r, c); rows may be None
+
+
+class _ActPlan(NamedTuple):
+    sizes: tuple  # (d, vertices) per block size d, in q.hidden order
+    arrows: _Moves
+    f: _Moves
+    h: _Moves
+
+
+@memoised
+def _act_plan(q: Quiver, dims, u, w):
+    """What `act` does with a triple on q whose hidden dims and framing widths
+    are dims, u and w (tuples in q.hidden order), apart from the gauge: the
+    vertices of each block size, and for each mapping its shape groups, each
+    with the rows of its gauge blocks in their size's stack.  Built once per
+    quiver, dims and framing."""
+    dim = dict(zip(q.hidden, dims))
+    by_size = {}
+    for i in q.hidden:
+        by_size.setdefault(dim[i], []).append(i)
+    at = {i: k for vertices in by_size.values() for k, i in enumerate(vertices)}  # row in its stack
+
+    def rows(vertices):
+        return None if vertices[0] is None else np.array([at[v] for v in vertices], dtype=np.intp)
+
+    def moves(terms):
+        # terms: (key, shape, x, y) for g_x @ mats[key] @ g_y^-1; x or y None
+        # drops that factor
+        by_shape = {}
+        for term in terms:
+            by_shape.setdefault(term[1], []).append(term)
+        groups, placed = [], []
+        for (r, c), group in by_shape.items():
+            keys, _, xs, ys = zip(*group)
+            groups.append((keys, r, c, rows(xs), rows(ys)))
+            placed += keys
+        position = {k: n for n, k in enumerate(placed)}
+        keys = tuple(term[0] for term in terms)
+        return _Moves(keys, tuple(position[k] for k in keys), tuple(groups))
+
+    arrows = [(a.id, (dim[a.target], dim[a.source]), a.target, a.source) for a in q.hidden_quiver().arrows]
+    return _ActPlan(
+        tuple((d, tuple(vertices)) for d, vertices in by_size.items()),
+        moves(arrows),
+        moves([(i, (dim[i], n), i, None) for i, n in zip(q.hidden, u)]),
+        moves([(i, (n, dim[i]), None, i) for i, n in zip(q.hidden, w)]),
+    )
+
+
 def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     """Base change at hidden vertices: V_a -> g V_a g^-1, f -> g f, h -> h g^-1.
 
@@ -218,39 +296,30 @@ def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     singular one SingularGauge, each naming the vertex.  The blocks of one
     size are checked and inverted as one stack, and the products of one
     block shape run as one stacked product, the gauge blocks gathered by
-    index."""
-    q, dims = t.quiver, t.dims
+    index; which blocks and matrices go where is `_act_plan`'s, built once
+    per quiver, dims and framing."""
+    q, dims, fr = t.quiver, t.dims, t.framing
     blocks = {i: _gauge_block(g.get(i), i, dims[i]) for i in q.hidden}
-    by_size = {}
-    for i in q.hidden:
-        by_size.setdefault(dims[i], []).append(i)
-    at = {i: k for vertices in by_size.values() for k, i in enumerate(vertices)}  # row in its stack
+    plan = _act_plan(q, *(tuple(map(m.__getitem__, q.hidden)) for m in (dims, fr.u, fr.w)))
     gauge, inverse = {}, {}
-    for d, vertices in by_size.items():
+    for d, vertices in plan.sizes:
         gauge[d] = _stacked(blocks, vertices)
         inverse[d] = _inverted(gauge[d], vertices)
 
-    def moved(mats, terms):
-        # {key: g_x @ mats[key] @ g_y^-1} for (key, x, y) in terms; x or y None
-        # drops that factor
-        by_shape, out = {}, {}
-        for term in terms:
-            by_shape.setdefault(mats[term[0]].shape, []).append(term)
-        for (r, c), group in by_shape.items():
-            keys, xs, ys = zip(*group)
+    def moved(mats, moves):
+        products = []
+        for keys, r, c, xs, ys in moves.groups:
             prod = _stacked(mats, keys)
-            if xs[0] is not None:
-                prod = gauge[r][[at[x] for x in xs]] @ prod
-            if ys[0] is not None:
-                prod = prod @ inverse[c][[at[y] for y in ys]]
-            out.update(zip(keys, prod))
-        return out
+            if xs is not None:
+                prod = gauge[r][xs] @ prod
+            if ys is not None:
+                prod = prod @ inverse[c][ys]
+            products.extend(prod)
+        return dict(zip(moves.keys, map(products.__getitem__, moves.order)))
 
-    arrows = [(a.id, a.target, a.source) for a in q.hidden_quiver().arrows]
-    mats = moved(t.hidden_matrices, arrows)
-    f = moved(t.f, [(i, i, None) for i in q.hidden])
-    h = moved(t.h, [(i, None, i) for i in q.hidden])
-    return DoubleFramedTriple(q, dict(dims), mats, f, h, t.framing)
+    return DoubleFramedTriple._built(
+        q, dims, moved(t.hidden_matrices, plan.arrows), moved(t.f, plan.f), moved(t.h, plan.h), fr
+    )
 
 
 @dataclass(frozen=True)
