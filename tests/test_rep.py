@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 from qmn.errors import QmnError, ShapeMismatch, SingularGauge, UnframableArrow
 from qmn.examples import (
     d4tilde_triple,
+    random_dag_quiver,
     quiver_a3,
     quiver_d4tilde,
     quiver_single_vertex,
     thin_dims,
 )
-from qmn.moduli import is_simple, project
+from qmn.moduli import closed_orbit_representative, is_simple, project
 from qmn.quiver import Quiver, framing_data
 from qmn.rep import (
     DoubleFramedTriple,
@@ -24,6 +25,7 @@ from qmn.rep import (
     deframe,
     deframed_matrices,
     doubleframe_variant,
+    dual,
     join,
     random_gauge,
     random_representation,
@@ -330,16 +332,87 @@ def gauged_triples(draw):
     return t, random_gauge(t.quiver, t.dims, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
-@settings(max_examples=200, deadline=None)
-@given(gauged_triples())
-def test_stacked_act_matches_the_per_arrow_reference(case):
-    t, g = case
+def assert_act_matches_the_reference(g, t):
     got, want = act(g, t), reference_act(g, t)
     for new, ref in [(got.hidden_matrices, want.hidden_matrices), (got.f, want.f), (got.h, want.h)]:
         assert new.keys() == ref.keys()
         for k in ref:
             assert new[k].shape == ref[k].shape
             assert np.abs(new[k] - ref[k]).max(initial=0.0) <= 1e-12 * np.abs(ref[k]).max(initial=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauged_triples())
+def test_stacked_act_matches_the_per_arrow_reference(case):
+    assert_act_matches_the_reference(case[1], case[0])
+
+
+@st.composite
+def two_framings_of_one_quiver(draw):
+    """Two gauged triples on one `random_dag_quiver` object whose dims differ
+    at one vertex: a hidden one (hidden dims 0-3), or a source or sink, which
+    changes one framing width (framing dims 1-2)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    values = {v: range(4) if v in q.hidden else range(1, 3) for v in q.vertices}
+    a = {v: draw(st.sampled_from(values[v])) for v in q.vertices}
+    v = draw(st.sampled_from(q.vertices))
+    b = {**a, v: draw(st.sampled_from([d for d in values[v] if d != a[v]]))}
+    return [(random_gauge(q, dims, rng), random_triple(q, dims, rng)) for dims in (a, b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_framings_of_one_quiver())
+def test_act_plans_are_kept_apart_per_dims_and_framing(cases):
+    """`act`'s plan is memoised on the quiver; acting on two triples of one
+    quiver object in turn must not hand either the other's plan."""
+    (ga, ta), (gb, tb) = cases
+    assert ta.quiver is tb.quiver
+    for g, t in [(ga, ta), (gb, tb), (ga, ta), (gb, tb)]:
+        assert_act_matches_the_reference(g, t)
+
+
+def _same_view(a, b):
+    """a and b look at the same memory the same way."""
+    return (a.__array_interface__, a.dtype) == (b.__array_interface__, b.dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauged_triples())
+def test_triples_qmn_builds_keep_the_public_constructor_contract(case):
+    """`act`, `dual` and `closed_orbit_representative` build their triples
+    without coercing again: what they hand out is what the public constructor
+    would have made of it."""
+    t, g = case
+    hq = t.quiver.hidden_quiver()
+    for build in (lambda: act(g, t), lambda: dual(t), lambda: closed_orbit_representative(project(t))):
+        s = build()  # the memo is checked before anything reads s
+        assert s._memo == {} and s._memo is not t._memo
+        dims, u, w = s.dims, s.framing.u, s.framing.w
+        declared = [
+            (s.hidden_matrices, {a.id: (dims[a.target], dims[a.source]) for a in s.quiver.hidden_quiver().arrows}),
+            (s.f, {i: (dims[i], u[i]) for i in s.quiver.hidden}),
+            (s.h, {i: (w[i], dims[i]) for i in s.quiver.hidden}),
+        ]
+        for mapping, shapes in declared:
+            assert list(mapping) == list(shapes)
+            for k, m in mapping.items():
+                assert m.dtype == np.float64 and m.shape == shapes[k]
+        for mapping in (s.dims, s.hidden_matrices, s.f, s.h):
+            with pytest.raises(TypeError):
+                mapping[next(iter(mapping), "x")] = 0
+        rebuilt = DoubleFramedTriple(s.quiver, s.dims, s.hidden_matrices, s.f, s.h, s.framing)
+        assert rebuilt.dims == s.dims
+        for name in ("hidden_matrices", "f", "h"):
+            new, old = getattr(rebuilt, name), getattr(s, name)
+            assert list(new) == list(old)
+            assert all(_same_view(new[k], old[k]) for k in old)
+    back = dual(dual(t))
+    assert back.quiver is t.quiver and back.framing.u == t.framing.u and back.framing.w == t.framing.w
+    assert [a.id for a in back.quiver.hidden_quiver().arrows] == [a.id for a in hq.arrows]
+    for name in ("hidden_matrices", "f", "h"):
+        new, old = getattr(back, name), getattr(t, name)
+        assert list(new) == list(old) and all(_same_view(new[k], old[k]) for k in old)
 
 
 BAD_BLOCKS = ["missing", "wrong shape", "nan", "inf", "zero", "rank-deficient", "later size group"]
