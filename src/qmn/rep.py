@@ -272,9 +272,9 @@ def _act_plan(q: Quiver, dims, u, w):
             by_shape.setdefault(term[1], []).append(term)
         groups, placed = [], []
         for (r, c), group in by_shape.items():
-            keys, _, xs, ys = zip(*group)
-            groups.append((keys, r, c, rows(xs), rows(ys)))
-            placed += keys
+            group_keys, _, xs, ys = zip(*group)
+            groups.append((group_keys, r, c, rows(xs), rows(ys)))
+            placed += group_keys
         position = {k: n for n, k in enumerate(placed)}
         keys = tuple(term[0] for term in terms)
         return _Moves(keys, tuple(position[k] for k in keys), tuple(groups))
