@@ -12,6 +12,7 @@ same sweep run on `rep.dual(t)`, the transpose triple on the opposite quiver.
 """
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import CodimensionMismatch, QmnError
+from .errors import CodimensionMismatch, QmnError, ShapeMismatch
 from .quiver import Path, Quiver, check_path_cap, framing_data, weakly_connected
 from .rep import DoubleFramedTriple, deframe, dual, gauge_dim, memoised, rep_space_dim
 
@@ -30,15 +31,17 @@ class ModuliPoint:
     quiver, dims and framing; spans, ranks and the closed orbit are read from
     its sweeps, which are memoised on it, and enumerate no path.
 
-    blocks[w] (shape (w_end, u_start)) is the literal coordinate h_j V_w f_i of
-    each hidden path between framed vertices, a column slice of h_j times the
-    stacked path images at j, built on first read and kept on the point;
-    `assembled` and `qmn moduli coords` read it.  `vertex_block` and the
-    resolution helpers read the uncut path sweeps of the triple and of its
-    dual, whose slots come in one order: the lazy path first, then one slot
-    per arrow in `arrows_into` order, recursively.  The slot paths and columns
-    of that order are `_slot_layout`'s, built once per quiver and framing, so
-    no reader here walks a path.
+    The coordinates h_j V_w f_i of the hidden paths w ending at a framed-out
+    vertex j are the column slots of one row matrix h_j C_j (C_j the stacked
+    path images at j), computed on first read and kept on the point.
+    `assembled` sums those rows; blocks[w] (shape (w_end, u_start)) is a view
+    of w's slot, and assigning to it writes into the row, so `assembled`
+    follows the edit.  `rank_vector`, `vertex_block`, the closed orbit and the
+    resolution helpers do not: they read the uncut path sweeps of the triple
+    and of its dual, whose slots come in one order: the lazy path first, then
+    one slot per arrow in `arrows_into` order, recursively.  The slot paths
+    and columns of that order are `_slot_layout`'s, built once per quiver and
+    framing, so no reader here walks a path.
     """
 
     triple: DoubleFramedTriple
@@ -56,16 +59,18 @@ class ModuliPoint:
         return self.triple.framing
 
     @cached_property
-    def blocks(self) -> dict:
+    def _rows(self) -> dict:
+        """h_j C_j at each framed-out vertex j, a fresh array sharing no
+        storage with the triple's sweeps."""
         images, h = _path_images(self.triple), self.triple.h
-        layout, out = _slot_layout_of(self.triple), {}
-        for j in self.framed_out():
-            coords = h[j] @ images[j]
-            out.update(zip(layout[j].paths, [coords[k] for k in layout[j].columns]))
-        return out
+        return {j: h[j] @ images[j] for j in _slot_layout_of(self.triple)}
 
-    def framed_out(self):
-        return [j for j in self.quiver.hidden if self.framing.w[j] > 0]
+    @cached_property
+    def blocks(self) -> Mapping:
+        """Each slot path, in column order, to a write-through view of its
+        columns in `_rows`."""
+        rows, layout = self._rows, _slot_layout_of(self.triple)
+        return _Blocks({p: (rows[j], cols) for j, slots in layout.items() for p, cols in slots.columns.items()})
 
     # --- views ----------------------------------------------------------
 
@@ -73,17 +78,14 @@ class ModuliPoint:
         """Single operator from stacked framing-in spaces to stacked framing-out
         spaces; each (start, end) pair is written once, with the sum of the
         blocks of its parallel paths, and pairs without a path stay zero.  The
-        blocks at j, read from `blocks` in slot order, are summed into their
-        start columns by one np.add.reduceat."""
+        row at j is summed into its start columns by one np.add.reduceat."""
         u, w = self.framing.u, self.framing.w
-        layout, blocks = _slot_layout_of(self.triple), self.blocks
+        layout, rows = _slot_layout_of(self.triple), self._rows
         m = np.zeros((sum(w.values()), sum(u.values())))
         r = 0
-        for j in self.framed_out():
-            slots = layout[j]
-            if slots.paths:
-                coords = np.concatenate([blocks[p] for p in slots.paths], axis=1)
-                m[r : r + w[j], slots.targets] = np.add.reduceat(coords[:, slots.order], slots.starts, axis=1)
+        for j, slots in layout.items():
+            if slots.columns:
+                m[r : r + w[j], slots.targets] = np.add.reduceat(rows[j][:, slots.order], slots.starts, axis=1)
             r += w[j]
         return m
 
@@ -182,11 +184,35 @@ def _path_images(t: DoubleFramedTriple):
 class _Slots(NamedTuple):
     """The slots of `_path_images` at one hidden vertex."""
 
-    paths: tuple  # the slot paths, in column order
-    columns: tuple  # index of each slot's columns, (slice(None), slice(lo, hi))
+    columns: dict  # each slot's path to the index of its columns, (slice(None), slice(lo, hi)), in column order
     order: np.ndarray  # slot columns grouped by start column, each group in path order
     starts: np.ndarray  # where each group begins in `order`
     targets: np.ndarray  # the start column of each group in `assembled`
+
+
+class _Blocks(Mapping):
+    """The coordinate blocks of a point: each slot path, in column order, to a
+    view of its columns in its row.  Assigning an array of a block's shape
+    writes it into the row; nothing else changes a block."""
+
+    def __init__(self, slots):
+        self._slots = slots  # path -> (row, columns)
+
+    def __getitem__(self, p):
+        row, cols = self._slots[p]
+        return row[cols]
+
+    def __setitem__(self, p, value):
+        block, value = self[p], np.asarray(value)
+        if value.shape != block.shape:
+            raise ShapeMismatch(f"block {p} has shape {block.shape}, got {value.shape}")
+        block[...] = value
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self):
+        return len(self._slots)
 
 
 def _slot_layout_of(t: DoubleFramedTriple) -> dict:
@@ -224,9 +250,8 @@ def _slot_layout(hq: Quiver, u, framed_out):
         grouped = column[order]
         starts = np.flatnonzero(np.diff(grouped, prepend=-1))
         spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        layout[i] = _Slots(
-            tuple(paths[i]), tuple((every, slice(lo, hi)) for lo, hi in spans), order, starts, grouped[starts]
-        )
+        columns = {p: (every, slice(lo, hi)) for p, (lo, hi) in zip(paths[i], spans)}
+        layout[i] = _Slots(columns, order, starts, grouped[starts])
     return layout
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ShapeMismatch, SingularPreActivation, UnframableArrow
 from .moduli import ModuliPoint
 from .quiver import Quiver
-from .rep import DoubleFramedTriple, Representation, join
+from .rep import DoubleFramedTriple, Representation, join, opposite_framing
 from .thincat import ThinRep
 
 PREACT_TOL = 1e-12
@@ -273,8 +273,10 @@ def in_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
 
 def out_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
     """Sum the framing-out slots into the stacked sink values: the transpose
-    of `in_matrix` on the opposite quiver, whose sources are q's sinks."""
-    return in_matrix(q.opposite, dims, framing.opposite(q)).T
+    of `in_matrix` on the opposite quiver, whose sources are q's sinks, under
+    `rep.opposite_framing(q, dims)`; `framing`, which dims fix as well, is
+    not read."""
+    return in_matrix(q.opposite, dims, opposite_framing(q, dims)).T
 
 
 def network_matrix(t: DoubleFramedTriple) -> np.ndarray:

@@ -146,10 +146,13 @@ class Quiver:
     def _memo(self):
         """What `rep.memoised` readers derive from this quiver alone (the
         sweep levels and slot layouts of `qmn.moduli`, the stacking plan of
-        `rep.act` and the arrow ends of `relu.balance`), filled on first use.
-        Nothing is evicted: one slot layout, with every slot path, stays here
-        per framing the quiver was read under, and one act plan per hidden
-        dims and framing it was acted under, for the quiver's life."""
+        `rep.act`, the framing `rep.opposite_framing` hands out and the arrow
+        ends of `relu.balance`), filled on first use.  Nothing is evicted:
+        one slot layout, with every slot path and its columns in the
+        coordinate rows of a point (which `ModuliPoint.blocks` views and
+        `assembled` sums), stays here per framing the quiver was read under,
+        one framing per dims of its sources and sinks, and one act plan per
+        hidden dims and framing it was acted under, for the quiver's life."""
         return {}
 
     @cached_property
@@ -226,16 +229,6 @@ class FramingData:
     def __post_init__(self):
         for name in ("u", "w", "in_slots", "out_slots"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-
-    def opposite(self, q: Quiver) -> "FramingData":
-        """The framing of `q.opposite` (this is a framing of `q`): u trades
-        places with w and the in-slots with the out-slots, on reversed arrows."""
-        rev = q.opposite.arrow_by_id
-
-        def flip(slots):
-            return {i: tuple((rev[a.id], d) for a, d in s) for i, s in slots.items()}
-
-        return FramingData(u=self.w, w=self.u, in_slots=flip(self.out_slots), out_slots=flip(self.in_slots))
 
 
 def framing_data(q: Quiver, dims: dict) -> FramingData:

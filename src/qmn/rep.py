@@ -140,7 +140,8 @@ def dual(t: DoubleFramedTriple) -> DoubleFramedTriple:
     (co-images, subrepresentations killed by h, the out-arrow half of the
     moment map).  Its arrays are transposed views of t's, and it holds no link
     back to t, so the memo makes no reference cycle; dual(dual(t)) is on
-    t's quiver with t's arrays."""
+    t's quiver with t's arrays.  Its framing is the one t's dims give the
+    opposite quiver (`opposite_framing`)."""
     q = t.quiver
     return DoubleFramedTriple._built(
         q.opposite,
@@ -148,8 +149,21 @@ def dual(t: DoubleFramedTriple) -> DoubleFramedTriple:
         {k: m.T for k, m in t.hidden_matrices.items()},
         {i: m.T for i, m in t.h.items()},
         {i: m.T for i, m in t.f.items()},
-        t.framing.opposite(q),
+        opposite_framing(q, t.dims),
     )
+
+
+def opposite_framing(q: Quiver, dims) -> FramingData:
+    """`framing_data(q.opposite, dims)`, built once per quiver and per dims of
+    its sources and sinks, which fix every slot width."""
+    op = q.opposite
+    return _framing(op, tuple(dims.get(v, 0) for v in op.sources + op.sinks))
+
+
+@memoised
+def _framing(q: Quiver, ends) -> FramingData:
+    """framing_data of q under `ends`, the dims of q.sources + q.sinks."""
+    return framing_data(q, dict(zip(q.sources + q.sinks, ends)))
 
 
 def split(r: Representation) -> DoubleFramedTriple:

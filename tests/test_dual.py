@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qmn.examples import random_dag_quiver
 from qmn.moduli import project
-from qmn.quiver import framing_data
+from qmn.quiver import Quiver, framing_data
 from qmn.relu import momentum
-from qmn.rep import act, dual, join, random_triple
+from qmn.rep import act, dual, join, opposite_framing, random_triple
 
 FD_STEP = 1e-5
 
@@ -57,6 +57,7 @@ def test_dual_is_the_transpose_triple_on_the_opposite_quiver(t):
     assert d.framing == framing_data(q.opposite, t.dims)
     back = dual(d)
     assert back.quiver is q and back.dims == t.dims and back.framing == t.framing
+    assert back.framing is opposite_framing(q.opposite, t.dims)
     for name in ("hidden_matrices", "f", "h"):
         ours, theirs = getattr(t, name), getattr(back, name)
         assert ours.keys() == theirs.keys()
@@ -83,3 +84,24 @@ def test_opposite_quiver_trades_sources_and_sinks(t):
         assert [a.id for a in op.arrows_out_of(v)] == [a.id for a in q.arrows_into(v)]
     for a in q.arrows:
         assert (op.arrow_by_id[a.id].source, op.arrow_by_id[a.id].target) == (a.target, a.source)
+
+
+def test_opposite_framing_is_kept_per_source_and_sink_dims():
+    """Two triples on one quiver with equal u and w, whose source dims split
+    3 into x as 1 + 2 and as 2 + 1, get different dual framings, each the one
+    their dims give the opposite quiver; equal dims share one framing."""
+    q = Quiver(["s1", "s2", "x", "t"], [("a", "s1", "x"), ("b", "s2", "x"), ("c", "x", "t")])
+    rng = np.random.default_rng(3)
+    one_two = random_triple(q, {"s1": 1, "s2": 2, "x": 2, "t": 1}, rng)
+    two_one = random_triple(q, {"s1": 2, "s2": 1, "x": 2, "t": 1}, rng)
+    assert one_two.framing.u == two_one.framing.u and one_two.framing.w == two_one.framing.w
+    d12, d21 = dual(one_two).framing, dual(two_one).framing
+    assert d12 != d21
+    assert d12 == framing_data(q.opposite, one_two.dims) and d21 == framing_data(q.opposite, two_one.dims)
+    assert [d for _, d in d12.out_slots["x"]] == [1, 2] and [d for _, d in d21.out_slots["x"]] == [2, 1]
+    again = random_triple(q, {"s1": 1, "s2": 2, "x": 3, "t": 1}, rng)
+    assert dual(again).framing is d12 is opposite_framing(q, one_two.dims)
+    for t in (one_two, two_one):
+        r, rd = join(t), join(dual(t))
+        assert all(np.array_equal(rd.matrices[a.id], r.matrices[a.id].T) for a in q.arrows)
+

@@ -80,6 +80,25 @@ def test_in_out_maps_d4tilde():
     assert np.allclose(m_out @ y, [1 + 3, 2 + 4])
 
 
+@pytest.mark.parametrize("quiver", [quiver_d4tilde, quiver_a3, lambda: single_vertex_net(3, 2).quiver])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_out_matrix_sums_each_out_slot_into_its_sink(quiver, dim):
+    """On the README fixtures, out_matrix carries each framing-out slot of q's
+    own framing, in hidden-vertex and slot order, onto its sink's block by
+    the identity."""
+    q = quiver()
+    dims = {v: dim for v in q.vertices}
+    fr = framing_data(q, dims)
+    sink_row = dict(zip(q.sinks, np.cumsum([0] + [dims[v] for v in q.sinks]).tolist()))
+    want = np.zeros((sum(dims[v] for v in q.sinks), sum(fr.w.values())))
+    c = 0
+    for i in q.hidden:
+        for a, d in fr.out_slots[i]:
+            want[sink_row[a.target] : sink_row[a.target] + d, c : c + d] = np.eye(d)
+            c += d
+    assert np.array_equal(out_matrix(q, dims, fr), want)
+
+
 def d4_network_matrix_closed_form(a, b, c, d, lam, v, w, phi, psi):
     v, w = np.asarray(v, float), np.asarray(w, float)
     phi, psi = np.asarray(phi, float), np.asarray(psi, float)
