@@ -586,13 +586,12 @@ def test_block_edits_write_through_to_assembled_alone(t, read_first, data):
     row = dict(zip(hidden, np.cumsum([0] + [t.framing.w[j] for j in hidden]).tolist()))
     col = dict(zip(hidden, np.cumsum([0] + [t.framing.u[i] for i in hidden]).tolist()))
     for p in data.draw(st.lists(st.sampled_from(list(m.blocks)), min_size=1, max_size=4)):
-        e = np.asarray(data.draw(st.lists(st.integers(-5, 5), min_size=m.blocks[p].size, max_size=m.blocks[p].size)))
-        edited = m.blocks[p] + e.reshape(m.blocks[p].shape)
+        n = m.blocks[p].size
+        e = np.reshape(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), m.blocks[p].shape)
+        edited = m.blocks[p] + e
         m.blocks[p] = edited
         assert np.array_equal(m.blocks[p], edited)
-        want[row[p.end] : row[p.end] + t.framing.w[p.end], col[p.start] : col[p.start] + t.framing.u[p.start]] += (
-            e.reshape(edited.shape)
-        )
+        want[row[p.end] : row[p.end] + t.framing.w[p.end], col[p.start] : col[p.start] + t.framing.u[p.start]] += e
     assert np.array_equal(m.assembled(), want)
     assert m.rank_vector() == ranks
     assert all(np.array_equal(m.vertex_block(i), vertex_blocks[i]) for i in hidden)
