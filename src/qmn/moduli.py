@@ -121,13 +121,13 @@ def _images(t: DoubleFramedTriple):
     a : x -> i.  Passing u * s on keeps the Gram matrix of the stacked path
     images: u is an orthonormal basis of their span, u * s has their singular
     values, and the columns of vt split by slot, f_i first, then one slot per
-    arrow.  The sweep runs level by level (`_levels`), each level's matrices
-    factored by one `linalg.svd_cuts`.  On `dual(t)` it gives the stacked path
-    co-images (h V_w)^T."""
+    arrow.  The sweep runs level by level (`Quiver.levels`), each level's
+    matrices factored by one `linalg.svd_cuts`.  On `dual(t)` it gives the
+    stacked path co-images (h V_w)^T."""
     hq = t.quiver.hidden_quiver()
     mats = t.hidden_matrices
     images, passed = {}, {}
-    for level in _levels(hq):
+    for level in hq.levels:
         stacked = [
             np.concatenate([t.f[i]] + [mats[a.id] @ passed[a.source] for a in hq.arrows_into(i)], axis=1)
             for i in level
@@ -136,19 +136,6 @@ def _images(t: DoubleFramedTriple):
             images[i] = factors
             passed[i] = _scaled(factors)
     return images
-
-
-@memoised
-def _levels(hq: Quiver):
-    """The vertices of hq by longest-path distance from its sources, each
-    level in topological order: a level's in-arrows come from earlier levels."""
-    depth, levels = {}, []
-    for i in hq.topological:
-        depth[i] = max((depth[a.source] + 1 for a in hq.arrows_into(i)), default=0)
-        if depth[i] == len(levels):
-            levels.append([])
-        levels[depth[i]].append(i)
-    return levels
 
 
 @memoised
@@ -376,7 +363,7 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
             off += n
         f[i] = padded(basis[i].T @ coimage_factor[i] @ t.f[i], dims[i], u[i])
     hidden_mats = {a.id: hidden_mats[a.id] for a in hq.arrows}
-    return DoubleFramedTriple._built(t.quiver, dims, hidden_mats, f, h, t.framing)
+    return DoubleFramedTriple._built(t.quiver, dims, hidden_mats, f, h, t.layout)
 
 
 # --- resolution points ------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ShapeMismatch, SingularPreActivation, UnframableArrow
 from .moduli import ModuliPoint
 from .quiver import Quiver
-from .rep import DoubleFramedTriple, Representation, join, opposite_framing
+from .rep import DoubleFramedTriple, Representation, join, layout
 from .thincat import ThinRep
 
 PREACT_TOL = 1e-12
@@ -123,10 +123,7 @@ class CompiledNetwork:
 
     def __init__(self, net: NeuralNetwork):
         q = net.quiver
-        level = {}
-        for v in q.topological:
-            into = q.arrows_into(v)
-            level[v] = 1 + max(level[a.source] for a in into) if into else 0
+        level = {v: depth for depth, vertices in enumerate(q.levels) for v in vertices}
         tag = {v: "identity" if v in q.source_set or v in q.sink_set else net.activations[v] for v in q.vertices}
         inputs = net.input_vertices
         bias = tuple(v for v in q.sources if v in net.bias)
@@ -274,9 +271,9 @@ def in_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
 def out_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:
     """Sum the framing-out slots into the stacked sink values: the transpose
     of `in_matrix` on the opposite quiver, whose sources are q's sinks, under
-    `rep.opposite_framing(q, dims)`; `framing`, which dims fix as well, is
-    not read."""
-    return in_matrix(q.opposite, dims, opposite_framing(q, dims)).T
+    the framing dims give it; `framing`, which dims fix as well, is not
+    read."""
+    return in_matrix(q.opposite, dims, layout(q.opposite, dims).framing).T
 
 
 def network_matrix(t: DoubleFramedTriple) -> np.ndarray:

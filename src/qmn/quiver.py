@@ -143,16 +143,28 @@ class Quiver:
         return op
 
     @cached_property
+    def levels(self):
+        """The vertices by longest-path distance from the sources, each level
+        a tuple in topological order: a level's in-arrows come from earlier
+        levels."""
+        depth, levels = {}, []
+        for v in self.topological:
+            depth[v] = max((depth[a.source] + 1 for a in self._into[v]), default=0)
+            if depth[v] == len(levels):
+                levels.append([])
+            levels[depth[v]].append(v)
+        return tuple(map(tuple, levels))
+
+    @cached_property
     def _memo(self):
-        """What `rep.memoised` readers derive from this quiver alone (the
-        sweep levels and slot layouts of `qmn.moduli`, the stacking plan of
-        `rep.act`, the framing `rep.opposite_framing` hands out and the arrow
-        ends of `relu.balance`), filled on first use.  Nothing is evicted:
-        one slot layout, with every slot path and its columns in the
-        coordinate rows of a point (which `ModuliPoint.blocks` views and
-        `assembled` sums), stays here per framing the quiver was read under,
-        one framing per dims of its sources and sinks, and one act plan per
-        hidden dims and framing it was acted under, for the quiver's life."""
+        """What `rep.memoised` readers derive from this quiver and a dims
+        vector (the `rep.layout` of each dims vector: its framing and the
+        stacking plan of `rep.act`, and the slot layouts of `qmn.moduli`),
+        filled on first use.  Nothing is evicted: one layout per dims vector a
+        triple on the quiver was built with, and one slot layout, with every
+        slot path and its columns in the coordinate rows of a point (which
+        `ModuliPoint.blocks` views and `assembled` sums), per framing its
+        hidden quiver was read under, stay here for the quiver's life."""
         return {}
 
     @cached_property

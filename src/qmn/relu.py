@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, QmnError, ShapeMismatch
-from .rep import DoubleFramedTriple, act, dual, memoised
+from .rep import DoubleFramedTriple, act, dual
 
 EPS = np.finfo(float).eps
 # |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i is rounding, with M_i the sum of
@@ -73,29 +73,6 @@ def level_set_membership(t: DoubleFramedTriple, target: float) -> LevelSetReport
     return LevelSetReport(membership=membership, residuals=residuals, target=float(target))
 
 
-def _square_norms(blocks) -> np.ndarray:
-    """np.sum(b ** 2) of each block, as one stacked sum per block size: a row
-    sum of the stack adds in np.sum's order, so each value is bit for bit the
-    same (a BLAS dot product is not)."""
-    out, by_size = np.zeros(len(blocks)), {}
-    for k, b in enumerate(blocks):
-        by_size.setdefault(b.size, []).append(k)
-    for n, ks in by_size.items():
-        out[ks] = np.square(np.concatenate([blocks[k].ravel() for k in ks]).reshape(len(ks), n)).sum(axis=1)
-    return out
-
-
-@memoised
-def _arrow_ends(q) -> tuple:
-    """The rows of each hidden arrow's source and target in q.hidden order,
-    as two np.intp arrays in hidden-arrow order; built once per quiver."""
-    index = {v: k for k, v in enumerate(q.hidden)}
-    arrows = q.hidden_quiver().arrows
-    src = np.array([index[a.source] for a in arrows], dtype=np.intp)
-    tgt = np.array([index[a.target] for a in arrows], dtype=np.intp)
-    return src, tgt
-
-
 @dataclass
 class BalanceResult:
     gauge: dict  # hidden vertex -> positive scalar
@@ -124,11 +101,21 @@ def balance(t: DoubleFramedTriple, target: float, tol=LEVEL_TOL) -> BalanceResul
     target, tol = float(target), float(tol)
     if not (math.isfinite(target) and math.isfinite(tol) and tol >= 0.0):
         raise QmnError(f"balance needs a finite target and a finite tol >= 0, got {target}, {tol}")
-    hidden, arrows = q.hidden, q.hidden_quiver().arrows
-    n, (src, tgt) = len(hidden), _arrow_ends(q)
-    mats = t.hidden_matrices
-    w2 = np.fromiter((mats[a.id][0, 0] ** 2 for a in arrows), float, len(arrows))
-    fw, hw = (_square_norms([m[i] for i in hidden]) for m in (t.f, t.h))
+    hidden, plan, mats = q.hidden, t.layout, t.hidden_matrices
+    n = len(hidden)
+    # thin: every hidden arrow is in one (1, 1) group, whose gauge rows are
+    # the rows of its target (x) and source (y) in q.hidden order
+    none = np.zeros(0, dtype=np.intp)
+    keys, _, _, tgt, src = plan.arrows.groups[0] if plan.arrows.groups else ((), 1, 1, none, none)
+    w2 = np.fromiter((mats[k][0, 0] ** 2 for k in keys), float, len(keys))
+    # |f_i|^2 and |h_i|^2 as row sums of each shape group's stack, which add
+    # in np.sum's order, so each is bit for bit np.sum(f_i ** 2) (a BLAS dot
+    # product is not)
+    fw, hw = np.zeros(n), np.zeros(n)
+    for norms, side, moves in ((fw, t.f, plan.f), (hw, t.h, plan.h)):
+        for group_keys, r, c, xs, ys in moves.groups:
+            stack = np.array([side[k] for k in group_keys]).reshape(len(group_keys), r * c)
+            norms[ys if xs is None else xs] = np.square(stack).sum(axis=1)
     weighted = fw + hw + np.bincount(tgt, w2, n) + np.bincount(src, w2, n) > 0.0
 
     @np.errstate(all="ignore")

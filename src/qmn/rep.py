@@ -64,6 +64,8 @@ class Representation:
 class DoubleFramedTriple:
     """Hidden representation plus framing maps f_i : U_i -> V_i and h_i : V_i -> W_i.
 
+    The framing (u_i, w_i and the slots) is not given: it follows from the
+    quiver and the dims, and `layout` holds it with the rest of what they fix.
     Frozen, with read-only mappings of the dims and coerced matrices, so what is
     computed from it can be cached on it: `_memo` holds such results (its
     `dual` and the sweeps of `qmn.moduli`), filled on first use.  The arrays
@@ -76,30 +78,33 @@ class DoubleFramedTriple:
     hidden_matrices: Mapping
     f: Mapping
     h: Mapping
-    framing: FramingData
+    layout: "Layout" = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        lay = layout(self.quiver, self.dims)
         hq = self.quiver.hidden_quiver()
-        hidden = self.quiver.hidden
+        hidden, fr = self.quiver.hidden, lay.framing
         mats = {
             a.id: as_matrix(self.hidden_matrices[a.id], self.dims[a.target], self.dims[a.source])
             for a in hq.arrows
         }
-        f = {i: as_matrix(self.f[i], self.dims[i], self.framing.u[i]) for i in hidden}
-        h = {i: as_matrix(self.h[i], self.framing.w[i], self.dims[i]) for i in hidden}
+        f = {i: as_matrix(self.f[i], self.dims[i], fr.u[i]) for i in hidden}
+        h = {i: as_matrix(self.h[i], fr.w[i], self.dims[i]) for i in hidden}
         object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
         object.__setattr__(self, "hidden_matrices", MappingProxyType(mats))
         object.__setattr__(self, "f", MappingProxyType(f))
         object.__setattr__(self, "h", MappingProxyType(h))
+        object.__setattr__(self, "layout", lay)
 
     @classmethod
-    def _built(cls, quiver, dims, hidden_matrices, f, h, framing):
+    def _built(cls, quiver, dims, hidden_matrices, f, h, layout):
         """A triple on arrays qmn has just built itself (`act`, `dual`,
         `closed_orbit_representative`): each float64 of its declared shape,
-        keyed in the order the public constructor gives.  The fields are set
-        as given, the mappings read-only and `_memo` fresh; nothing is coerced
-        again, which would cost as much as the product that built them."""
+        keyed in the order the public constructor gives, with the `layout`
+        of its quiver and dims.  The fields are set as given, the mappings
+        read-only and `_memo` fresh; nothing is coerced again, which would
+        cost as much as the product that built them."""
         t = object.__new__(cls)
         fields = (
             ("quiver", quiver),
@@ -107,12 +112,17 @@ class DoubleFramedTriple:
             ("hidden_matrices", MappingProxyType(hidden_matrices)),
             ("f", MappingProxyType(f)),
             ("h", MappingProxyType(h)),
-            ("framing", framing),
+            ("layout", layout),
             ("_memo", {}),
         )
         for name, value in fields:
             object.__setattr__(t, name, value)
         return t
+
+    @property
+    def framing(self) -> FramingData:
+        """`framing_data(quiver, dims)`, one object per quiver and dims."""
+        return self.layout.framing
 
     def hidden_dims(self):
         return {i: self.dims[i] for i in self.quiver.hidden}
@@ -141,7 +151,7 @@ def dual(t: DoubleFramedTriple) -> DoubleFramedTriple:
     moment map).  Its arrays are transposed views of t's, and it holds no link
     back to t, so the memo makes no reference cycle; dual(dual(t)) is on
     t's quiver with t's arrays.  Its framing is the one t's dims give the
-    opposite quiver (`opposite_framing`)."""
+    opposite quiver."""
     q = t.quiver
     return DoubleFramedTriple._built(
         q.opposite,
@@ -149,21 +159,8 @@ def dual(t: DoubleFramedTriple) -> DoubleFramedTriple:
         {k: m.T for k, m in t.hidden_matrices.items()},
         {i: m.T for i, m in t.h.items()},
         {i: m.T for i, m in t.f.items()},
-        opposite_framing(q, t.dims),
+        layout(q.opposite, t.dims),
     )
-
-
-def opposite_framing(q: Quiver, dims) -> FramingData:
-    """`framing_data(q.opposite, dims)`, built once per quiver and per dims of
-    its sources and sinks, which fix every slot width."""
-    op = q.opposite
-    return _framing(op, tuple(dims.get(v, 0) for v in op.sources + op.sinks))
-
-
-@memoised
-def _framing(q: Quiver, ends) -> FramingData:
-    """framing_data of q under `ends`, the dims of q.sources + q.sinks."""
-    return framing_data(q, dict(zip(q.sources + q.sinks, ends)))
 
 
 def split(r: Representation) -> DoubleFramedTriple:
@@ -177,7 +174,7 @@ def split(r: Representation) -> DoubleFramedTriple:
         raise UnframableArrow(
             f"arrows {[a.id for a in q.source_sink_arrows]} run source->sink; the framing split has no slot for them"
         )
-    fr = framing_data(q, r.dims)
+    fr = layout(q, r.dims).framing
     hq = q.hidden_quiver()
     hidden_mats = {a.id: r.matrices[a.id] for a in hq.arrows}
     f, h = {}, {}
@@ -187,7 +184,7 @@ def split(r: Representation) -> DoubleFramedTriple:
         f[i] = np.hstack(cols) if cols else np.zeros((d, 0))
         rows = [r.matrices[a.id] for a, _ in fr.out_slots[i]]
         h[i] = np.vstack(rows) if rows else np.zeros((0, d))
-    return DoubleFramedTriple(q, dict(r.dims), hidden_mats, f, h, fr)
+    return DoubleFramedTriple(q, dict(r.dims), hidden_mats, f, h)
 
 
 def join(t: DoubleFramedTriple) -> Representation:
@@ -255,21 +252,29 @@ class _Moves(NamedTuple):
     groups: tuple  # (keys, r, c, x rows, y rows) per shape (r, c); rows may be None
 
 
-class _ActPlan(NamedTuple):
+class Layout(NamedTuple):
+    """What a quiver and a dims vector fix for every triple on them: the
+    framing, and how `act` moves the triple apart from the gauge (the hidden
+    vertices of each block size, and for each mapping its shape groups, each
+    with the rows of its gauge blocks in their size's stack)."""
+
+    framing: FramingData
     sizes: tuple  # (d, vertices) per block size d, in q.hidden order
     arrows: _Moves
     f: _Moves
     h: _Moves
 
 
+def layout(q: Quiver, dims) -> Layout:
+    """The `Layout` of q under dims, built once per quiver and dims vector."""
+    return _layout(q, tuple(dims[v] for v in q.vertices))
+
+
 @memoised
-def _act_plan(q: Quiver, dims, u, w):
-    """What `act` does with a triple on q whose hidden dims and framing widths
-    are dims, u and w (tuples in q.hidden order), apart from the gauge: the
-    vertices of each block size, and for each mapping its shape groups, each
-    with the rows of its gauge blocks in their size's stack.  Built once per
-    quiver, dims and framing."""
-    dim = dict(zip(q.hidden, dims))
+def _layout(q: Quiver, dims):
+    """`layout` of q under dims, a tuple in q.vertices order."""
+    dim = dict(zip(q.vertices, dims))
+    fr = framing_data(q, dim)
     by_size = {}
     for i in q.hidden:
         by_size.setdefault(dim[i], []).append(i)
@@ -294,11 +299,12 @@ def _act_plan(q: Quiver, dims, u, w):
         return _Moves(keys, tuple(position[k] for k in keys), tuple(groups))
 
     arrows = [(a.id, (dim[a.target], dim[a.source]), a.target, a.source) for a in q.hidden_quiver().arrows]
-    return _ActPlan(
+    return Layout(
+        fr,
         tuple((d, tuple(vertices)) for d, vertices in by_size.items()),
         moves(arrows),
-        moves([(i, (dim[i], n), i, None) for i, n in zip(q.hidden, u)]),
-        moves([(i, (n, dim[i]), None, i) for i, n in zip(q.hidden, w)]),
+        moves([(i, (dim[i], fr.u[i]), i, None) for i in q.hidden]),
+        moves([(i, (fr.w[i], dim[i]), None, i) for i in q.hidden]),
     )
 
 
@@ -310,11 +316,9 @@ def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     singular one SingularGauge, each naming the vertex.  The blocks of one
     size are checked and inverted as one stack, and the products of one
     block shape run as one stacked product, the gauge blocks gathered by
-    index; which blocks and matrices go where is `_act_plan`'s, built once
-    per quiver, dims and framing."""
-    q, dims, fr = t.quiver, t.dims, t.framing
+    index; which blocks and matrices go where is t's `layout`."""
+    q, dims, plan = t.quiver, t.dims, t.layout
     blocks = {i: _gauge_block(g.get(i), i, dims[i]) for i in q.hidden}
-    plan = _act_plan(q, *(tuple(map(m.__getitem__, q.hidden)) for m in (dims, fr.u, fr.w)))
     gauge, inverse = {}, {}
     for d, vertices in plan.sizes:
         gauge[d] = _stacked(blocks, vertices)
@@ -332,7 +336,7 @@ def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
         return dict(zip(moves.keys, map(products.__getitem__, moves.order)))
 
     return DoubleFramedTriple._built(
-        q, dims, moved(t.hidden_matrices, plan.arrows), moved(t.f, plan.f), moved(t.h, plan.h), fr
+        q, dims, moved(t.hidden_matrices, plan.arrows), moved(t.f, plan.f), moved(t.h, plan.h), plan
     )
 
 

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite: oracle utilities and small fixture quivers."""
 
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from qmn.errors import NoConvergence, ShapeMismatch, SingularGauge
 from qmn.examples import random_dag_quiver
@@ -18,6 +19,13 @@ from qmn.rep import GAUGE_DET_TOL, DoubleFramedTriple, act, random_triple
 from qmn.thincat import ThinRep
 
 ACCEPTANCE_LINES = []
+
+# On CI (GitHub Actions sets CI) a failing draw prints its @reproduce_failure
+# blob, so a rare failure can be replayed from the log.  Draws stay random:
+# hypothesis's own CI profile, which this one replaces, derandomizes them.
+settings.register_profile("ci", deadline=None, print_blob=True, derandomize=False)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -117,6 +125,13 @@ def brute_force_paths(hq, start, end, max_len=None):
                     nxt.append((a.target, arrows + (a.id,)))
         frontier = nxt
     return sorted(results)
+
+
+def longest_path_depths(q) -> dict:
+    """Each vertex's longest-path distance from the sources of q: the most
+    arrows on any `brute_force_paths` path from a source to it.  The oracle
+    for `Quiver.levels`."""
+    return {v: max(len(p) for s in q.sources for p in brute_force_paths(q, s, v)) for v in q.vertices}
 
 
 def path_matrix(t: DoubleFramedTriple, p) -> np.ndarray:
@@ -258,7 +273,7 @@ def reference_act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     }
     f = {i: blocks[i] @ t.f[i] for i in q.hidden}
     h = {i: t.h[i] @ inv[i] for i in q.hidden}
-    return DoubleFramedTriple(q, dict(t.dims), mats, f, h, t.framing)
+    return DoubleFramedTriple(q, dict(t.dims), mats, f, h)
 
 
 def balance_reference(

@@ -9,7 +9,7 @@ from qmn.examples import random_dag_quiver
 from qmn.moduli import project
 from qmn.quiver import Quiver, framing_data
 from qmn.relu import momentum
-from qmn.rep import act, dual, join, opposite_framing, random_triple
+from qmn.rep import act, dual, join, layout, random_triple
 
 FD_STEP = 1e-5
 
@@ -57,7 +57,7 @@ def test_dual_is_the_transpose_triple_on_the_opposite_quiver(t):
     assert d.framing == framing_data(q.opposite, t.dims)
     back = dual(d)
     assert back.quiver is q and back.dims == t.dims and back.framing == t.framing
-    assert back.framing is opposite_framing(q.opposite, t.dims)
+    assert back.layout is t.layout is layout(q, t.dims)
     for name in ("hidden_matrices", "f", "h"):
         ours, theirs = getattr(t, name), getattr(back, name)
         assert ours.keys() == theirs.keys()
@@ -89,7 +89,8 @@ def test_opposite_quiver_trades_sources_and_sinks(t):
 def test_opposite_framing_is_kept_per_source_and_sink_dims():
     """Two triples on one quiver with equal u and w, whose source dims split
     3 into x as 1 + 2 and as 2 + 1, get different dual framings, each the one
-    their dims give the opposite quiver; equal dims share one framing."""
+    their dims give the opposite quiver; equal source and sink dims give
+    equal framings, and equal dims one layout."""
     q = Quiver(["s1", "s2", "x", "t"], [("a", "s1", "x"), ("b", "s2", "x"), ("c", "x", "t")])
     rng = np.random.default_rng(3)
     one_two = random_triple(q, {"s1": 1, "s2": 2, "x": 2, "t": 1}, rng)
@@ -100,7 +101,7 @@ def test_opposite_framing_is_kept_per_source_and_sink_dims():
     assert d12 == framing_data(q.opposite, one_two.dims) and d21 == framing_data(q.opposite, two_one.dims)
     assert [d for _, d in d12.out_slots["x"]] == [1, 2] and [d for _, d in d21.out_slots["x"]] == [2, 1]
     again = random_triple(q, {"s1": 1, "s2": 2, "x": 3, "t": 1}, rng)
-    assert dual(again).framing is d12 is opposite_framing(q, one_two.dims)
+    assert dual(again).framing == d12 is layout(q.opposite, one_two.dims).framing
     for t in (one_two, two_one):
         r, rd = join(t), join(dual(t))
         assert all(np.array_equal(rd.matrices[a.id], r.matrices[a.id].T) for a in q.arrows)

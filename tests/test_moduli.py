@@ -18,7 +18,6 @@ from qmn.examples import (
     thin_dims,
 )
 from qmn.moduli import (
-    ModuliPoint,
     closed_orbit_representative,
     is_semistable,
     is_simple,
@@ -29,7 +28,7 @@ from qmn.moduli import (
     verify_resolution_point,
 )
 from qmn.network import network_matrix, psi_hat
-from qmn.quiver import Path, Quiver, all_hidden_paths, enumerate_paths, framing_data
+from qmn.quiver import Path, Quiver, all_hidden_paths, enumerate_paths
 from qmn.rep import DoubleFramedTriple, Representation, act, dual, join, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
 
@@ -132,27 +131,6 @@ def test_vertex_blocks_d4tilde_layout():
     assert np.allclose(m.vertex_block("v4"), np.hstack([a, b]))
     assert np.allclose(m.vertex_block("v1"), np.vstack([a, c]))
     assert np.allclose(m.vertex_block("v2"), np.vstack([b, d]))
-
-
-def test_vertex_block_empty_in_paths():
-    """With no framed vertex upstream the block has zero columns and rank 0.
-
-    No quiver-derived framing can produce this, so the layout is exercised on
-    a hand-built point whose triple has its framing-in slots emptied."""
-    from qmn.quiver import FramingData
-
-    q = Quiver(["s", "x", "y", "t"], [("sx", "s", "x"), ("xy", "x", "y"), ("yt", "y", "t")])
-    dims = thin_dims(q)
-    t = random_triple(q, dims, np.random.default_rng(0))
-    fr = framing_data(q, dims)
-    doctored_framing = FramingData(
-        u={"x": 0, "y": 0}, w=fr.w, in_slots={"x": (), "y": ()}, out_slots=fr.out_slots
-    )
-    unframed_in = {i: np.zeros((1, 0)) for i in q.hidden}
-    doctored_triple = DoubleFramedTriple(q, dims, t.hidden_matrices, unframed_in, t.h, doctored_framing)
-    doctored = ModuliPoint(doctored_triple)
-    assert doctored.vertex_block("y").shape[1] == 0
-    assert path_rank_vector(doctored)["y"] == 0
 
 
 def test_rank_vector_d4tilde_all_ones():
@@ -471,9 +449,7 @@ def test_memoised_readings_independent_of_call_order(t, order):
     got = [None] * len(readings)
     for k in order:
         got[k] = readings[k](t)
-    fresh = DoubleFramedTriple(
-        t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h), t.framing
-    )
+    fresh = DoubleFramedTriple(t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h))
     want = [reading(fresh) for reading in readings]
     assert got[:3] == want[:3]
     assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3], strict=True))
@@ -490,7 +466,7 @@ def test_stacked_sweeps_match_the_per_vertex_reference(t):
         assert all(np.array_equal(a, b) for i in t.quiver.hidden for a, b in zip(got[i], want[i], strict=True))
     m = project(t)
     ranks, c = m.rank_vector(), closed_orbit_representative(m)
-    fresh = DoubleFramedTriple(t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h), t.framing)
+    fresh = DoubleFramedTriple(t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moduli_module, "_images", reference_images)
         mp.setattr(linalg, "svd_stacks", reference_svd_stacks)

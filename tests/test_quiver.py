@@ -13,7 +13,7 @@ from qmn.quiver import (
     validate,
 )
 
-from conftest import brute_force_paths
+from conftest import brute_force_paths, longest_path_depths
 
 
 def test_classify_a3():
@@ -223,3 +223,20 @@ def test_path_recurrence_closure(q):
                 for tail in enumerate_paths(q, a.target, j):
                     expected.add((a.id,) + tail.arrows)
             assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_levels_are_longest_path_distances(seed, n_hidden):
+    """`Quiver.levels` of a random DAG and of its hidden quiver: level k holds
+    the vertices k arrows from a source by a longest path, in topological
+    order, and every arrow climbs to a later level."""
+    q = random_dag_quiver(np.random.default_rng(seed), n_hidden=n_hidden)
+    for quiver in (q, q.hidden_quiver()):
+        depth = longest_path_depths(quiver)
+        assert quiver.levels == tuple(
+            tuple(v for v in quiver.topological if depth[v] == k) for k in range(max(depth.values()) + 1)
+        )
+        level = {v: k for k, vertices in enumerate(quiver.levels) for v in vertices}
+        assert all(level[a.source] < level[a.target] for a in quiver.arrows)
+        assert quiver.levels is quiver.levels

@@ -269,7 +269,7 @@ def test_triple_construction_leaves_caller_dicts_untouched():
     hidden = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
     f = {i: [1.0] * fr.u[i] for i in q.hidden}
     h = {i: [2.0] * fr.w[i] for i in q.hidden}
-    t = DoubleFramedTriple(q, thin_dims(q), hidden, f, h, fr)
+    t = DoubleFramedTriple(q, thin_dims(q), hidden, f, h)
     for given in (hidden, f, h):
         assert not any(isinstance(v, np.ndarray) for v in given.values())
     assert t.hidden_matrices["a"].shape == (1, 1)
@@ -365,8 +365,9 @@ def two_framings_of_one_quiver(draw):
 @settings(max_examples=200, deadline=None)
 @given(two_framings_of_one_quiver())
 def test_act_plans_are_kept_apart_per_dims_and_framing(cases):
-    """`act`'s plan is memoised on the quiver; acting on two triples of one
-    quiver object in turn must not hand either the other's plan."""
+    """The layout `act` reads is memoised on the quiver per dims; acting on
+    two triples of one quiver object in turn must not hand either the other's
+    layout."""
     (ga, ta), (gb, tb) = cases
     assert ta.quiver is tb.quiver
     for g, t in [(ga, ta), (gb, tb), (ga, ta), (gb, tb)]:
@@ -401,7 +402,7 @@ def test_triples_qmn_builds_keep_the_public_constructor_contract(case):
         for mapping in (s.dims, s.hidden_matrices, s.f, s.h):
             with pytest.raises(TypeError):
                 mapping[next(iter(mapping), "x")] = 0
-        rebuilt = DoubleFramedTriple(s.quiver, s.dims, s.hidden_matrices, s.f, s.h, s.framing)
+        rebuilt = DoubleFramedTriple(s.quiver, s.dims, s.hidden_matrices, s.f, s.h)
         assert rebuilt.dims == s.dims
         for name in ("hidden_matrices", "f", "h"):
             new, old = getattr(rebuilt, name), getattr(s, name)
@@ -412,6 +413,34 @@ def test_triples_qmn_builds_keep_the_public_constructor_contract(case):
     for name in ("hidden_matrices", "f", "h"):
         new, old = getattr(back, name), getattr(t, name)
         assert list(new) == list(old) and all(_same_view(new[k], old[k]) for k in old)
+
+
+@st.composite
+def dag_triples(draw):
+    """A random triple on a `random_dag_quiver`, hidden dims 0-3 and framing
+    dims 1-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    dims = {v: draw(st.integers(0, 3) if v in q.hidden else st.integers(1, 3)) for v in q.vertices}
+    return random_triple(q, dims, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parallel_dag_triples() | dag_triples(), st.integers(0, 2**32 - 1))
+def test_framing_follows_from_the_dims(t, seed):
+    """Every triple, however built, is framed as its quiver and dims say, and
+    so is its dual on the opposite quiver."""
+    q = t.quiver
+    built = [
+        DoubleFramedTriple(q, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h)),
+        split(join(t)),
+        act(random_gauge(q, t.dims, np.random.default_rng(seed)), t),
+        dual(t),
+        closed_orbit_representative(project(t)),
+    ]
+    for s in built:
+        assert s.framing == framing_data(s.quiver, s.dims)
+        assert dual(s).framing == framing_data(s.quiver.opposite, s.dims)
 
 
 BAD_BLOCKS = ["missing", "wrong shape", "nan", "inf", "zero", "rank-deficient", "later size group"]
