@@ -7,7 +7,7 @@ knowledge map), `grad` (losses and reverse-mode gradients), `relu` (momentum
 values and balancing), `cli` (command line).
 """
 
-from .quiver import Arrow, Quiver, Path, framing_data, enumerate_paths, validate
+from .quiver import Arrow, Quiver, Path, framing_data, validate
 from .rep import (
     DoubleFramedTriple,
     Representation,
@@ -36,7 +36,6 @@ __all__ = [
     "Quiver",
     "Path",
     "framing_data",
-    "enumerate_paths",
     "validate",
     "DoubleFramedTriple",
     "Representation",

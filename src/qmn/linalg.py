@@ -89,11 +89,3 @@ def contains(a, b):
     scale = max(np.abs(b).max(), 1.0)
     return float(np.abs(resid).max()) <= RESIDUAL_TOL * scale
 
-
-def rel_err(got, want):
-    """max-norm relative error with a floor of 1 on the reference scale."""
-    got = np.asarray(got, dtype=float)
-    want = np.asarray(want, dtype=float)
-    scale = max(float(np.abs(want).max()) if want.size else 0.0, 1.0)
-    diff = float(np.abs(got - want).max()) if want.size or got.size else 0.0
-    return diff / scale

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError, ShapeMismatch
-from .quiver import Path, Quiver, check_path_cap, framing_data, weakly_connected
+from .quiver import Quiver, all_hidden_paths, check_path_cap, framing_data, weakly_connected
 from .rep import DoubleFramedTriple, deframe, dual, gauge_dim, memoised, rep_space_dim
 
 
@@ -41,7 +41,8 @@ class ModuliPoint:
     and of its dual, whose slots come in one order: the lazy path first, then
     one slot per arrow in `arrows_into` order, recursively.  The slot paths
     and columns of that order are `_slot_layout`'s, built once per quiver and
-    framing, so no reader here walks a path.
+    framing from the one path table of `all_hidden_paths`; no other reader
+    here enumerates a path.
     """
 
     triple: DoubleFramedTriple
@@ -205,7 +206,6 @@ class _Blocks(Mapping):
 def _slot_layout_of(t: DoubleFramedTriple) -> dict:
     """The `_slot_layout` of t's quiver and framing, refused past the path cap."""
     hq, fr = t.quiver.hidden_quiver(), t.framing
-    check_path_cap(hq)
     return _slot_layout(hq, tuple(fr.u[i] for i in hq.vertices), tuple(fr.w[i] > 0 for i in hq.vertices))
 
 
@@ -213,31 +213,29 @@ def _slot_layout_of(t: DoubleFramedTriple) -> dict:
 def _slot_layout(hq: Quiver, u, framed_out):
     """`_Slots` of the framed-out vertices of hq (flagged by framed_out) under
     the framing widths u, both in hq.vertices order; built once per quiver and
-    framing.  The paths of one start column are summed in arrow-id order, the
-    order `all_hidden_paths` lists them in."""
+    framing.  Its slot paths are those of `all_hidden_paths` that start where
+    u > 0, in table order; the paths of one start column sum in arrow-id order."""
     width = dict(zip(hq.vertices, u))
     offset, c = {}, 0
     for i in hq.vertices:
         offset[i], c = c, c + width[i]
-    every, paths, layout = slice(None), {}, {}
-    for i in hq.topological:
-        paths[i] = [Path(i, i)] if width[i] else []
-        paths[i] += [Path(p.start, i, p.arrows + (a.id,)) for a in hq.arrows_into(i) for p in paths[a.source]]
+    every, table, layout = slice(None), all_hidden_paths(hq), {}
     for i, out in zip(hq.vertices, framed_out):
         if not out:
             continue
-        n = len(paths[i])
-        widths = np.array([width[p.start] for p in paths[i]], dtype=int)
+        paths = [p for p in table[i] if width[p.start]]
+        n = len(paths)
+        widths = np.array([width[p.start] for p in paths], dtype=int)
         bounds = np.concatenate(([0], np.cumsum(widths)))
-        first = np.array([offset[p.start] for p in paths[i]], dtype=int)
+        first = np.array([offset[p.start] for p in paths], dtype=int)
         position = np.empty(n, dtype=int)  # of each slot's path in arrow-id order
-        position[sorted(range(n), key=lambda k: paths[i][k].arrows)] = np.arange(n)
+        position[sorted(range(n), key=lambda k: paths[k].arrows)] = np.arange(n)
         column = np.repeat(first - bounds[:-1], widths) + np.arange(bounds[-1])
         order = np.lexsort((np.repeat(position, widths), column))
         grouped = column[order]
         starts = np.flatnonzero(np.diff(grouped, prepend=-1))
         spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        columns = {p: (every, slice(lo, hi)) for p, (lo, hi) in zip(paths[i], spans)}
+        columns = {p: (every, slice(lo, hi)) for p, (lo, hi) in zip(paths, spans)}
         layout[i] = _Slots(columns, order, starts, grouped[starts])
     return layout
 

@@ -5,8 +5,8 @@ source, one with no out-arrows is a sink, and the hidden quiver is the full
 subquiver on the remaining vertices.  Framing data counts, per hidden vertex,
 the incoming dimension from sources (u) and the outgoing dimension to sinks
 (w), with slot order fixed by arrow declaration order.  Hidden paths come from
-one walk per start vertex, once per quiver; their total is counted in linear
-time against a cap before any is enumerated.
+one loop over the topological order, once per quiver; their total is counted
+in linear time against a cap before any is enumerated.
 """
 
 from collections import deque
@@ -42,8 +42,8 @@ class Quiver:
 
     `network=True` additionally forbids parallel arrows (the convention for
     neural-network quivers).  Incidence, the vertex split and the shape facts
-    are derived here once; the hidden quiver, its paths and `_memo` on first
-    read.
+    are derived here once; the hidden quiver, its path table and `_memo` on
+    first read.
     """
 
     def __init__(self, vertices, arrows, roles=None, network=False):
@@ -162,9 +162,10 @@ class Quiver:
         stacking plan of `rep.act`, and the slot layouts of `qmn.moduli`),
         filled on first use.  Nothing is evicted: one layout per dims vector a
         triple on the quiver was built with, and one slot layout, with every
-        slot path and its columns in the coordinate rows of a point (which
-        `ModuliPoint.blocks` views and `assembled` sums), per framing its
-        hidden quiver was read under, stay here for the quiver's life."""
+        slot path (from `all_hidden_paths`) and its columns in the coordinate
+        rows of a point (which `ModuliPoint.blocks` views and `assembled`
+        sums), per framing its hidden quiver was read under, stay here for
+        the quiver's life."""
         return {}
 
     @cached_property
@@ -177,10 +178,14 @@ class Quiver:
         return sum(n.values())
 
     @cached_property
-    def _hidden_paths(self):
-        """Paths for every ordered pair of vertices, from one walk per start vertex."""
-        found = {i: _paths_from(self, i) for i in self.vertices}
-        return MappingProxyType({(i, j): tuple(found[i][j]) for i in self.vertices for j in self.vertices})
+    def _paths(self):
+        """The table `all_hidden_paths` returns, built on its first call."""
+        paths = {}
+        for v in self.topological:
+            paths[v] = (Path(v, v),) + tuple(
+                Path(p.start, v, p.arrows + (a.id,)) for a in self._into[v] for p in paths[a.source]
+            )
+        return MappingProxyType({v: paths[v] for v in self.vertices})
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
@@ -270,30 +275,6 @@ class Path(NamedTuple):
         return f"{self.start}>{inner}>{self.end}"
 
 
-def _paths_from(hq: Quiver, start) -> dict:
-    """One walk from `start`: every path out of it, bucketed by end vertex, each
-    bucket sorted by arrow-id sequence so the lazy path comes first."""
-    found = {v: [] for v in hq.vertices}
-
-    def walk(v, arrows):
-        found[v].append(Path(start, v, arrows))
-        for a in hq.arrows_out_of(v):
-            walk(a.target, arrows + (a.id,))
-
-    walk(start, ())
-    for bucket in found.values():
-        bucket.sort(key=lambda p: p.arrows)
-    return found
-
-
-def enumerate_paths(hq: Quiver, start, end):
-    """All directed paths start->end in the hidden quiver, lazy path included,
-    sorted lexicographically by arrow-id sequence."""
-    if start not in set(hq.vertices) or end not in set(hq.vertices):
-        raise QuiverValidationError("path endpoints must be hidden vertices")
-    return _paths_from(hq, start)[end]
-
-
 def check_path_cap(hq: Quiver, cap: int = DEFAULT_PATH_CAP):
     """Raise PathExplosion when `hq` has more paths than the cap, counting
     them without enumerating any."""
@@ -302,10 +283,12 @@ def check_path_cap(hq: Quiver, cap: int = DEFAULT_PATH_CAP):
 
 
 def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> Mapping:
-    """Paths for every ordered pair of hidden vertices, as a read-only mapping
-    of tuples.  Raises PathExplosion when the path count is above the cap,
-    before anything is enumerated.  The paths come from one walk per start
-    vertex on the first call and are cached on `hq`; every call checks the
-    count against its own cap."""
+    """Every path of `hq`, lazy ones included, as a read-only mapping from each
+    vertex (in `hq.vertices` order) to the tuple of paths ending there, in slot
+    order: the lazy path, then, for each arrow a : x -> v in `arrows_into`
+    order, the paths into x extended by a.  Raises PathExplosion when the path
+    count is above the cap, before anything is enumerated.  The table is built
+    by one loop over `hq.topological` on the first call and cached on `hq`;
+    every call checks the count against its own cap."""
     check_path_cap(hq, cap)
-    return hq._hidden_paths
+    return hq._paths

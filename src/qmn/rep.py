@@ -239,10 +239,6 @@ def _stacked(mats, keys):
     return np.concatenate([mats[k] for k in keys]).reshape(len(keys), r, c)
 
 
-def compose_gauge(g1: dict, g2: dict) -> dict:
-    return {i: np.asarray(g1[i]) @ np.asarray(g2[i]) for i in g1}
-
-
 class _Moves(NamedTuple):
     """How `act` moves one mapping (the hidden arrows, f or h): its keys in
     the order of the mapping it returns, and the matrices grouped by shape."""
@@ -368,17 +364,6 @@ def deframe(q: Quiver, dims: dict) -> DeframedQuiver:
             arrows.append(Arrow(f"out[{i}][{l}]", i, inf))
     d = {**{i: dims[i] for i in q.hidden}, inf: 1}
     return DeframedQuiver(vertices=q.hidden + (inf,), arrows=tuple(arrows), dims=d, infinity=inf)
-
-
-def deframed_matrices(t: DoubleFramedTriple, dq: DeframedQuiver) -> dict:
-    """Matrices for the one-point extension: columns of f as vectors, rows of h as covectors."""
-    mats = dict(t.hidden_matrices)
-    for i in t.quiver.hidden:
-        for k in range(t.framing.u[i]):
-            mats[f"in[{i}][{k}]"] = t.f[i][:, k : k + 1]
-        for l in range(t.framing.w[i]):
-            mats[f"out[{i}][{l}]"] = t.h[i][l : l + 1, :]
-    return mats
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,8 @@ def fd_gradient(net: NeuralNetwork, x, y, loss="mse", h=1e-5):
 
 
 def brute_force_paths(hq, start, end, max_len=None):
-    """Path enumeration by breadth-first extension; independent of the DFS in
-    the library."""
+    """Path enumeration by breadth-first extension from the start; independent
+    of the library's table, which extends paths into each vertex."""
     if max_len is None:
         max_len = len(hq.vertices)
     results = []
@@ -274,6 +274,32 @@ def reference_act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     f = {i: blocks[i] @ t.f[i] for i in q.hidden}
     h = {i: t.h[i] @ inv[i] for i in q.hidden}
     return DoubleFramedTriple(q, dict(t.dims), mats, f, h)
+
+
+def compose_gauge(g1: dict, g2: dict) -> dict:
+    """The vertex-wise product g1 g2 of two gauges."""
+    return {i: np.asarray(g1[i]) @ np.asarray(g2[i]) for i in g1}
+
+
+def deframed_matrices(t: DoubleFramedTriple, dq) -> dict:
+    """Matrices of t on its one-point extension dq (`rep.deframe`): columns
+    of f as vectors, rows of h as covectors."""
+    mats = dict(t.hidden_matrices)
+    for i in t.quiver.hidden:
+        for k in range(t.framing.u[i]):
+            mats[f"in[{i}][{k}]"] = t.f[i][:, k : k + 1]
+        for l in range(t.framing.w[i]):
+            mats[f"out[{i}][{l}]"] = t.h[i][l : l + 1, :]
+    return mats
+
+
+def rel_err(got, want):
+    """max-norm relative error with a floor of 1 on the reference scale."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    scale = max(float(np.abs(want).max()) if want.size else 0.0, 1.0)
+    diff = float(np.abs(got - want).max()) if want.size or got.size else 0.0
+    return diff / scale
 
 
 def balance_reference(

@@ -9,7 +9,6 @@ import itertools
 import numpy as np
 import pytest
 
-from qmn import linalg
 from qmn.errors import SingularPreActivation
 from qmn.examples import (
     d4tilde_net,
@@ -31,7 +30,7 @@ from qmn.relu import balance, level_set_membership, momentum
 from qmn.rep import Representation, act, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, inverse, is_invertible, tensor, unit
 
-from conftest import ACCEPTANCE_LINES, fd_gradient, path_network_matrix, path_rank_vector
+from conftest import ACCEPTANCE_LINES, fd_gradient, path_network_matrix, path_rank_vector, rel_err
 
 
 def report(num, ok, text):
@@ -60,7 +59,7 @@ def test_criterion_01_block_matrix_template():
             rng.standard_normal(2),
         )
         got = project(d4tilde_triple(*params)).assembled()
-        worst = max(worst, linalg.rel_err(got, d4tilde_template(*params)))
+        worst = max(worst, rel_err(got, d4tilde_template(*params)))
     report(1, worst <= 1e-12, f"assembled coordinates match the closed-form template (max rel err {worst:.2e})")
 
 
@@ -217,7 +216,7 @@ def test_criterion_06_network_factorization():
                 continue
             done += 1
             out, _ = forward(net, x)
-            worst = max(worst, linalg.rel_err(psi_hat(k), out))
+            worst = max(worst, rel_err(psi_hat(k), out))
     report(6, worst <= 1e-9, f"network function factors through the knowledge map (max rel err {worst:.2e})")
 
 
@@ -241,7 +240,7 @@ def test_criterion_07_linear_operator_identity():
             )
             n, want = linear_map(r), path_network_matrix(split(r))
             for col in range(n.shape[1]):
-                worst = max(worst, linalg.rel_err(n[:, col], want[:, col]))
+                worst = max(worst, rel_err(n[:, col], want[:, col]))
     report(7, worst <= 1e-10, f"propagation equals out . coords . in as matrices (max rel err {worst:.2e})")
 
 
@@ -439,7 +438,7 @@ def test_criterion_13_training_sanity():
                 k = knowledge_map(current, x)
             except SingularPreActivation:
                 continue
-            if linalg.rel_err(psi_hat(k), out) > 1e-9:
+            if rel_err(psi_hat(k), out) > 1e-9:
                 fact_ok = False
 
     result = train(net, data, "mse", lr=0.05, epochs=500, on_epoch=on_epoch)

@@ -160,7 +160,7 @@ def test_net_train_and_trace(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["final_loss"] < 1e-6
-    rows = [json.loads(line) for line in open(tpath)]
+    rows = [json.loads(line) for line in Path(tpath).read_text().splitlines()]
     assert len(rows) == 200 and "coords" in rows[0]
     trained = io.network_from_json(opath)
     w = trained.weights.weights
@@ -291,7 +291,7 @@ def test_net_train_trace_compiles_the_network_once(capsys, tmp_path, monkeypatch
     tpath = str(tmp_path / "trace.jsonl")
     code, _ = run(capsys, "net", "train", "--net", npath, "--data", str(dpath), "--epochs", "20", "--trace-moduli", tpath)
     assert code == 0
-    assert len(open(tpath).readlines()) == 20
+    assert len(Path(tpath).read_text().splitlines()) == 20
     assert len(built) == 1
 
 
@@ -642,7 +642,7 @@ def test_non_finite_csv_cell_names_file_and_row(capsys, tmp_path, value):
 @pytest.mark.parametrize("missing", ["dims", "weights"])
 def test_rep_file_without_key_is_invalid_input(capsys, a3_files, tmp_path, missing):
     _, rpath = a3_files
-    rep = json.loads(open(rpath).read())
+    rep = json.loads(Path(rpath).read_text())
     del rep[missing]
     bad = write_json(tmp_path, "bad.json", rep)
     err = run_invalid(capsys, "moduli", "coords", "--rep", bad)
@@ -661,7 +661,7 @@ def test_non_utf8_file_is_invalid_input(capsys, tmp_path):
 
 def test_non_numeric_weight_is_invalid_input(capsys, a3_files, tmp_path):
     _, rpath = a3_files
-    rep = json.loads(open(rpath).read())
+    rep = json.loads(Path(rpath).read_text())
     rep["weights"]["ij"] = "a"
     err = run_invalid(capsys, "moduli", "coords", "--rep", write_json(tmp_path, "bad.json", rep))
     assert "'ij'" in err
@@ -672,7 +672,7 @@ def test_non_numeric_weight_is_invalid_input(capsys, a3_files, tmp_path):
 )
 def test_malformed_dims_is_invalid_input(capsys, a3_files, tmp_path, dims, named):
     _, rpath = a3_files
-    rep = json.loads(open(rpath).read())
+    rep = json.loads(Path(rpath).read_text())
     rep["dims"] = dims
     err = run_invalid(capsys, "moduli", "coords", "--rep", write_json(tmp_path, "bad.json", rep))
     assert named in err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn import io, linalg, moduli as moduli_module, quiver as quiver_module
+from qmn import io, linalg, moduli as moduli_module
 from qmn.errors import CodimensionMismatch, PathExplosion, QmnError, ShapeMismatch
 from qmn.examples import (
     d4tilde_template,
@@ -28,7 +28,7 @@ from qmn.moduli import (
     verify_resolution_point,
 )
 from qmn.network import network_matrix, psi_hat
-from qmn.quiver import Path, Quiver, all_hidden_paths, enumerate_paths
+from qmn.quiver import Path, Quiver, all_hidden_paths
 from qmn.rep import DoubleFramedTriple, Representation, act, dual, join, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
 
@@ -43,6 +43,7 @@ from conftest import (
     paths_through,
     reference_images,
     reference_svd_stacks,
+    rel_err,
 )
 
 
@@ -86,7 +87,7 @@ def test_project_d4tilde_matches_template(seed):
         rng.standard_normal(2),
     )
     m = project(d4tilde_triple(*params))
-    assert linalg.rel_err(m.assembled(), d4tilde_template(*params)) < 1e-14
+    assert rel_err(m.assembled(), d4tilde_template(*params)) < 1e-14
 
 
 def test_project_a3_lazy_composition():
@@ -308,15 +309,15 @@ def test_project_blocks_match_path_matrix_oracle(t):
     fr = t.framing
     hq = t.quiver.hidden_quiver()
     expected = {
-        p
+        Path(i, j, arrows)
         for i in hq.vertices
         for j in hq.vertices
         if fr.u[i] and fr.w[j]
-        for p in enumerate_paths(hq, i, j)
+        for arrows in brute_force_paths(hq, i, j)
     }
     assert set(m.blocks) == expected
     for p, b in m.blocks.items():
-        assert linalg.rel_err(b, t.h[p.end] @ path_matrix(t, p) @ t.f[p.start]) <= 1e-12
+        assert rel_err(b, t.h[p.end] @ path_matrix(t, p) @ t.f[p.start]) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -357,7 +358,7 @@ def test_path_spaces_in_sweep_order(t):
         assert sorted(ins) == sorted(paths_through(t, i)[0])
         assert sorted(outs) == sorted(paths_through(t, i)[1])
         got, want = m.vertex_block(i), path_vertex_block(t, ins, outs)
-        assert got.shape == want.shape and linalg.rel_err(got, want) <= 1e-12
+        assert got.shape == want.shape and rel_err(got, want) <= 1e-12
         images = [path_matrix(t, p) @ t.f[p.start] for p in ins]
         stacked = np.hstack(images) if images else np.zeros((t.dims[i], 0))
         b = subspaces[i]
@@ -494,7 +495,7 @@ def path_assembled(t):
 @given(parallel_dag_triples())
 def test_assembled_matches_the_enumerated_path_sum(t):
     got, want = project(t).assembled(), path_assembled(t)
-    assert got.shape == want.shape and linalg.rel_err(got, want) <= 1e-12
+    assert got.shape == want.shape and rel_err(got, want) <= 1e-12
 
 
 def test_edited_block_moves_assembled_by_the_edit(ten_arrow_quiver):
@@ -656,20 +657,18 @@ def test_sweep_factors_one_stack_per_level(monkeypatch):
     assert calls[3:] == [(4, 1, 2), (4, 1, 4), (4, 1, 4), (12, 1, 1), (12, 1, 1)]
 
 
-def test_no_moduli_reader_walks_a_path(monkeypatch):
-    """`project`, the sweep readers, the network map, `blocks`, `assembled`
-    and the path space readers walk no path, on the quiver or on its
-    opposite: the slots of `blocks` and the sums of `assembled` come from a
-    layout built without enumerating paths."""
-    walks = []
-    paths_from = quiver_module._paths_from
-
-    def counted(hq, start):
-        walks.append(start)
-        return paths_from(hq, start)
-
-    monkeypatch.setattr(quiver_module, "_paths_from", counted)
+def test_no_moduli_reader_walks_a_path():
+    """`project`, the sweep readers, the network map, `vertex_block` and the
+    resolution helpers build no path table, on the quiver or on its opposite.
+    `blocks` and `assembled` read the hidden quiver's `all_hidden_paths`
+    table through the slot layout: it is built once, and a triple of other
+    dims on the quiver reuses it."""
     q = random_dag_quiver(np.random.default_rng(5), n_hidden=6)
+    quivers = (q, q.hidden_quiver(), q.opposite, q.opposite.hidden_quiver())
+
+    def tables():
+        return [vars(x)["_paths"] for x in quivers if "_paths" in vars(x)]
+
     t = random_triple(q, {v: 2 for v in q.vertices}, np.random.default_rng(6))
     m = project(t)
     m.rank_vector()
@@ -678,13 +677,16 @@ def test_no_moduli_reader_walks_a_path(monkeypatch):
     closed_orbit_representative(m)
     network_matrix(t)
     psi_hat(m)
-    assert m.blocks
-    m.assembled()
     for i in q.hidden:
         m.vertex_block(i)
     verify_resolution_point(resolution_data(t), m)
+    assert tables() == []
+    assert m.blocks
+    m.assembled()
+    (table,) = tables()
+    assert table is all_hidden_paths(q.hidden_quiver())
     project(random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(7))).assembled()
-    assert walks == []
+    assert tables()[0] is table and len(tables()) == 1
 
 
 def test_rank_vector_is_computed_once_per_tol(monkeypatch):
@@ -801,7 +803,7 @@ def test_closed_orbit_representative_reprojects(seed):
     m = project(t)
     m2 = project(closed_orbit_representative(m))
     for p in m.blocks:
-        assert linalg.rel_err(m2.blocks[p], m.blocks[p]) < 1e-9
+        assert rel_err(m2.blocks[p], m.blocks[p]) < 1e-9
 
 
 def test_resolution_point_d4tilde_generic():

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import layered_quiver, path_network_matrix
+from conftest import layered_quiver, path_network_matrix, rel_err
 from hypothesis import given, settings, strategies as st
 
 from qmn.errors import PathExplosion, ShapeMismatch, SingularPreActivation, UnframableArrow
@@ -16,7 +16,6 @@ from qmn.examples import (
     single_vertex_net,
     thin_dims,
 )
-from qmn.linalg import rel_err
 from qmn.moduli import project
 from qmn.network import (
     ACTIVATIONS,

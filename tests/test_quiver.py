@@ -1,17 +1,13 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmn.errors import CyclicQuiver, DanglingArrow, DuplicateArrowId, MultipleArrows, PathExplosion
 from qmn.examples import quiver_a3, quiver_d4tilde, random_dag_quiver, thin_dims
-from qmn.quiver import (
-    Path,
-    Quiver,
-    all_hidden_paths,
-    enumerate_paths,
-    framing_data,
-    validate,
-)
+from qmn.quiver import Path, Quiver, all_hidden_paths, framing_data, validate
 
 from conftest import brute_force_paths, longest_path_depths
 
@@ -86,17 +82,20 @@ def test_framing_additive_in_arrows():
 
 
 def test_paths_d4tilde():
-    hq = quiver_d4tilde().hidden_quiver()
-    p14 = enumerate_paths(hq, "v1", "v4")
-    assert len(p14) == 1 and p14[0].arrows == ("a", "c")
-    p55 = enumerate_paths(hq, "v5", "v5")
-    assert p55 == [Path("v5", "v5", ())]
-    assert enumerate_paths(hq, "v4", "v1") == []
+    paths = all_hidden_paths(quiver_d4tilde().hidden_quiver())
+    assert paths["v4"] == (
+        Path("v4", "v4"),
+        Path("v3", "v4", ("c",)),
+        Path("v1", "v4", ("a", "c")),
+        Path("v2", "v4", ("b", "c")),
+    )
+    assert paths["v5"][0] == Path("v5", "v5", ())
+    assert [p for p in paths["v1"] if p.start == "v4"] == []
 
 
 def test_lazy_path_always_present():
     hq = quiver_a3().hidden_quiver()
-    assert enumerate_paths(hq, "j", "j") == [Path("j", "j", ())]
+    assert all_hidden_paths(hq) == {"j": (Path("j", "j", ()),)}
 
 
 def test_path_cap():
@@ -168,17 +167,20 @@ def adjacency_power_sum(q):
 @settings(max_examples=40, deadline=None)
 @given(small_dags())
 def test_path_counts_match_adjacency_powers(q):
-    """Enumerated paths agree in number with sum_k A^k and, in content and
-    order, with breadth-first search (brute-force oracles)."""
+    """The paths ending at each vertex, lazy path first, agree per start vertex
+    in number with sum_k A^k and in content with breadth-first search
+    (brute-force oracles)."""
     # the path functions run on the whole DAG, as if every vertex were hidden
     idx, total = adjacency_power_sum(q)
     paths = all_hidden_paths(q)
-    assert list(paths) == [(i, j) for i in q.vertices for j in q.vertices]
-    for (i, j), found in paths.items():
-        assert len(found) == total[idx[i], idx[j]]
-        assert [p.arrows for p in found] == brute_force_paths(q, i, j)
-        assert all(p.start == i and p.end == j for p in found)
-        assert enumerate_paths(q, i, j) == list(found)
+    assert list(paths) == list(q.vertices)
+    for j, found in paths.items():
+        assert found[0] == Path(j, j, ())
+        assert all(p.end == j for p in found)
+        for i in q.vertices:
+            arrows = [p.arrows for p in found if p.start == i]
+            assert len(arrows) == total[idx[i], idx[j]]
+            assert sorted(arrows) == brute_force_paths(q, i, j)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,17 +214,39 @@ def test_cached_paths_still_checked_against_the_cap():
 @settings(max_examples=25, deadline=None)
 @given(small_dags())
 def test_path_recurrence_closure(q):
-    """paths(i, j) = lazy(i == j) union {arrow . tail}."""
-    for i in q.vertices:
-        for j in q.vertices:
-            got = {p.arrows for p in enumerate_paths(q, i, j)}
-            expected = set()
-            if i == j:
-                expected.add(())
-            for a in (a for a in q.arrows if a.source == i):
-                for tail in enumerate_paths(q, a.target, j):
-                    expected.add((a.id,) + tail.arrows)
+    """The paths into j come in slot order, the lazy path and then the paths
+    into each arrow's source extended by it, in `arrows_into` order; and per
+    start i they are lazy(i == j) union {arrow . tail}, split at the first
+    arrow instead of the last."""
+    paths = all_hidden_paths(q)
+    for j in q.vertices:
+        assert paths[j][1:] == tuple(
+            Path(p.start, j, p.arrows + (a.id,)) for a in q.arrows_into(j) for p in paths[a.source]
+        )
+        for i in q.vertices:
+            got = {p.arrows for p in paths[j] if p.start == i}
+            expected = {()} if i == j else set()
+            for a in q.arrows_out_of(i):
+                expected |= {(a.id,) + p.arrows for p in paths[j] if p.start == a.target}
             assert got == expected
+
+
+def test_deep_chain_needs_no_recursion():
+    """A 300-vertex hidden chain (45,150 paths) is enumerated with the
+    recursion limit 100 frames above the caller's own depth."""
+    n = 300
+    hidden = [f"h{k}" for k in range(n)]
+    arrows = [("in", "s", hidden[0]), ("out", hidden[-1], "t")]
+    arrows += [(f"a{k}", hidden[k], hidden[k + 1]) for k in range(n - 1)]
+    hq = Quiver(["s", *hidden, "t"], arrows).hidden_quiver()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        paths = all_hidden_paths(hq)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(map(len, paths.values())) == n * (n + 1) // 2
+    assert paths[hidden[-1]][-1] == Path(hidden[0], hidden[-1], tuple(f"a{k}" for k in range(n - 1)))
 
 
 @settings(max_examples=100, deadline=None)

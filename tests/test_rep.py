@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import parallel_dag_triples, reference_act
+from conftest import compose_gauge, deframed_matrices, parallel_dag_triples, reference_act
 from hypothesis import assume, given, settings, strategies as st
 
 from qmn.errors import QmnError, ShapeMismatch, SingularGauge, UnframableArrow
@@ -21,9 +21,7 @@ from qmn.rep import (
     DoubleFramedTriple,
     Representation,
     act,
-    compose_gauge,
     deframe,
-    deframed_matrices,
     doubleframe_variant,
     dual,
     join,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn import linalg
 from qmn.errors import QuiverMismatch, ShapeMismatch
 from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, random_dag_quiver, thin_dims
 from qmn.moduli import is_semistable, is_simple, project
@@ -19,6 +18,8 @@ from qmn.thincat import (
     tensor,
     unit,
 )
+
+from conftest import rel_err
 
 A3 = quiver_a3()
 D4 = quiver_d4tilde()
@@ -206,7 +207,7 @@ def test_solve_morphism_finds_every_gauge_isomorphism(pairs):
     assert solved is not None and check_morphism(solved, a, b).invertible
     moved = join(act({i: solved[i] for i in a.quiver.hidden}, a.to_triple()))
     for aid, m in moved.matrices.items():
-        assert linalg.rel_err(m[0, 0], b.weights[aid]) <= 1e-9
+        assert rel_err(m[0, 0], b.weights[aid]) <= 1e-9
     found = solve_morphism(a, other)
     assert found is None or check_morphism(found, a, other).valid
 
