@@ -12,44 +12,29 @@ SUBSPACE_TOL = 1e-10
 RESIDUAL_TOL = 1e-8  # relative residual counted as zero by `contains` and resolution checks
 
 
-def _cuts(s, tol):
+def cuts(s, tol):
     """How many of each row of singular values s (descending) exceed tol
     times the row's largest, as a list."""
     return np.add.reduce(s > tol * s[:, :1], axis=1).tolist()
 
 
+def svd(stack, compute_uv=True, full_matrices=False):
+    """np.linalg.svd of a stack of float matrices, matrix by matrix, so each
+    result is the one np.linalg.svd gives that matrix alone: the one SVD call
+    here (`svd_stacks` and the moduli sweeps hand it their stacks)."""
+    return np.linalg.svd(stack, full_matrices=full_matrices, compute_uv=compute_uv)
+
+
 def svd_stacks(mats, compute_uv=True, full_matrices=False):
-    """Factor the float matrices `mats` with one stacked np.linalg.svd per
-    matrix shape: a list of (positions in mats, that svd's result).  The stack
-    is factored matrix by matrix, so each result is the one np.linalg.svd
-    gives for that matrix alone."""
+    """Factor the float matrices `mats` with one `svd` per matrix shape: a
+    list of (positions in mats, that svd's result)."""
     by_shape = {}
     for k, a in enumerate(mats):
         by_shape.setdefault(a.shape, []).append(k)
     out = []
     for shape, ks in by_shape.items():
         stack = np.concatenate([mats[k] for k in ks]).reshape(len(ks), *shape)
-        out.append((ks, np.linalg.svd(stack, full_matrices=full_matrices, compute_uv=compute_uv)))
-    return out
-
-
-def svds(mats, full_matrices=False):
-    """SVD (u, s, vt) of each of `mats`, thin unless full_matrices."""
-    out = [None] * len(mats)
-    for ks, (u, s, vt) in svd_stacks(mats, full_matrices=full_matrices):
-        for n, k in enumerate(ks):
-            out[k] = (u[n], s[n], vt[n])
-    return out
-
-
-def svd_cuts(mats):
-    """Thin SVD (u, s, vt) of each of `mats`, cut to the singular values above
-    SUBSPACE_TOL * sigma_max: u is an orthonormal basis of the column space
-    and (u * s) @ vt reproduces the matrix up to the cut."""
-    out = [None] * len(mats)
-    for ks, (u, s, vt) in svd_stacks(mats):
-        for n, (k, r) in enumerate(zip(ks, _cuts(s, SUBSPACE_TOL))):
-            out[k] = (u[n, :, :r], s[n, :r], vt[n, :r])
+        out.append((ks, svd(stack, compute_uv, full_matrices)))
     return out
 
 
@@ -57,7 +42,7 @@ def num_ranks(mats, tol=RANK_TOL):
     """Numerical rank of each of `mats`: singular values above tol * sigma_max."""
     out = [0] * len(mats)
     for ks, s in svd_stacks(mats, compute_uv=False):
-        for k, r in zip(ks, _cuts(s, tol)):
+        for k, r in zip(ks, cuts(s, tol)):
             out[k] = r
     return out
 
@@ -68,15 +53,16 @@ def num_rank(a, tol=RANK_TOL):
 
 
 def orth(a):
-    """Orthonormal basis of the column space of a, as columns: the u of its
-    `svd_cuts`."""
-    return svd_cuts([np.asarray(a, dtype=float)])[0][0]
+    """Orthonormal basis of the column space of a, as columns: its left
+    singular vectors above SUBSPACE_TOL * sigma_max."""
+    u, s, _ = svd(np.asarray(a, dtype=float)[None])
+    return u[0, :, : cuts(s, SUBSPACE_TOL)[0]]
 
 
 def null(a):
     """Orthonormal basis of the kernel of a, as columns."""
-    _, s, vt = svds([np.asarray(a, dtype=float)], full_matrices=True)[0]
-    return vt[_cuts(s[None], SUBSPACE_TOL)[0] :].T
+    _, s, vt = svd(np.asarray(a, dtype=float)[None], full_matrices=True)
+    return vt[0, cuts(s, SUBSPACE_TOL)[0] :].T
 
 
 def contains(a, b):

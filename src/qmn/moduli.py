@@ -117,26 +117,26 @@ def project(t: DoubleFramedTriple) -> ModuliPoint:
 
 @memoised
 def _images(t: DoubleFramedTriple):
-    """Cut thin SVDs (u, s, vt) of the stacked path images V_w f at each hidden
-    vertex, from one topological sweep over [f_i | V_a u_x s_x ...], arrows
-    a : x -> i.  Passing u * s on keeps the Gram matrix of the stacked path
-    images: u is an orthonormal basis of their span, u * s has their singular
-    values, and the columns of vt split by slot, f_i first, then one slot per
-    arrow.  The sweep runs level by level (`Quiver.levels`), each level's
-    matrices factored by one `linalg.svd_cuts`.  On `dual(t)` it gives the
-    stacked path co-images (h V_w)^T."""
-    hq = t.quiver.hidden_quiver()
-    mats = t.hidden_matrices
-    images, passed = {}, {}
-    for level in hq.levels:
-        stacked = [
-            np.concatenate([t.f[i]] + [mats[a.id] @ passed[a.source] for a in hq.arrows_into(i)], axis=1)
-            for i in level
-        ]
-        for i, factors in zip(level, linalg.svd_cuts(stacked)):
-            images[i] = factors
-            passed[i] = _scaled(factors)
-    return images
+    """Cut thin SVDs (u, s, vt) and u * s of the stacked path images V_w f at
+    each hidden vertex, from one sweep over [f_i | V_a P_x ...], arrows
+    a : x -> i: P_x = u * s keeps their Gram matrix at the full thin width
+    k_x of `_level_plan`, singular values below the SUBSPACE_TOL cut zeroed,
+    and vt's columns split by slot (f_i, then k_x per arrow).  On `dual(t)`:
+    the path co-images."""
+    return _sweep(t, _plan_of(t, True), _cut_factors)
+
+
+def _cut_factors(stack):
+    """The cut factors of each matrix of an (n, d, width) stack (no SVD when
+    it is empty), and the stack of their u * s at full thin width."""
+    n, d, width = stack.shape
+    u, s, vt = linalg.svd(stack) if min(d, width) else (np.zeros((n, d, 0)), np.zeros((n, 0)), np.zeros((n, 0, width)))
+    us, kept = u * s[:, None], []
+    for k, r in enumerate(linalg.cuts(s, linalg.SUBSPACE_TOL)):
+        if r < s.shape[1]:
+            us[k, :, r:] = 0.0
+        kept.append((u[k, :, :r], s[k, :r], vt[k, :r], us[k, :, :r]))
+    return kept, us
 
 
 @memoised
@@ -147,26 +147,87 @@ def _rank_vector(t: DoubleFramedTriple, tol):
     return dict(zip(hidden, linalg.num_ranks([coimages[i][0].T @ images[i][0] for i in hidden], tol)))
 
 
-def _scaled(factors):
-    u, s, _ = factors
-    return u * s
-
-
 @memoised
 def _path_images(t: DoubleFramedTriple):
     """Uncut stacked path images C_i = [f_i | V_a C_x ...] at each hidden
     vertex, arrows a : x -> i in `arrows_into` order: the lazy path's slot at
     i if u_i > 0, then each slot of x extended by a (`_slot_layout`).  Slot w
-    is u[w.start] columns wide and holds V_w f_start.  On `dual(t)` it gives
-    the transposed co-images H_i^T.  Refuses quivers past the path cap, as
-    `all_hidden_paths` does, but enumerates no path."""
-    hq = t.quiver.hidden_quiver()
-    check_path_cap(hq)
-    mats = t.hidden_matrices
-    images = {}
-    for i in hq.topological:
-        images[i] = np.concatenate([t.f[i]] + [mats[a.id] @ images[a.source] for a in hq.arrows_into(i)], axis=1)
-    return images
+    is u[w.start] columns wide and holds V_w f_start; on `dual(t)`, H_i^T.
+    Refuses quivers past the path cap, but enumerates no path."""
+    check_path_cap(t.quiver.hidden_quiver())
+    return _sweep(t, _plan_of(t, False), lambda stack: (stack, stack))
+
+
+def _sweep(t: DoubleFramedTriple, plan, factor):
+    """Both sweeps, group by group of `_level_plan`: the group's (n, d, width)
+    stack gets its f_i, then each term's products V_a P_x from one np.matmul
+    in one scatter; `factor` gives what each vertex keeps and passes on."""
+    mats, f = t.hidden_matrices, t.f
+    passed, out = {}, {}
+    for vertices, d, width, framed, terms in plan[1]:
+        if terms is None:  # each stacked matrix is its f_i alone
+            stack = _stacked([f[i] for i in vertices])
+        else:
+            stack = np.empty((len(vertices), d, width))
+            for r, i in framed:
+                stack[r, :, : f[i].shape[1]] = f[i]
+            for ids, sources, at in terms:
+                stack.put(at, _stacked([mats[a] for a in ids]) @ _stacked([passed[x] for x in sources]))
+        kept, passes = factor(stack)
+        out.update(zip(vertices, kept))
+        passed.update(zip(vertices, passes))
+    return out
+
+
+def _stacked(ms):
+    """ms as one (n, r, c) stack in ms[0]'s memory order, since a transposed
+    view (`dual(t)`'s arrays) multiplies by a transposed BLAS call."""
+    if len(ms) == 1:
+        return ms[0][None]
+    if ms[0].strides[-1] == ms[0].itemsize:
+        return np.array(ms)
+    return np.array([m.T for m in ms]).swapaxes(1, 2)
+
+
+def _plan_of(t: DoubleFramedTriple, cut):
+    """The `_level_plan` of t's hidden quiver, dims and framing."""
+    hq, u = t.quiver.hidden_quiver(), t.framing.u
+    return _level_plan(hq, tuple(t.dims[i] for i in hq.vertices), tuple(u[i] for i in hq.vertices), cut)
+
+
+@memoised
+def _level_plan(hq: Quiver, dims, u, cut):
+    """(k, groups) of the sweeps over hq under the dims and framing widths u
+    (tuples in hq.vertices order), built once per quiver, dims, u and cut.
+    Vertex i passes on k_i = min(d_i, u_i + sum of k_x) columns over its
+    arrows a : x -> i if cut, else u_i + sum of k_x.  A group is a level's
+    vertices of one stacked shape, its rows (row, i) with u_i > 0 and its
+    terms (None: f_i alone); a term is products V_a P_x of one source shape
+    (d_x, k_x > 0), one each if two or fewer (gathering them costs more than
+    it saves): arrow ids, sources, and flat indices in the group's stack."""
+    dim, frame = dict(zip(hq.vertices, dims)), dict(zip(hq.vertices, u))
+    width, groups = {}, []
+    for level in hq.levels:
+        shapes = {}
+        for i in level:
+            cols = frame[i] + sum(width[a.source] for a in hq.arrows_into(i))
+            width[i] = min(dim[i], cols) if cut else cols
+            shapes.setdefault((dim[i], cols), []).append(i)
+        for (d, cols), vertices in shapes.items():
+            products, terms = {}, []
+            for r, i in enumerate(vertices):
+                c = frame[i]
+                for a in (a for a in hq.arrows_into(i) if width[a.source]):
+                    products.setdefault((dim[a.source], width[a.source]), []).append((a.id, a.source, r, c))
+                    c += width[a.source]
+            for (_, k), entries in products.items():
+                for ids, sources, r, c in [zip(*entries)] if len(entries) > 2 else [zip(e) for e in entries]:
+                    r, c = np.array(r)[:, None, None], np.array(c)[:, None, None]
+                    terms.append((ids, sources, r * d * cols + np.arange(d)[:, None] * cols + c + np.arange(k)))
+            alone = not terms and all(frame[i] == cols for i in vertices)
+            framed = tuple((r, i) for r, i in enumerate(vertices) if frame[i])
+            groups.append((tuple(vertices), d, cols, framed, None if alone else tuple(terms)))
+    return width, groups
 
 
 class _Slots(NamedTuple):
@@ -332,19 +393,22 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
     vt_i^T.  With U_i the leading m.rank_vector(tol)[i] left singular vectors
     of the core R_i S_i (which has q^(i)'s singular values), the coordinates
     are Y_i U_i, so h_i = (h-slot rows) U_i, V_a = U_j^T (slot-a rows) U_i
-    and f_i = U_i^T R_i f_i.  The cores of one shape are factored as one
-    stack (`linalg.svds`).
+    (the first r_j of the plan's k_j) and f_i = U_i^T R_i f_i.  The cores of one shape are factored as one
+    stack (`linalg.svd_stacks`).
     """
     t = m.triple
     hq = t.quiver.hidden_quiver()
     dims, u, w = t.dims, t.framing.u, t.framing.w
     images, coimages = _images(t), _images(dual(t))
+    slot = _plan_of(dual(t), True)[0]
     ranks = m.rank_vector(tol)
-    coimage_factor = {i: _scaled(coimages[i]).T for i in hq.vertices}
-    cores = linalg.svds([coimage_factor[i] @ _scaled(images[i]) for i in hq.vertices])
-    basis = {i: left[:, : ranks[i]] for i, (left, _, _) in zip(hq.vertices, cores)}
+    basis, cores = {}, [coimages[i][3].T @ images[i][3] for i in hq.vertices]
+    for ks, (left, _, _) in linalg.svd_stacks(cores):
+        basis.update((hq.vertices[k], left[n, :, : ranks[hq.vertices[k]]]) for n, k in enumerate(ks))
 
     def padded(a, rows, cols):
+        if a.shape == (rows, cols):
+            return a
         out = np.zeros((rows, cols))
         out[: a.shape[0], : a.shape[1]] = a
         return out
@@ -355,11 +419,10 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
         h[i] = padded(slots[: w[i]] @ basis[i], w[i], dims[i])
         off = w[i]
         for a in hq.arrows_out_of(i):
-            n = coimages[a.target][1].size
-            red = basis[a.target].T @ slots[off : off + n] @ basis[i]
+            red = basis[a.target].T @ slots[off : off + coimages[a.target][1].size] @ basis[i]
             hidden_mats[a.id] = padded(red, dims[a.target], dims[i])
-            off += n
-        f[i] = padded(basis[i].T @ coimage_factor[i] @ t.f[i], dims[i], u[i])
+            off += slot[a.target]
+        f[i] = padded(basis[i].T @ coimages[i][3].T @ t.f[i], dims[i], u[i])
     hidden_mats = {a.id: hidden_mats[a.id] for a in hq.arrows}
     return DoubleFramedTriple._built(t.quiver, dims, hidden_mats, f, h, t.layout)
 

@@ -159,12 +159,13 @@ class Quiver:
     def _memo(self):
         """What `rep.memoised` readers derive from this quiver and a dims
         vector (the `rep.layout` of each dims vector: its framing and the
-        stacking plan of `rep.act`, and the slot layouts of `qmn.moduli`),
-        filled on first use.  Nothing is evicted: one layout per dims vector a
-        triple on the quiver was built with, and one slot layout, with every
-        slot path (from `all_hidden_paths`) and its columns in the coordinate
-        rows of a point (which `ModuliPoint.blocks` views and `assembled`
-        sums), per framing its hidden quiver was read under, stay here for
+        stacking plan of `rep.act`; the level plans and slot layouts of
+        `qmn.moduli`), filled on first use.  Nothing is evicted: one layout
+        per dims vector a triple on the quiver was built with; on a hidden
+        quiver, two level plans (the cut and the uncut sweep's groups and
+        passed widths) per dims and framing its triples were swept under, and
+        one slot layout, with every slot path (from `all_hidden_paths`) and
+        its columns in a point's coordinate rows, per framing, stay here for
         the quiver's life."""
         return {}
 
@@ -289,6 +290,8 @@ def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> Mapping:
     order, the paths into x extended by a.  Raises PathExplosion when the path
     count is above the cap, before anything is enumerated.  The table is built
     by one loop over `hq.topological` on the first call and cached on `hq`;
-    every call checks the count against its own cap."""
+    every call checks the count against its own cap, which bounds paths, not
+    the arrow ids they store: n(n+1)/2 paths but about n^3/6 ids (9-12 bytes
+    each) on an n-vertex chain, so a 1,000-vertex chain needs about 1.4 GB."""
     check_path_cap(hq, cap)
     return hq._paths

@@ -205,19 +205,23 @@ def path_rank_vector(m: ModuliPoint, tol=RANK_TOL) -> dict:
     }
 
 
-def reference_images(t: DoubleFramedTriple) -> dict:
-    """Cut thin SVDs (u, s, vt) of the stacked path images at each hidden
-    vertex, one vertex and one np.linalg.svd at a time in topological order:
-    the per-vertex sweep the level-stacked `moduli._images` replaced, and its
-    oracle."""
+def reference_images(t: DoubleFramedTriple, padded=True) -> dict:
+    """Cut thin SVDs (u, s, vt) and u * s of the stacked path images at each
+    hidden vertex, one vertex and one np.linalg.svd at a time in topological
+    order: the per-vertex sweep the planned `moduli._images` replaced, and
+    its oracle.  Each vertex passes u * s on at its full thin width, the
+    singular values below the cut zeroed, as `moduli._images` does; unpadded,
+    it passes the cut u * s alone, so stacked shapes follow the cut ranks.
+    An empty matrix gets empty factors without an SVD."""
     hq = t.quiver.hidden_quiver()
     images, passed = {}, {}
     for i in hq.topological:
         a = np.hstack([t.f[i]] + [t.hidden_matrices[a.id] @ passed[a.source] for a in hq.arrows_into(i)])
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        empty = (np.zeros((a.shape[0], 0)), np.zeros(0), np.zeros((0, a.shape[1])))
+        u, s, vt = np.linalg.svd(a, full_matrices=False) if a.size else empty
         r = int(np.count_nonzero(s > SUBSPACE_TOL * s[0])) if s.size else 0
-        images[i] = (u[:, :r], s[:r], vt[:r])
-        passed[i] = u[:, :r] * s[:r]
+        images[i] = (u[:, :r], s[:r], vt[:r], u[:, :r] * s[:r])
+        passed[i] = u * np.where(np.arange(s.size) < r, s, 0.0) if padded else images[i][3]
     return images
 
 

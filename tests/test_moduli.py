@@ -477,6 +477,79 @@ def test_stacked_sweeps_match_the_per_vertex_reference(t):
         assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(degenerate_triples())
+def test_padded_sweep_keeps_the_cut_ranks(t):
+    """Zero and rank-one blocks cut directions, so the sweep passes u * s on
+    with zeroed singular values (on about two thirds of sweep sides here).
+    The cut ranks equal those of the recurrence that passes the cut u * s
+    alone, the singular values agree to 1e-13 of each vertex's largest, and
+    the closed orbit, which reads the dual's vt by the padded slot widths,
+    projects back to the point and has the rank vector of the one read from
+    the unpadded recurrence, whose slots are the cut ranks wide."""
+    unpadded = {}
+    for side in (t, dual(t)):
+        got, unpadded[side.quiver] = moduli_module._images(side), reference_images(side, padded=False)
+        for i in t.quiver.hidden:
+            want = unpadded[side.quiver][i][1]
+            assert got[i][1].shape == want.shape
+            assert np.abs(got[i][1] - want).max(initial=0.0) <= 1e-13 * want.max(initial=0.0)
+    m = project(t)
+    c = closed_orbit_representative(m)
+    assert block_err(project(c), m) <= 1e-9
+    fresh = DoubleFramedTriple(t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moduli_module, "_images", lambda side: unpadded[side.quiver])
+        mp.setattr(moduli_module, "_plan_of", lambda side, cut: ({i: x[1].size for i, x in unpadded[side.quiver].items()},))
+        cut = closed_orbit_representative(project(fresh))
+    assert project(c).rank_vector() == project(cut).rank_vector()
+
+
+@settings(max_examples=200, deadline=None)
+@given(parallel_dag_triples())
+def test_empty_stacks_get_empty_factors_without_an_svd(t):
+    """A hidden dim of 0 or a stacked width of 0 never reaches
+    np.linalg.svd: the sweep builds the thin factors (d, 0), (0,) and
+    (0, width) itself, width = u_i plus the passed widths k_x of the arrows
+    into i, and passes on nothing."""
+    shapes, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", recorded)
+        for side in (t, dual(t)):
+            images, k = moduli_module._images(side), moduli_module._plan_of(side, True)[0]
+            hq = side.quiver.hidden_quiver()
+            for i in hq.vertices:
+                d, width = side.dims[i], side.framing.u[i] + sum(k[a.source] for a in hq.arrows_into(i))
+                assert k[i] == min(d, width)
+                if not k[i]:
+                    assert [x.shape for x in images[i]] == [(d, 0), (0,), (0, width), (d, 0)]
+    assert all(min(shape) > 0 for shape in shapes)
+
+
+def test_level_plan_is_built_once_per_quiver_and_dims():
+    """Triples of one quiver and dims share one plan per sweep, kept in the
+    hidden quiver's memo; the dual's lives on the opposite quiver's hidden
+    quiver, and other dims get their own."""
+    q = random_dag_quiver(np.random.default_rng(5), n_hidden=6)
+    t, same = (random_triple(q, {v: 2 for v in q.vertices}, np.random.default_rng(s)) for s in (6, 7))
+    other = random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(8))
+    moduli_module._images(t)
+    moduli_module._path_images(t)
+    plans = [moduli_module._plan_of(t, cut) for cut in (True, False)]
+    memo = list(q.hidden_quiver()._memo.values())
+    assert all(any(p is x for x in memo) for p in plans) and plans[0] is not plans[1]
+    assert all(moduli_module._plan_of(same, cut) is p for cut, p in zip((True, False), plans))
+    assert moduli_module._plan_of(other, True) is not plans[0]
+    opposite = moduli_module._plan_of(dual(t), True)
+    assert any(opposite is x for x in q.opposite.hidden_quiver()._memo.values())
+    assert not any(opposite is x for x in q.hidden_quiver()._memo.values())
+
+
 def path_assembled(t):
     """`assembled` summed from `brute_force_paths`: h_j V_w f_i over every
     path w : i ~> j, V_w multiplied out by `path_matrix`."""
@@ -605,16 +678,16 @@ def test_blocks_refuse_what_they_cannot_hold(t, data):
 
 
 def count_factored(monkeypatch):
-    """Count the matrices that `linalg.svd_stacks` factors, keyed by whether
-    it computes singular vectors."""
+    """Count the matrices that `linalg.svd`, the one SVD call, factors, keyed
+    by whether it computes singular vectors."""
     factored = {True: 0, False: 0}
-    svd_stacks = linalg.svd_stacks
+    svd = linalg.svd
 
-    def counted(mats, compute_uv=True, **kwargs):
-        factored[compute_uv] += len(mats)
-        return svd_stacks(mats, compute_uv, **kwargs)
+    def counted(stack, compute_uv=True, full_matrices=False):
+        factored[compute_uv] += len(stack)
+        return svd(stack, compute_uv, full_matrices)
 
-    monkeypatch.setattr(linalg, "svd_stacks", counted)
+    monkeypatch.setattr(linalg, "svd", counted)
     return factored
 
 
