@@ -483,17 +483,22 @@ def test_padded_sweep_keeps_the_cut_ranks(t):
     """Zero and rank-one blocks cut directions, so the sweep passes u * s on
     with zeroed singular values (on about two thirds of sweep sides here).
     The cut ranks equal those of the recurrence that passes the cut u * s
-    alone, the singular values agree to 1e-13 of each vertex's largest, and
-    the closed orbit, which reads the dual's vt by the padded slot widths,
-    projects back to the point and has the rank vector of the one read from
-    the unpadded recurrence, whose slots are the cut ranks wide."""
+    alone, and the singular values agree to 1e-13 relative to the larger of
+    a vertex's largest one and the size of what it stacks (a product that
+    cancels loses digits in either recurrence).  The closed orbit, which
+    reads the dual's vt by the padded slot widths, projects back to the
+    point and has the rank vector of the one read from the unpadded
+    recurrence, whose slots are the cut ranks wide."""
     unpadded = {}
     for side in (t, dual(t)):
         got, unpadded[side.quiver] = moduli_module._images(side), reference_images(side, padded=False)
+        into = side.quiver.hidden_quiver().arrows_into
         for i in t.quiver.hidden:
-            want = unpadded[side.quiver][i][1]
+            want, images = unpadded[side.quiver][i][1], unpadded[side.quiver]
+            sizes = [np.linalg.norm(side.hidden_matrices[a.id]) * images[a.source][1].max(initial=0.0) for a in into(i)]
             assert got[i][1].shape == want.shape
-            assert np.abs(got[i][1] - want).max(initial=0.0) <= 1e-13 * want.max(initial=0.0)
+            scale = max([want.max(initial=0.0), np.linalg.norm(side.f[i])] + sizes)
+            assert np.abs(got[i][1] - want).max(initial=0.0) <= 1e-13 * scale
     m = project(t)
     c = closed_orbit_representative(m)
     assert block_err(project(c), m) <= 1e-9
