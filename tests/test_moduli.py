@@ -505,7 +505,8 @@ def test_padded_sweep_keeps_the_cut_ranks(t):
     fresh = DoubleFramedTriple(t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moduli_module, "_images", lambda side: unpadded[side.quiver])
-        mp.setattr(moduli_module, "_plan_of", lambda side, cut: ({i: x[1].size for i, x in unpadded[side.quiver].items()},))
+        widths = {q: {i: x[1].size for i, x in images.items()} for q, images in unpadded.items()}
+        mp.setattr(moduli_module, "_plan_of", lambda side, cut: (widths[side.quiver],))
         cut = closed_orbit_representative(project(fresh))
     assert project(c).rank_vector() == project(cut).rank_vector()
 
