@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import CodimensionMismatch, QmnError, ShapeMismatch
 from .quiver import Quiver, all_hidden_paths, check_path_cap, framing_data, weakly_connected
-from .rep import DoubleFramedTriple, deframe, dual, gauge_dim, memoised, rep_space_dim
+from .rep import DoubleFramedTriple, Sides, deframe, dual, gauge_dim, memoised, rep_space_dim
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ class ModuliPoint:
     resolution helpers do not: they read the uncut path sweeps of the triple
     and of its dual, whose slots come in one order: the lazy path first, then
     one slot per arrow in `arrows_into` order, recursively.  The slot paths
-    and columns of that order are `_slot_layout`'s, built once per quiver and
-    framing from the one path table of `all_hidden_paths`; no other reader
-    here enumerates a path.
+    and columns of that order are `_slot_layout`'s, built once per layout
+    from the one path table of `all_hidden_paths`; no other reader here
+    enumerates a path.
     """
 
     triple: DoubleFramedTriple
@@ -64,13 +64,13 @@ class ModuliPoint:
         """h_j C_j at each framed-out vertex j, a fresh array sharing no
         storage with the triple's sweeps."""
         images, h = _path_images(self.triple), self.triple.h
-        return {j: h[j] @ images[j] for j in _slot_layout_of(self.triple)}
+        return {j: h[j] @ images[j] for j in _slot_layout(self.triple.layout)}
 
     @cached_property
     def blocks(self) -> Mapping:
         """Each slot path, in column order, to a write-through view of its
         columns in `_rows`."""
-        rows, layout = self._rows, _slot_layout_of(self.triple)
+        rows, layout = self._rows, _slot_layout(self.triple.layout)
         return _Blocks({p: (rows[j], cols) for j, slots in layout.items() for p, cols in slots.columns.items()})
 
     # --- views ----------------------------------------------------------
@@ -81,7 +81,7 @@ class ModuliPoint:
         blocks of its parallel paths, and pairs without a path stay zero.  The
         row at j is summed into its start columns by one np.add.reduceat."""
         u, w = self.framing.u, self.framing.w
-        layout, rows = _slot_layout_of(self.triple), self._rows
+        layout, rows = _slot_layout(self.triple.layout), self._rows
         m = np.zeros((sum(w.values()), sum(u.values())))
         r = 0
         for j, slots in layout.items():
@@ -123,7 +123,7 @@ def _images(t: DoubleFramedTriple):
     k_x of `_level_plan`, singular values below the SUBSPACE_TOL cut zeroed,
     and vt's columns split by slot (f_i, then k_x per arrow).  On `dual(t)`:
     the path co-images."""
-    return _sweep(t, _plan_of(t, True), _cut_factors)
+    return _sweep(t, _level_plan(t.layout, True), _cut_factors)
 
 
 def _cut_factors(stack):
@@ -155,24 +155,25 @@ def _path_images(t: DoubleFramedTriple):
     is u[w.start] columns wide and holds V_w f_start; on `dual(t)`, H_i^T.
     Refuses quivers past the path cap, but enumerates no path."""
     check_path_cap(t.quiver.hidden_quiver())
-    return _sweep(t, _plan_of(t, False), lambda stack: (stack, stack))
+    return _sweep(t, _level_plan(t.layout, False), lambda stack: (stack, stack))
 
 
 def _sweep(t: DoubleFramedTriple, plan, factor):
     """Both sweeps, group by group of `_level_plan`: the group's (n, d, width)
-    stack gets its f_i, then each term's products V_a P_x from one np.matmul
-    in one scatter; `factor` gives what each vertex keeps and passes on."""
-    mats, f = t.hidden_matrices, t.f
+    stack is its f_i alone, sliced from t's stacks, or gets its f_i, then
+    each term's products V_a P_x from one np.matmul in one scatter; `factor`
+    gives what each vertex keeps and passes on."""
+    arrows, f = t.stacks.arrows, t.stacks.f
     passed, out = {}, {}
-    for vertices, d, width, framed, terms in plan[1]:
-        if terms is None:  # each stacked matrix is its f_i alone
-            stack = _stacked([f[i] for i in vertices])
+    for vertices, d, width, framed, terms, alone in plan[1]:
+        if alone:
+            stack = f[alone[0]][alone[1]]
         else:
             stack = np.empty((len(vertices), d, width))
-            for r, i in framed:
-                stack[r, :, : f[i].shape[1]] = f[i]
-            for ids, sources, at in terms:
-                stack.put(at, _stacked([mats[a] for a in ids]) @ _stacked([passed[x] for x in sources]))
+            for r, g, row in framed:
+                stack[r, :, : f[g].shape[2]] = f[g][row]
+            for g, rows, sources, at in terms:
+                stack.put(at, arrows[g][rows] @ _stacked([passed[x] for x in sources]))
         kept, passes = factor(stack)
         out.update(zip(vertices, kept))
         passed.update(zip(vertices, passes))
@@ -189,23 +190,18 @@ def _stacked(ms):
     return np.array([m.T for m in ms]).swapaxes(1, 2)
 
 
-def _plan_of(t: DoubleFramedTriple, cut):
-    """The `_level_plan` of t's hidden quiver, dims and framing."""
-    hq, u = t.quiver.hidden_quiver(), t.framing.u
-    return _level_plan(hq, tuple(t.dims[i] for i in hq.vertices), tuple(u[i] for i in hq.vertices), cut)
-
-
 @memoised
-def _level_plan(hq: Quiver, dims, u, cut):
-    """(k, groups) of the sweeps over hq under the dims and framing widths u
-    (tuples in hq.vertices order), built once per quiver, dims, u and cut.
-    Vertex i passes on k_i = min(d_i, u_i + sum of k_x) columns over its
-    arrows a : x -> i if cut, else u_i + sum of k_x.  A group is a level's
-    vertices of one stacked shape, its rows (row, i) with u_i > 0 and its
-    terms (None: f_i alone); a term is products V_a P_x of one source shape
-    (d_x, k_x > 0), one each if two or fewer (gathering them costs more than
-    it saves): arrow ids, sources, and flat indices in the group's stack."""
-    dim, frame = dict(zip(hq.vertices, dims)), dict(zip(hq.vertices, u))
+def _level_plan(lay, cut):
+    """(k, groups) of the sweeps over the hidden quiver of a `rep.Layout`,
+    built once per layout and cut.  Vertex i passes on k_i = min(d_i, u_i +
+    sum of k_x) columns over its arrows a : x -> i if cut, else u_i + sum of
+    k_x.  A group is a level's vertices of one stacked shape, the (row, f
+    group, f row) of those with u_i > 0, its terms and, if it has none, the
+    f group and rows of the f_i that are its stacked matrices.  A term is
+    products V_a P_x of one source shape (d_x, k_x > 0), one each if two or
+    fewer (gathering them costs more than it saves): the arrow group and rows
+    of the V_a, the sources, and flat indices in the group's stack."""
+    hq, frame, dim = lay.quiver.hidden_quiver(), lay.framing.u, dict(zip(lay.quiver.vertices, lay.dims))
     width, groups = {}, []
     for level in hq.levels:
         shapes = {}
@@ -223,11 +219,20 @@ def _level_plan(hq: Quiver, dims, u, cut):
             for (_, k), entries in products.items():
                 for ids, sources, r, c in [zip(*entries)] if len(entries) > 2 else [zip(e) for e in entries]:
                     r, c = np.array(r)[:, None, None], np.array(c)[:, None, None]
-                    terms.append((ids, sources, r * d * cols + np.arange(d)[:, None] * cols + c + np.arange(k)))
-            alone = not terms and all(frame[i] == cols for i in vertices)
-            framed = tuple((r, i) for r, i in enumerate(vertices) if frame[i])
-            groups.append((tuple(vertices), d, cols, framed, None if alone else tuple(terms)))
+                    at = r * d * cols + np.arange(d)[:, None] * cols + c + np.arange(k)
+                    terms.append((*_rows_of([lay.moves.arrows.at[a] for a in ids]), sources, at))
+            framed = tuple((r, *lay.moves.f.at[i]) for r, i in enumerate(vertices) if frame[i])
+            alone = None if terms else _rows_of([lay.moves.f.at[i] for i in vertices])
+            groups.append((tuple(vertices), d, cols, framed, tuple(terms), alone))
     return width, groups
+
+
+def _rows_of(places):
+    """The group of places (group, row), all in one stack, and their rows: a
+    slice where they run consecutively, else an index array."""
+    (g, first), rows = places[0], [row for _, row in places]
+    run = rows == list(range(first, first + len(rows)))
+    return g, slice(first, first + len(rows)) if run else np.array(rows, dtype=np.intp)
 
 
 class _Slots(NamedTuple):
@@ -264,25 +269,19 @@ class _Blocks(Mapping):
         return len(self._slots)
 
 
-def _slot_layout_of(t: DoubleFramedTriple) -> dict:
-    """The `_slot_layout` of t's quiver and framing, refused past the path cap."""
-    hq, fr = t.quiver.hidden_quiver(), t.framing
-    return _slot_layout(hq, tuple(fr.u[i] for i in hq.vertices), tuple(fr.w[i] > 0 for i in hq.vertices))
-
-
 @memoised
-def _slot_layout(hq: Quiver, u, framed_out):
-    """`_Slots` of the framed-out vertices of hq (flagged by framed_out) under
-    the framing widths u, both in hq.vertices order; built once per quiver and
-    framing.  Its slot paths are those of `all_hidden_paths` that start where
-    u > 0, in table order; the paths of one start column sum in arrow-id order."""
-    width = dict(zip(hq.vertices, u))
+def _slot_layout(lay) -> dict:
+    """`_Slots` of the framed-out vertices (w > 0) of the hidden quiver of a
+    `rep.Layout`, built once per layout.  Its slot paths are those of
+    `all_hidden_paths` that start where u > 0, in table order; the paths of
+    one start column sum in arrow-id order."""
+    hq, width, w = lay.quiver.hidden_quiver(), lay.framing.u, lay.framing.w
     offset, c = {}, 0
     for i in hq.vertices:
         offset[i], c = c, c + width[i]
     every, table, layout = slice(None), all_hidden_paths(hq), {}
-    for i, out in zip(hq.vertices, framed_out):
-        if not out:
+    for i in hq.vertices:
+        if not w[i]:
             continue
         paths = [p for p in table[i] if width[p.start]]
         n = len(paths)
@@ -393,38 +392,33 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
     vt_i^T.  With U_i the leading m.rank_vector(tol)[i] left singular vectors
     of the core R_i S_i (which has q^(i)'s singular values), the coordinates
     are Y_i U_i, so h_i = (h-slot rows) U_i, V_a = U_j^T (slot-a rows) U_i
-    (the first r_j of the plan's k_j) and f_i = U_i^T R_i f_i.  The cores of one shape are factored as one
-    stack (`linalg.svd_stacks`).
+    (the first r_j of the plan's k_j) and f_i = U_i^T R_i f_i, each written
+    into zero stacks of t's layout.  The cores of one shape are factored as
+    one stack (`linalg.svd_stacks`).
     """
     t = m.triple
-    hq = t.quiver.hidden_quiver()
-    dims, u, w = t.dims, t.framing.u, t.framing.w
+    hq, lay, w = t.quiver.hidden_quiver(), t.layout, t.framing.w
     images, coimages = _images(t), _images(dual(t))
-    slot = _plan_of(dual(t), True)[0]
+    slot = _level_plan(dual(t).layout, True)[0]
     ranks = m.rank_vector(tol)
     basis, cores = {}, [coimages[i][3].T @ images[i][3] for i in hq.vertices]
     for ks, (left, _, _) in linalg.svd_stacks(cores):
         basis.update((hq.vertices[k], left[n, :, : ranks[hq.vertices[k]]]) for n, k in enumerate(ks))
+    stacks = Sides(*(tuple(np.zeros((len(keys), r, c)) for keys, r, c, _, _ in moves.groups) for moves in lay.moves))
 
-    def padded(a, rows, cols):
-        if a.shape == (rows, cols):
-            return a
-        out = np.zeros((rows, cols))
-        out[: a.shape[0], : a.shape[1]] = a
-        return out
+    def put(side, key, a):  # a, zero-padded, as key's matrix in side ("arrows", "f" or "h")
+        g, row = getattr(lay.moves, side).at[key]
+        getattr(stacks, side)[g][row, : a.shape[0], : a.shape[1]] = a
 
-    hidden_mats, f, h = {}, {}, {}
     for i in hq.vertices:
         slots = coimages[i][2].T
-        h[i] = padded(slots[: w[i]] @ basis[i], w[i], dims[i])
+        put("h", i, slots[: w[i]] @ basis[i])
         off = w[i]
         for a in hq.arrows_out_of(i):
-            red = basis[a.target].T @ slots[off : off + coimages[a.target][1].size] @ basis[i]
-            hidden_mats[a.id] = padded(red, dims[a.target], dims[i])
+            put("arrows", a.id, basis[a.target].T @ slots[off : off + coimages[a.target][1].size] @ basis[i])
             off += slot[a.target]
-        f[i] = padded(basis[i].T @ coimages[i][3].T @ t.f[i], dims[i], u[i])
-    hidden_mats = {a.id: hidden_mats[a.id] for a in hq.arrows}
-    return DoubleFramedTriple._built(t.quiver, dims, hidden_mats, f, h, t.layout)
+        put("f", i, basis[i].T @ coimages[i][3].T @ t.f[i])
+    return DoubleFramedTriple._built(t.quiver, t.dims, stacks, lay)
 
 
 # --- resolution points ------------------------------------------------------

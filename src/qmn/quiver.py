@@ -157,16 +157,10 @@ class Quiver:
 
     @cached_property
     def _memo(self):
-        """What `rep.memoised` readers derive from this quiver and a dims
-        vector (the `rep.layout` of each dims vector: its framing and the
-        stacking plan of `rep.act`; the level plans and slot layouts of
-        `qmn.moduli`), filled on first use.  Nothing is evicted: one layout
-        per dims vector a triple on the quiver was built with; on a hidden
-        quiver, two level plans (the cut and the uncut sweep's groups and
-        passed widths) per dims and framing its triples were swept under, and
-        one slot layout, with every slot path (from `all_hidden_paths`) and
-        its columns in a point's coordinate rows, per framing, stay here for
-        the quiver's life."""
+        """What `rep.memoised` readers derive from this quiver alone: the
+        `rep.layout` of each dims vector a triple on it was built with, which
+        keeps what is derived from the quiver and those dims.  Nothing is
+        evicted."""
         return {}
 
     @cached_property

@@ -101,21 +101,21 @@ def balance(t: DoubleFramedTriple, target: float, tol=LEVEL_TOL) -> BalanceResul
     target, tol = float(target), float(tol)
     if not (math.isfinite(target) and math.isfinite(tol) and tol >= 0.0):
         raise QmnError(f"balance needs a finite target and a finite tol >= 0, got {target}, {tol}")
-    hidden, plan, mats = q.hidden, t.layout, t.hidden_matrices
+    hidden, plan, stacks = q.hidden, t.layout, t.stacks
     n = len(hidden)
     # thin: every hidden arrow is in one (1, 1) group, whose gauge rows are
     # the rows of its target (x) and source (y) in q.hidden order
-    none = np.zeros(0, dtype=np.intp)
-    keys, _, _, tgt, src = plan.arrows.groups[0] if plan.arrows.groups else ((), 1, 1, none, none)
-    w2 = np.fromiter((mats[k][0, 0] ** 2 for k in keys), float, len(keys))
+    arrows = [(g[3], g[4], stack[:, 0, 0]) for g, stack in zip(plan.moves.arrows.groups, stacks.arrows)]
+    tgt, src, weights = arrows[0] if arrows else (np.zeros(0, dtype=np.intp),) * 3
+    # each weight squared as a scalar: an array square differs in the last bit
+    w2 = np.fromiter((v**2 for v in weights), float, len(weights))
     # |f_i|^2 and |h_i|^2 as row sums of each shape group's stack, which add
     # in np.sum's order, so each is bit for bit np.sum(f_i ** 2) (a BLAS dot
     # product is not)
     fw, hw = np.zeros(n), np.zeros(n)
-    for norms, side, moves in ((fw, t.f, plan.f), (hw, t.h, plan.h)):
-        for group_keys, r, c, xs, ys in moves.groups:
-            stack = np.array([side[k] for k in group_keys]).reshape(len(group_keys), r * c)
-            norms[ys if xs is None else xs] = np.square(stack).sum(axis=1)
+    for norms, side, moves in ((fw, stacks.f, plan.moves.f), (hw, stacks.h, plan.moves.h)):
+        for stack, (_, r, c, xs, ys) in zip(side, moves.groups):
+            norms[ys if xs is None else xs] = np.square(stack.reshape(len(stack), r * c)).sum(axis=1)
     weighted = fw + hw + np.bincount(tgt, w2, n) + np.bincount(src, w2, n) > 0.0
 
     @np.errstate(all="ignore")

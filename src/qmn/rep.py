@@ -66,11 +66,12 @@ class DoubleFramedTriple:
 
     The framing (u_i, w_i and the slots) is not given: it follows from the
     quiver and the dims, and `layout` holds it with the rest of what they fix.
-    Frozen, with read-only mappings of the dims and coerced matrices, so what is
-    computed from it can be cached on it: `_memo` holds such results (its
-    `dual` and the sweeps of `qmn.moduli`), filled on first use.  The arrays
-    themselves are shared with the caller, not copied; writing into them is
-    not supported.
+    The matrices are copied once into `stacks`, one read-only float64
+    (n, r, c) array per shape group of the layout; `hidden_matrices`, `f` and
+    `h` map the hidden arrows and vertices, in quiver order, to views of
+    them.  Writing into any raises ValueError.  Frozen, with read-only dims,
+    so what is computed from it is cached in `_memo` (its `dual` and the
+    sweeps of `qmn.moduli`), filled on first use.
     """
 
     quiver: Quiver
@@ -78,46 +79,39 @@ class DoubleFramedTriple:
     hidden_matrices: Mapping
     f: Mapping
     h: Mapping
+    stacks: "Sides" = field(init=False, repr=False, compare=False)
     layout: "Layout" = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lay = layout(self.quiver, self.dims)
-        hq = self.quiver.hidden_quiver()
-        hidden, fr = self.quiver.hidden, lay.framing
-        mats = {
-            a.id: as_matrix(self.hidden_matrices[a.id], self.dims[a.target], self.dims[a.source])
-            for a in hq.arrows
-        }
-        f = {i: as_matrix(self.f[i], self.dims[i], fr.u[i]) for i in hidden}
-        h = {i: as_matrix(self.h[i], fr.w[i], self.dims[i]) for i in hidden}
-        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
-        object.__setattr__(self, "hidden_matrices", MappingProxyType(mats))
-        object.__setattr__(self, "f", MappingProxyType(f))
-        object.__setattr__(self, "h", MappingProxyType(h))
-        object.__setattr__(self, "layout", lay)
+
+        def stacked(side, moves):  # coerced group by group into fresh stacks
+            return tuple(
+                np.concatenate([as_matrix(side[k], r, c) for k in keys]).reshape(len(keys), r, c)
+                for keys, r, c, _, _ in moves.groups
+            )
+
+        stacks = Sides(*map(stacked, (self.hidden_matrices, self.f, self.h), lay.moves))
+        self._set(self.quiver, MappingProxyType(dict(self.dims)), stacks, lay)
 
     @classmethod
-    def _built(cls, quiver, dims, hidden_matrices, f, h, layout):
-        """A triple on arrays qmn has just built itself (`act`, `dual`,
-        `closed_orbit_representative`): each float64 of its declared shape,
-        keyed in the order the public constructor gives, with the `layout`
-        of its quiver and dims.  The fields are set as given, the mappings
-        read-only and `_memo` fresh; nothing is coerced again, which would
-        cost as much as the product that built them."""
+    def _built(cls, quiver, dims, stacks, layout):
+        """A triple on float64 stacks qmn has just built, grouped by the
+        `layout` of its quiver and dims (`act`, `dual`, the closed orbit), and
+        the read-only dims of the triple it was built from; nothing is
+        coerced again, which would cost as much as building the stacks."""
         t = object.__new__(cls)
-        fields = (
-            ("quiver", quiver),
-            ("dims", MappingProxyType(dict(dims))),
-            ("hidden_matrices", MappingProxyType(hidden_matrices)),
-            ("f", MappingProxyType(f)),
-            ("h", MappingProxyType(h)),
-            ("layout", layout),
-            ("_memo", {}),
-        )
-        for name, value in fields:
-            object.__setattr__(t, name, value)
+        t._set(quiver, dims, stacks, layout)
         return t
+
+    def _set(self, quiver, dims, stacks, layout):
+        """Set every field from the stacks, which become read-only."""
+        for stack in (*stacks.arrows, *stacks.f, *stacks.h):
+            stack.setflags(write=False)
+        arrows, f, h = (_Views(side, moves.at) for side, moves in zip(stacks, layout.moves))
+        fields = dict(quiver=quiver, dims=dims, hidden_matrices=arrows, f=f, h=h)
+        vars(self).update(fields, stacks=stacks, layout=layout, _memo={})
 
     @property
     def framing(self) -> FramingData:
@@ -128,10 +122,30 @@ class DoubleFramedTriple:
         return {i: self.dims[i] for i in self.quiver.hidden}
 
 
+class _Views(Mapping):
+    """Read-only: each key to a view of its row in its shape group's stack."""
+
+    def __init__(self, stacks, at):
+        self._stacks, self._at = stacks, at  # key -> (group, row)
+
+    def __getitem__(self, key):
+        group, row = self._at[key]
+        return self._stacks[group][row]
+
+    def __iter__(self):
+        return iter(self._at)
+
+    def __len__(self):
+        return len(self._at)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 def memoised(compute):
     """Cache compute(t, *args) in t._memo on first use, one entry per tuple of
-    further arguments; t is a triple or a quiver, neither of which lets a
-    field it was computed from be reassigned."""
+    further arguments; t is a triple, a quiver or a layout, none of which lets
+    a field it was computed from be reassigned."""
 
     @wraps(compute)
     def cached(t, *args):
@@ -148,19 +162,13 @@ def dual(t: DoubleFramedTriple) -> DoubleFramedTriple:
     """The transpose triple (V^T, h^T, f^T) on `t.quiver.opposite`, framed by
     t's coframing: what a forward computation finds on it, t has in reverse
     (co-images, subrepresentations killed by h, the out-arrow half of the
-    moment map).  Its arrays are transposed views of t's, and it holds no link
-    back to t, so the memo makes no reference cycle; dual(dual(t)) is on
-    t's quiver with t's arrays.  Its framing is the one t's dims give the
-    opposite quiver."""
+    moment map).  The opposite layout's shape groups are the transposes of
+    t's, in the same order, with f and h traded, so its stacks are t's,
+    transposed (views), and it holds no link back to t: the memo makes no
+    reference cycle, and dual(dual(t)) is on t's quiver with t's arrays."""
     q = t.quiver
-    return DoubleFramedTriple._built(
-        q.opposite,
-        t.dims,
-        {k: m.T for k, m in t.hidden_matrices.items()},
-        {i: m.T for i, m in t.h.items()},
-        {i: m.T for i, m in t.f.items()},
-        layout(q.opposite, t.dims),
-    )
+    arrows, f, h = (tuple(stack.swapaxes(1, 2) for stack in side) for side in t.stacks)
+    return DoubleFramedTriple._built(q.opposite, t.dims, Sides(arrows, h, f), layout(q.opposite, t.dims))
 
 
 def split(r: Representation) -> DoubleFramedTriple:
@@ -233,32 +241,39 @@ def _inverted(blocks, vertices):
     return np.linalg.inv(blocks)
 
 
-def _stacked(mats, keys):
-    """The matrices mats[k] of one shape (r, c) as one (n, r, c) array."""
-    r, c = mats[keys[0]].shape
-    return np.concatenate([mats[k] for k in keys]).reshape(len(keys), r, c)
-
-
 class _Moves(NamedTuple):
-    """How `act` moves one mapping (the hidden arrows, f or h): its keys in
-    the order of the mapping it returns, and the matrices grouped by shape."""
+    """One mapping of a triple (the hidden arrows, f or h) grouped by matrix
+    shape, in the order of first appearance."""
 
-    keys: tuple
-    order: tuple  # where each key's matrix lands among the groups' products
+    at: dict  # each key, in the mapping's order, to (group, row in its stack)
     groups: tuple  # (keys, r, c, x rows, y rows) per shape (r, c); rows may be None
 
 
-class Layout(NamedTuple):
-    """What a quiver and a dims vector fix for every triple on them: the
-    framing, and how `act` moves the triple apart from the gauge (the hidden
-    vertices of each block size, and for each mapping its shape groups, each
-    with the rows of its gauge blocks in their size's stack)."""
+class Sides(NamedTuple):
+    """One value per mapping of a triple: for its stacks, a tuple of (n, r, c)
+    arrays, one per shape group; for its layout, a `_Moves`."""
 
+    arrows: tuple
+    f: tuple
+    h: tuple
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Layout:
+    """What a quiver and a dims vector (in `quiver.vertices` order) fix for
+    every triple on them: the framing, the shape groups its matrices are
+    stacked by, and how `act` moves them (the hidden vertices of each block
+    size, and per shape group the rows of its gauge blocks in their size's
+    stack).  `_memo` keeps what `rep.memoised` readers derive from the layout
+    alone for the quiver's life: the two level plans of `qmn.moduli`'s sweeps
+    and the slot layout, with every slot path, of `blocks` and `assembled`."""
+
+    quiver: Quiver
+    dims: tuple
     framing: FramingData
     sizes: tuple  # (d, vertices) per block size d, in q.hidden order
-    arrows: _Moves
-    f: _Moves
-    h: _Moves
+    moves: Sides
+    _memo: dict = field(default_factory=dict)
 
 
 def layout(q: Quiver, dims) -> Layout:
@@ -285,23 +300,18 @@ def _layout(q: Quiver, dims):
         by_shape = {}
         for term in terms:
             by_shape.setdefault(term[1], []).append(term)
-        groups, placed = [], []
-        for (r, c), group in by_shape.items():
-            group_keys, _, xs, ys = zip(*group)
-            groups.append((group_keys, r, c, rows(xs), rows(ys)))
-            placed += group_keys
-        position = {k: n for n, k in enumerate(placed)}
-        keys = tuple(term[0] for term in terms)
-        return _Moves(keys, tuple(position[k] for k in keys), tuple(groups))
+        groups, place = [], {}
+        for g, ((r, c), group) in enumerate(by_shape.items()):
+            keys, _, xs, ys = zip(*group)
+            groups.append((keys, r, c, rows(xs), rows(ys)))
+            place.update((k, (g, row)) for row, k in enumerate(keys))
+        return _Moves({term[0]: place[term[0]] for term in terms}, tuple(groups))
 
     arrows = [(a.id, (dim[a.target], dim[a.source]), a.target, a.source) for a in q.hidden_quiver().arrows]
-    return Layout(
-        fr,
-        tuple((d, tuple(vertices)) for d, vertices in by_size.items()),
-        moves(arrows),
-        moves([(i, (dim[i], fr.u[i]), i, None) for i in q.hidden]),
-        moves([(i, (fr.w[i], dim[i]), None, i) for i in q.hidden]),
-    )
+    f = [(i, (dim[i], fr.u[i]), i, None) for i in q.hidden]
+    h = [(i, (fr.w[i], dim[i]), None, i) for i in q.hidden]
+    sizes = tuple((d, tuple(vertices)) for d, vertices in by_size.items())
+    return Layout(q, dims, fr, sizes, Sides(*map(moves, (arrows, f, h))))
 
 
 def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
@@ -310,30 +320,26 @@ def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     Every block is checked before anything is computed: a missing block or
     one of the wrong size raises ShapeMismatch, a non-finite or numerically
     singular one SingularGauge, each naming the vertex.  The blocks of one
-    size are checked and inverted as one stack, and the products of one
-    block shape run as one stacked product, the gauge blocks gathered by
-    index; which blocks and matrices go where is t's `layout`."""
+    size are checked and inverted as one stack, and each of t's stacks is
+    moved by one stacked product, the gauge blocks gathered by index; which
+    blocks go where is t's `layout`."""
     q, dims, plan = t.quiver, t.dims, t.layout
     blocks = {i: _gauge_block(g.get(i), i, dims[i]) for i in q.hidden}
     gauge, inverse = {}, {}
     for d, vertices in plan.sizes:
-        gauge[d] = _stacked(blocks, vertices)
+        gauge[d] = np.concatenate([blocks[i] for i in vertices]).reshape(len(vertices), d, d)
         inverse[d] = _inverted(gauge[d], vertices)
 
-    def moved(mats, moves):
-        products = []
-        for keys, r, c, xs, ys in moves.groups:
-            prod = _stacked(mats, keys)
-            if xs is not None:
-                prod = gauge[r][xs] @ prod
-            if ys is not None:
-                prod = prod @ inverse[c][ys]
-            products.extend(prod)
-        return dict(zip(moves.keys, map(products.__getitem__, moves.order)))
+    def moved(prod, group):
+        _, r, c, xs, ys = group
+        if xs is not None:
+            prod = gauge[r][xs] @ prod
+        if ys is not None:
+            prod = prod @ inverse[c][ys]
+        return prod
 
-    return DoubleFramedTriple._built(
-        q, dims, moved(t.hidden_matrices, plan.arrows), moved(t.f, plan.f), moved(t.h, plan.h), plan
-    )
+    stacks = Sides(*(tuple(map(moved, side, moves.groups)) for side, moves in zip(t.stacks, plan.moves)))
+    return DoubleFramedTriple._built(q, dims, stacks, plan)
 
 
 @dataclass(frozen=True)

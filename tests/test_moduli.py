@@ -29,7 +29,7 @@ from qmn.moduli import (
 )
 from qmn.network import network_matrix, psi_hat
 from qmn.quiver import Path, Quiver, all_hidden_paths
-from qmn.rep import DoubleFramedTriple, Representation, act, dual, join, random_gauge, random_triple, split
+from qmn.rep import DoubleFramedTriple, Representation, act, dual, join, layout, random_gauge, random_triple, split
 from qmn.thincat import ThinRep, solve_morphism
 
 from conftest import (
@@ -506,7 +506,7 @@ def test_padded_sweep_keeps_the_cut_ranks(t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moduli_module, "_images", lambda side: unpadded[side.quiver])
         widths = {q: {i: x[1].size for i, x in images.items()} for q, images in unpadded.items()}
-        mp.setattr(moduli_module, "_plan_of", lambda side, cut: (widths[side.quiver],))
+        mp.setattr(moduli_module, "_level_plan", lambda lay, cut: (widths[lay.quiver],))
         cut = closed_orbit_representative(project(fresh))
     assert project(c).rank_vector() == project(cut).rank_vector()
 
@@ -527,7 +527,7 @@ def test_empty_stacks_get_empty_factors_without_an_svd(t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "svd", recorded)
         for side in (t, dual(t)):
-            images, k = moduli_module._images(side), moduli_module._plan_of(side, True)[0]
+            images, k = moduli_module._images(side), moduli_module._level_plan(side.layout, True)[0]
             hq = side.quiver.hidden_quiver()
             for i in hq.vertices:
                 d, width = side.dims[i], side.framing.u[i] + sum(k[a.source] for a in hq.arrows_into(i))
@@ -538,22 +538,43 @@ def test_empty_stacks_get_empty_factors_without_an_svd(t):
 
 
 def test_level_plan_is_built_once_per_quiver_and_dims():
-    """Triples of one quiver and dims share one plan per sweep, kept in the
-    hidden quiver's memo; the dual's lives on the opposite quiver's hidden
-    quiver, and other dims get their own."""
+    """Triples of one quiver and dims share one layout and one plan per
+    sweep, kept in the layout's memo; the dual's lives in the opposite
+    quiver's layout, and other dims get their own."""
     q = random_dag_quiver(np.random.default_rng(5), n_hidden=6)
     t, same = (random_triple(q, {v: 2 for v in q.vertices}, np.random.default_rng(s)) for s in (6, 7))
     other = random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(8))
     moduli_module._images(t)
     moduli_module._path_images(t)
-    plans = [moduli_module._plan_of(t, cut) for cut in (True, False)]
-    memo = list(q.hidden_quiver()._memo.values())
+    assert same.layout is t.layout and other.layout is not t.layout
+    plans = [moduli_module._level_plan(t.layout, cut) for cut in (True, False)]
+    memo = list(t.layout._memo.values())
     assert all(any(p is x for x in memo) for p in plans) and plans[0] is not plans[1]
-    assert all(moduli_module._plan_of(same, cut) is p for cut, p in zip((True, False), plans))
-    assert moduli_module._plan_of(other, True) is not plans[0]
-    opposite = moduli_module._plan_of(dual(t), True)
-    assert any(opposite is x for x in q.opposite.hidden_quiver()._memo.values())
-    assert not any(opposite is x for x in q.hidden_quiver()._memo.values())
+    assert all(moduli_module._level_plan(same.layout, cut) is p for cut, p in zip((True, False), plans))
+    assert moduli_module._level_plan(other.layout, True) is not plans[0]
+    opposite = moduli_module._level_plan(dual(t).layout, True)
+    assert dual(t).layout is layout(q.opposite, t.dims)
+    assert any(opposite is x for x in dual(t).layout._memo.values())
+    assert not any(opposite is x for x in memo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parallel_dag_triples())
+def test_dual_layout_groups_are_the_transposed_groups(t):
+    """The shape groups of `dual(t).layout` are those of t's layout in the
+    same order, each transposed, its keys and gauge rows the same and the
+    target and source rows traded, with f and h traded; so the dual's stacks
+    are t's, transposed."""
+    lay, op = t.layout, dual(t).layout
+    for ours, theirs in zip(lay.moves, (op.moves.arrows, op.moves.h, op.moves.f)):
+        assert ours.at == theirs.at
+        assert len(ours.groups) == len(theirs.groups)
+        for (keys, r, c, xs, ys), (keys_op, r_op, c_op, xs_op, ys_op) in zip(ours.groups, theirs.groups):
+            assert keys == keys_op and (r, c) == (c_op, r_op)
+            for rows, rows_op in ((xs, ys_op), (ys, xs_op)):
+                assert rows is rows_op is None or np.array_equal(rows, rows_op)
+    for side, side_op in zip(t.stacks, (dual(t).stacks.arrows, dual(t).stacks.h, dual(t).stacks.f)):
+        assert all(np.array_equal(a.swapaxes(1, 2), b) for a, b in zip(side, side_op, strict=True))
 
 
 def path_assembled(t):

@@ -307,11 +307,36 @@ def test_shared_framing_is_read_only():
     assert project(t).assembled().shape == (4, 5)
 
 
-def test_triple_shares_the_caller_arrays():
+def triple_arrays(t):
+    return [*t.hidden_matrices.values(), *t.f.values(), *t.h.values()]
+
+
+def test_triple_owns_its_arrays():
+    """The constructor copies the caller's arrays: writing into them leaves
+    the triple's matrices and its memoised rank vector as they were, and
+    every matrix of it, or of the triples `act`, `dual` and the closed orbit
+    build from it, refuses a write."""
     q = quiver_d4tilde()
-    r = random_representation(q, thin_dims(q), np.random.default_rng(6))
-    t = split(r)
-    assert all(t.hidden_matrices[k] is r.matrices[k] for k in t.hidden_matrices)
+    rng = np.random.default_rng(6)
+    source = random_triple(q, {**thin_dims(q), "v5": 2}, rng)
+    given = [{k: m.copy() for k, m in side.items()} for side in (source.hidden_matrices, source.f, source.h)]
+    t = DoubleFramedTriple(q, source.dims, *given)
+    kept, ranks = [m.copy() for m in triple_arrays(t)], project(t).rank_vector()
+    assert is_simple(t)
+    for side in given:
+        for m in side.values():
+            m[...] = 0.0
+    assert all(np.array_equal(m, k) for m, k in zip(triple_arrays(t), kept, strict=True))
+    fresh = DoubleFramedTriple(q, t.dims, t.hidden_matrices, t.f, t.h)
+    assert project(t).rank_vector() == ranks == project(fresh).rank_vector()
+    assert project(DoubleFramedTriple(q, t.dims, *given)).rank_vector() == {i: 0 for i in q.hidden}
+    built = (t, act(random_gauge(q, t.dims, rng), t), dual(t), closed_orbit_representative(project(t)))
+    for s in built:
+        for m in triple_arrays(s):
+            with pytest.raises(ValueError, match="read-only"):
+                m[...] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        t.f["v1"][0, 0] = 1.0
 
 
 def test_act_returns_a_triple_with_a_fresh_memo():
@@ -372,17 +397,13 @@ def test_act_plans_are_kept_apart_per_dims_and_framing(cases):
         assert_act_matches_the_reference(g, t)
 
 
-def _same_view(a, b):
-    """a and b look at the same memory the same way."""
-    return (a.__array_interface__, a.dtype) == (b.__array_interface__, b.dtype)
-
-
 @settings(max_examples=100, deadline=None)
 @given(gauged_triples())
 def test_triples_qmn_builds_keep_the_public_constructor_contract(case):
     """`act`, `dual` and `closed_orbit_representative` build their triples
     without coercing again: what they hand out is what the public constructor
-    would have made of it."""
+    would have made of it, read-only, and the dual's dual looks at t's own
+    stacks."""
     t, g = case
     for build in (lambda: act(g, t), lambda: dual(t), lambda: closed_orbit_representative(project(t))):
         s = build()  # the memo is checked before anything reads s
@@ -396,7 +417,7 @@ def test_triples_qmn_builds_keep_the_public_constructor_contract(case):
         for mapping, shapes in declared:
             assert list(mapping) == list(shapes)
             for k, m in mapping.items():
-                assert m.dtype == np.float64 and m.shape == shapes[k]
+                assert m.dtype == np.float64 and m.shape == shapes[k] and not m.flags.writeable
         for mapping in (s.dims, s.hidden_matrices, s.f, s.h):
             with pytest.raises(TypeError):
                 mapping[next(iter(mapping), "x")] = 0
@@ -405,12 +426,16 @@ def test_triples_qmn_builds_keep_the_public_constructor_contract(case):
         for name in ("hidden_matrices", "f", "h"):
             new, old = getattr(rebuilt, name), getattr(s, name)
             assert list(new) == list(old)
-            assert all(_same_view(new[k], old[k]) for k in old)
+            for k in old:
+                assert new[k].dtype == old[k].dtype and new[k].shape == old[k].shape
+                assert np.array_equal(new[k], old[k])
     back = dual(dual(t))
     assert back.quiver is t.quiver and back.framing.u == t.framing.u and back.framing.w == t.framing.w
     for name in ("hidden_matrices", "f", "h"):
         new, old = getattr(back, name), getattr(t, name)
-        assert list(new) == list(old) and all(_same_view(new[k], old[k]) for k in old)
+        assert list(new) == list(old) and all(np.array_equal(new[k], old[k]) for k in old)
+    for new, old in zip(back.stacks, t.stacks, strict=True):  # the same memory, seen the same way
+        assert [a.__array_interface__ for a in new] == [b.__array_interface__ for b in old]
 
 
 @st.composite
