@@ -160,49 +160,40 @@ def _path_images(t: DoubleFramedTriple):
 
 def _sweep(t: DoubleFramedTriple, plan, factor):
     """Both sweeps, group by group of `_level_plan`: the group's (n, d, width)
-    stack is its f_i alone, sliced from t's stacks, or gets its f_i, then
-    each term's products V_a P_x from one np.matmul in one scatter; `factor`
-    gives what each vertex keeps and passes on."""
+    stack gets its f_i, then each term's products V_a P_x from one np.matmul
+    in one scatter; `factor` gives what each vertex keeps and passes on, and
+    what the group passes is written into its consecutive slots of the store
+    of its passed shape, where later terms read their P_x."""
     arrows, f = t.stacks.arrows, t.stacks.f
-    passed, out = {}, {}
-    for vertices, d, width, framed, terms, alone in plan[1]:
-        if alone:
-            stack = f[alone[0]][alone[1]]
-        else:
-            stack = np.empty((len(vertices), d, width))
-            for r, g, row in framed:
-                stack[r, :, : f[g].shape[2]] = f[g][row]
-            for g, rows, sources, at in terms:
-                stack.put(at, arrows[g][rows] @ _stacked([passed[x] for x in sources]))
+    stores = {shape: np.empty((n, *shape)) for shape, n in plan[1].items()}
+    out = {}
+    for vertices, d, width, framed, terms, shape, slots in plan[2]:
+        stack = np.empty((len(vertices), d, width))
+        for r, g, rows in framed:
+            stack[r, :, : f[g].shape[2]] = f[g][rows]
+        for g, rows, source, taken, at in terms:
+            stack.put(at, arrows[g][rows] @ stores[source][taken])
         kept, passes = factor(stack)
         out.update(zip(vertices, kept))
-        passed.update(zip(vertices, passes))
+        stores[shape][slots] = passes
     return out
-
-
-def _stacked(ms):
-    """ms as one (n, r, c) stack in ms[0]'s memory order, since a transposed
-    view (`dual(t)`'s arrays) multiplies by a transposed BLAS call."""
-    if len(ms) == 1:
-        return ms[0][None]
-    if ms[0].strides[-1] == ms[0].itemsize:
-        return np.array(ms)
-    return np.array([m.T for m in ms]).swapaxes(1, 2)
 
 
 @memoised
 def _level_plan(lay, cut):
-    """(k, groups) of the sweeps over the hidden quiver of a `rep.Layout`,
-    built once per layout and cut.  Vertex i passes on k_i = min(d_i, u_i +
-    sum of k_x) columns over its arrows a : x -> i if cut, else u_i + sum of
-    k_x.  A group is a level's vertices of one stacked shape, the (row, f
-    group, f row) of those with u_i > 0, its terms and, if it has none, the
-    f group and rows of the f_i that are its stacked matrices.  A term is
-    products V_a P_x of one source shape (d_x, k_x > 0), one each if two or
-    fewer (gathering them costs more than it saves): the arrow group and rows
-    of the V_a, the sources, and flat indices in the group's stack."""
+    """(k, stores, groups) of the sweeps over the hidden quiver of a
+    `rep.Layout`, built once per layout and cut.  Vertex i passes on k_i =
+    min(d_i, u_i + sum of k_x) columns over its arrows a : x -> i if cut,
+    else u_i + sum of k_x, into its slot of the store of shape (d_i, k_i);
+    `stores` gives each shape's number of slots.  A group is a level's
+    vertices of one stacked shape (d, width), with consecutive slots in one
+    store: its vertices, d, width, the (stack rows, f group, f rows) of its
+    f_i per f group, its terms, and its store shape and slots.  A term is
+    the products V_a P_x of one source shape (d_x, k_x > 0): the arrow group
+    and rows of the V_a, the store shape and slots of the P_x, and flat
+    indices in the group's stack.  Rows and slots are `_index`es."""
     hq, frame, dim = lay.quiver.hidden_quiver(), lay.framing.u, dict(zip(lay.quiver.vertices, lay.dims))
-    width, groups = {}, []
+    width, slot, stores, groups = {}, {}, {}, []
     for level in hq.levels:
         shapes = {}
         for i in level:
@@ -210,29 +201,34 @@ def _level_plan(lay, cut):
             width[i] = min(dim[i], cols) if cut else cols
             shapes.setdefault((dim[i], cols), []).append(i)
         for (d, cols), vertices in shapes.items():
-            products, terms = {}, []
+            products, framed, terms = {}, {}, []
             for r, i in enumerate(vertices):
                 c = frame[i]
+                if c:
+                    g, row = lay.moves.f.at[i]
+                    framed.setdefault(g, []).append((r, row))
                 for a in (a for a in hq.arrows_into(i) if width[a.source]):
                     products.setdefault((dim[a.source], width[a.source]), []).append((a.id, a.source, r, c))
                     c += width[a.source]
-            for (_, k), entries in products.items():
-                for ids, sources, r, c in [zip(*entries)] if len(entries) > 2 else [zip(e) for e in entries]:
-                    r, c = np.array(r)[:, None, None], np.array(c)[:, None, None]
-                    at = r * d * cols + np.arange(d)[:, None] * cols + c + np.arange(k)
-                    terms.append((*_rows_of([lay.moves.arrows.at[a] for a in ids]), sources, at))
-            framed = tuple((r, *lay.moves.f.at[i]) for r, i in enumerate(vertices) if frame[i])
-            alone = None if terms else _rows_of([lay.moves.f.at[i] for i in vertices])
-            groups.append((tuple(vertices), d, cols, framed, tuple(terms), alone))
-    return width, groups
+            for source, entries in products.items():
+                ids, sources, r, c = zip(*entries)
+                r, c = np.array(r)[:, None, None], np.array(c)[:, None, None]
+                at = r * d * cols + np.arange(d)[:, None] * cols + c + np.arange(source[1])
+                places = [lay.moves.arrows.at[a] for a in ids]
+                terms.append((places[0][0], _index([row for _, row in places]), source, _index([slot[x] for x in sources]), at))
+            shape = (d, width[vertices[0]])
+            first = stores.get(shape, 0)
+            stores[shape] = first + len(vertices)
+            slot.update(zip(vertices, range(first, stores[shape])))
+            framed = tuple((_index(rs), g, _index(rows)) for g, e in framed.items() for rs, rows in [zip(*e)])
+            groups.append((tuple(vertices), d, cols, framed, tuple(terms), shape, slice(first, stores[shape])))
+    return width, stores, groups
 
 
-def _rows_of(places):
-    """The group of places (group, row), all in one stack, and their rows: a
-    slice where they run consecutively, else an index array."""
-    (g, first), rows = places[0], [row for _, row in places]
-    run = rows == list(range(first, first + len(rows)))
-    return g, slice(first, first + len(rows)) if run else np.array(rows, dtype=np.intp)
+def _index(rows):
+    """rows as one index: a slice where they run consecutively, else an index array."""
+    first, n = rows[0], len(rows)
+    return slice(first, first + n) if list(rows) == list(range(first, first + n)) else np.array(rows, dtype=np.intp)
 
 
 class _Slots(NamedTuple):

@@ -60,7 +60,7 @@ class Representation:
         return all(d == 1 for d in self.dims.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleFramedTriple:
     """Hidden representation plus framing maps f_i : U_i -> V_i and h_i : V_i -> W_i.
 
@@ -79,9 +79,9 @@ class DoubleFramedTriple:
     hidden_matrices: Mapping
     f: Mapping
     h: Mapping
-    stacks: "Sides" = field(init=False, repr=False, compare=False)
-    layout: "Layout" = field(init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    stacks: "Sides" = field(init=False, repr=False)
+    layout: "Layout" = field(init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         lay = layout(self.quiver, self.dims)
@@ -112,6 +112,14 @@ class DoubleFramedTriple:
         arrows, f, h = (_Views(side, moves.at) for side, moves in zip(stacks, layout.moves))
         fields = dict(quiver=quiver, dims=dims, hidden_matrices=arrows, f=f, h=h)
         vars(self).update(fields, stacks=stacks, layout=layout, _memo={})
+
+    def __eq__(self, other):
+        """Same quiver and dims, and equal matrices, stack by stack
+        (np.array_equal); the memo and which arrays hold them do not count."""
+        if not isinstance(other, DoubleFramedTriple):
+            return NotImplemented
+        same = self.quiver == other.quiver and self.dims == other.dims
+        return same and all(np.array_equal(a, b) for x, y in zip(self.stacks, other.stacks) for a, b in zip(x, y))
 
     @property
     def framing(self) -> FramingData:

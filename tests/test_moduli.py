@@ -560,6 +560,29 @@ def test_level_plan_is_built_once_per_quiver_and_dims():
 
 @settings(max_examples=100, deadline=None)
 @given(parallel_dag_triples())
+def test_sweep_plan_gives_each_vertex_one_slot_in_its_shapes_store(t):
+    """In both directions and for both cuts, every hidden vertex passes into
+    exactly one slot of the store of its passed shape (d_i, k_i), a group's
+    vertices into consecutive slots, and each store has one slot per vertex
+    that uses it."""
+    for side in (t, dual(t)):
+        for cut in (True, False):
+            k, stores, groups = moduli_module._level_plan(side.layout, cut)
+            slots = []
+            for vertices, d, _, _, _, shape, taken in groups:
+                assert isinstance(taken, slice) and taken.stop - taken.start == len(vertices)
+                assert all(shape == (d, k[i]) == (side.dims[i], k[i]) for i in vertices)
+                slots += [(i, shape, s) for i, s in zip(vertices, range(taken.start, taken.stop))]
+            assert sorted(i for i, _, _ in slots) == sorted(side.quiver.hidden)
+            used = {}
+            for _, shape, s in slots:
+                used.setdefault(shape, set()).add(s)
+            assert {shape: len(s) for shape, s in used.items()} == stores
+            assert all(s == set(range(stores[shape])) for shape, s in used.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(parallel_dag_triples())
 def test_dual_layout_groups_are_the_transposed_groups(t):
     """The shape groups of `dual(t).layout` are those of t's layout in the
     same order, each transposed, its keys and gauge rows the same and the

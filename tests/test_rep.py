@@ -466,6 +466,24 @@ def test_framing_follows_from_the_dims(t, seed):
         assert dual(s).framing == framing_data(s.quiver.opposite, s.dims)
 
 
+@settings(max_examples=100, deadline=None)
+@given(parallel_dag_triples(), st.data())
+def test_triples_compare_by_value(t, data):
+    """Triples compare by quiver, dims and matrix values, whatever arrays
+    hold them: both round trips give t back, and a copy with one matrix
+    entry changed compares unequal."""
+    assert split(join(t)) == t and dual(dual(t)) == t
+    mats = {"arrows": dict(t.hidden_matrices), "f": dict(t.f), "h": dict(t.h)}
+    filled = [(side, k) for side, m in mats.items() for k, a in m.items() if a.size]
+    assume(filled)
+    side, k = data.draw(st.sampled_from(filled))
+    changed = mats[side][k].copy()
+    changed.flat[data.draw(st.integers(0, changed.size - 1))] += 1.0
+    mats[side][k] = changed
+    other = DoubleFramedTriple(t.quiver, dict(t.dims), mats["arrows"], mats["f"], mats["h"])
+    assert other != t and t != other
+
+
 BAD_BLOCKS = ["missing", "wrong shape", "nan", "inf", "zero", "rank-deficient", "later size group"]
 
 
