@@ -168,7 +168,6 @@ def train(
     y = _labels(c, [y for _, y in data])
     w = c.weight_vector(net.weights.weights)
     history = []
-    current = net
     for epoch in range(epochs + 1):
         blocks = c.level_blocks(w)
         values, pre = c.forward(blocks, x)
@@ -180,12 +179,7 @@ def train(
         if epoch == epochs:
             break
         if on_epoch is not None:
-            if current is None:
-                current = _snapshot(net, w)
-            on_epoch(epoch, current, value)
+            on_epoch(epoch, _snapshot(net, w) if epoch else net, value)
         dw, _ = c.backward(blocks, values, pre, loss.grad(z, y))
         w = w - lr * (dw / len(data))
-        current = None
-    if current is None:
-        current = _snapshot(net, w)
-    return TrainResult(network=current, losses=history)
+    return TrainResult(network=_snapshot(net, w) if epochs else net, losses=history)

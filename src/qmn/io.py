@@ -99,6 +99,8 @@ def representation_from_json(obj, quiver: Quiver = None) -> Representation:
             mats[aid] = np.asarray(value, dtype=float)
         except (TypeError, ValueError) as exc:
             raise QmnError(f"malformed representation file: weight of arrow {aid!r}: {exc}") from exc
+        if any(isinstance(x, bool) for x in np.asarray(value, dtype=object).flat):
+            raise QmnError(f"malformed representation file: weight of arrow {aid!r} holds a boolean")
         if not np.all(np.isfinite(mats[aid])):
             raise QmnError(f"malformed representation file: weight of arrow {aid!r} is not finite")
     return Representation(quiver, dict(dims), mats)

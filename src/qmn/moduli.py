@@ -235,7 +235,7 @@ class _Slots(NamedTuple):
     """The slots of `_path_images` at one hidden vertex."""
 
     columns: dict  # each slot's path to the index of its columns, (slice(None), slice(lo, hi)), in column order
-    order: np.ndarray  # slot columns grouped by start column, each group in path order
+    order: np.ndarray  # slot columns grouped by start column, each group in slot order
     starts: np.ndarray  # where each group begins in `order`
     targets: np.ndarray  # the start column of each group in `assembled`
 
@@ -269,8 +269,8 @@ class _Blocks(Mapping):
 def _slot_layout(lay) -> dict:
     """`_Slots` of the framed-out vertices (w > 0) of the hidden quiver of a
     `rep.Layout`, built once per layout.  Its slot paths are those of
-    `all_hidden_paths` that start where u > 0, in table order; the paths of
-    one start column sum in arrow-id order."""
+    `all_hidden_paths` that start where u > 0, in table order, and the paths
+    of one start column sum in that order."""
     hq, width, w = lay.quiver.hidden_quiver(), lay.framing.u, lay.framing.w
     offset, c = {}, 0
     for i in hq.vertices:
@@ -280,14 +280,11 @@ def _slot_layout(lay) -> dict:
         if not w[i]:
             continue
         paths = [p for p in table[i] if width[p.start]]
-        n = len(paths)
         widths = np.array([width[p.start] for p in paths], dtype=int)
         bounds = np.concatenate(([0], np.cumsum(widths)))
         first = np.array([offset[p.start] for p in paths], dtype=int)
-        position = np.empty(n, dtype=int)  # of each slot's path in arrow-id order
-        position[sorted(range(n), key=lambda k: paths[k].arrows)] = np.arange(n)
         column = np.repeat(first - bounds[:-1], widths) + np.arange(bounds[-1])
-        order = np.lexsort((np.repeat(position, widths), column))
+        order = np.argsort(column, kind="stable")
         grouped = column[order]
         starts = np.flatnonzero(np.diff(grouped, prepend=-1))
         spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())

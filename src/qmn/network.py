@@ -105,9 +105,7 @@ class _Level:
     lo: int  # the level reads value rows lo:start
     start: int  # and writes rows start:stop
     stop: int
-    rows: np.ndarray  # its arrows scattered into the (stop - start, start - lo) weight block
-    cols: np.ndarray
-    arrows: np.ndarray  # positions of those arrows in the weight vector
+    block: slice  # its (stop - start, start - lo) weight block in the flat weight buffer
     groups: tuple  # (activation, first row, end row) per run of one non-identity activation
 
 
@@ -119,16 +117,17 @@ class CompiledNetwork:
     vertices, then each later level with its vertices grouped by activation.
     Values of a batch are (vertices, batch) arrays in that order; `row` maps a
     vertex to its row and `outputs` holds the sink rows in declaration order.
+    The level weight blocks lie back to back in one buffer of `size` floats,
+    and `at` holds each arrow's entry in it.
     """
 
     def __init__(self, net: NeuralNetwork):
         q = net.quiver
-        level = {v: depth for depth, vertices in enumerate(q.levels) for v in vertices}
         tag = {v: "identity" if v in q.source_set or v in q.sink_set else net.activations[v] for v in q.vertices}
+        later = [sorted(vertices, key=tag.get) for vertices in q.levels[1:]]
         inputs = net.input_vertices
         bias = tuple(v for v in q.sources if v in net.bias)
-        later = sorted((v for v in q.topological if level[v] > 0), key=lambda v: (level[v], tag[v]))
-        self.vertices = inputs + bias + tuple(later)
+        self.vertices = inputs + bias + tuple(v for members in later for v in members)
         self.row = {v: r for r, v in enumerate(self.vertices)}
         self.n_inputs = len(inputs)
         self.n_sources = len(inputs) + len(bias)
@@ -136,40 +135,33 @@ class CompiledNetwork:
         self.arrow_sources = np.array([self.row[a.source] for a in q.arrows], dtype=np.intp)
         self.outputs = np.array([self.row[v] for v in q.sinks], dtype=np.intp)
 
-        by_level = {}
-        for k, a in enumerate(q.arrows):
-            by_level.setdefault(level[a.target], []).append(k)
-        levels, start = [], self.n_sources
-        for depth, members in groupby(later, key=level.get):
-            members = list(members)
+        # the arrow from row s into row r has entry base[r] + s in the buffer
+        levels, base, start, size = [], np.zeros(len(self.vertices), dtype=np.intp), self.n_sources, 0
+        for members in later:
             stop = start + len(members)
-            ks = by_level[depth]
-            src = np.array([self.row[q.arrows[k].source] for k in ks], dtype=np.intp)
-            tgt = np.array([self.row[q.arrows[k].target] for k in ks], dtype=np.intp)
-            lo = int(src.min())
-            groups, r = [], start
-            for name, run in groupby(members, key=tag.get):
-                n = len(list(run))
+            lo = min(self.row[a.source] for v in members for a in q.arrows_into(v))
+            groups = []
+            for name, run in groupby(range(start, stop), key=lambda r: tag[self.vertices[r]]):
+                rows = list(run)
                 if name != "identity":
-                    groups.append((ACTIVATIONS[name], r, r + n))
-                r += n
-            arrows = np.array(ks, dtype=np.intp)
-            levels.append(_Level(lo, start, stop, tgt - start, src - lo, arrows, tuple(groups)))
-            start = stop
-        self.levels = tuple(levels)
+                    groups.append((ACTIVATIONS[name], rows[0], rows[-1] + 1))
+            base[start:stop] = size - lo + (start - lo) * np.arange(stop - start)
+            end = size + (stop - start) * (start - lo)
+            levels.append(_Level(lo, start, stop, slice(size, end), tuple(groups)))
+            start, size = stop, end
+        self.levels, self.size = tuple(levels), size
+        self.at = base[[self.row[a.target] for a in q.arrows]] + self.arrow_sources
 
     def weight_vector(self, weights: dict) -> np.ndarray:
         """Arrow weights in declaration order."""
         return np.fromiter((weights[a] for a in self.arrows), float, len(self.arrows))
 
     def level_blocks(self, w) -> list:
-        """One dense weight block per level from a weight vector."""
-        blocks = []
-        for lv in self.levels:
-            m = np.zeros((lv.stop - lv.start, lv.start - lv.lo))
-            m[lv.rows, lv.cols] = w[lv.arrows]
-            blocks.append(m)
-        return blocks
+        """One dense weight block per level from a weight vector: views of one
+        fresh buffer."""
+        buffer = np.zeros(self.size)
+        buffer[self.at] = w
+        return [buffer[lv.block].reshape(lv.stop - lv.start, lv.start - lv.lo) for lv in self.levels]
 
     def forward(self, blocks, x) -> tuple:
         """Evaluate the (inputs, batch) array x.  Returns (values, pre), both
@@ -191,14 +183,14 @@ class CompiledNetwork:
         (vertices, batch) adjoints of the vertex values."""
         adj = np.zeros_like(values)
         adj[self.outputs] = d_out
-        dw = np.empty(len(self.arrows))
+        grad = np.empty(self.size)
         for lv, m in zip(reversed(self.levels), reversed(blocks)):
             dz = adj[lv.start : lv.stop].copy()
             for act, a, b in lv.groups:
                 dz[a - lv.start : b - lv.start] *= act.dfn(pre[a:b])
             adj[lv.lo : lv.start] += m.T @ dz
-            dw[lv.arrows] = (dz @ values[lv.lo : lv.start].T)[lv.rows, lv.cols]
-        return dw, adj
+            np.matmul(dz, values[lv.lo : lv.start].T, out=grad[lv.block].reshape(m.shape))
+        return grad[self.at], adj
 
 
 def columns(vectors, n, what="inputs") -> np.ndarray:

@@ -377,6 +377,34 @@ def test_boolean_dimension_is_invalid_input(capsys, tmp_path, argv):
     assert "dimension of vertex 'v' is True, not an integer" in run_invalid(capsys, *argv, path)
 
 
+REP_DIMS = {"s": 1, "v": 1, "t": 1}
+NET_DOC = io.network_to_json(single_vertex_net(2.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "argv, doc, arrow",
+    [
+        (
+            ["moduli", "coords", "--rep"],
+            {"quiver": README_QUIVER, "dims": REP_DIMS, "weights": {"f": True, "h": 3.0}},
+            "f",
+        ),
+        (
+            ["moduli", "coords", "--rep"],
+            {"quiver": README_QUIVER, "dims": {**REP_DIMS, "s": 2}, "weights": {"f": [[1.0, False]], "h": 3.0}},
+            "f",
+        ),
+        (["net", "eval", "--input", "1", "--net"], {**NET_DOC, "weights": {"f": 2.0, "h": [[False]]}}, "h"),
+    ],
+    ids=["rep-scalar", "rep-nested", "net-nested"],
+)
+def test_boolean_weight_is_invalid_input(capsys, tmp_path, argv, doc, arrow):
+    """JSON `true` and `false` are no weights, at any depth of a weight,
+    though numpy reads them as 1.0 and 0.0."""
+    path = write_json(tmp_path, "doc.json", doc)
+    assert f"weight of arrow {arrow!r} holds a boolean" in run_invalid(capsys, *argv, path)
+
+
 FUZZ_DOCS = [
     README_QUIVER,
     {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": [[2.0]], "h": 3.0}},

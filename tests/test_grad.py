@@ -418,6 +418,59 @@ def test_compiled_engine_matches_scalar_oracles(net, batch, seed):
             assert close(g[aid], g_fd[aid], tol=1e-5)
 
 
+@st.composite
+def deep_networks(draw):
+    """30 to 40 hidden levels of width 1 to 3, vertices declared in shuffled
+    order: each vertex is fed by every vertex of the level before, and a
+    hidden vertex by some skip arrows from further back (sources and the
+    bias vertex included)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(30, 40))
+    layers = [[f"x{k}" for k in range(rng.integers(1, 3))] + ["b"]]
+    layers += [[f"h{d}_{k}" for k in range(rng.integers(1, 4))] for d in range(depth)]
+    layers.append([f"y{k}" for k in range(rng.integers(1, 3))])
+    arrows = []
+    for d in range(1, len(layers)):
+        for v in layers[d]:
+            feed = list(layers[d - 1])
+            if d < len(layers) - 1:
+                earlier = [u for layer in layers[: d - 1] for u in layer]
+                feed += [u for u in earlier if rng.random() < 2 / len(earlier)]
+            arrows += [(f"{u}-{v}", u, v, rng.uniform(-1.5, 1.5) / np.sqrt(len(feed))) for u in feed]
+    q = Quiver(rng.permutation([v for layer in layers for v in layer]).tolist(), [a[:3] for a in arrows], network=True)
+    acts = {v: draw(st.sampled_from(sorted(ACTIVATIONS))) for v in q.hidden}
+    return NeuralNetwork(ThinRep(q, {a[0]: float(a[3]) for a in arrows}), acts, {"b"}), depth
+
+
+@settings(max_examples=25, deadline=None)
+@given(deep_networks(), st.integers(0, 2**32 - 1))
+def test_compiled_engine_on_deep_narrow_networks(deep, seed):
+    """The level blocks are views of one buffer that holds exactly their
+    entries, and the engine's sweeps match the scalar oracles through every
+    level."""
+    (net, depth), rng = deep, np.random.default_rng(seed)
+    c = net.compiled
+    blocks = net.weight_blocks()
+    assert len(c.levels) == depth + 1
+    assert c.size == sum((lv.stop - lv.start) * (lv.start - lv.lo) for lv in c.levels) == sum(m.size for m in blocks)
+    assert all(m.base is blocks[0].base and m.base.size == c.size for m in blocks)
+    xs = [rng.standard_normal(c.n_inputs) for _ in range(3)]
+    ys = [rng.standard_normal(len(c.outputs)) for _ in range(3)]
+    values, pre = c.forward(blocks, columns(xs, c.n_inputs))
+    z = values[c.outputs]
+    dw, adj = c.backward(blocks, values, pre, get_loss("mse").grad(z, columns(ys, len(c.outputs))))
+    total = dict.fromkeys(c.arrows, 0.0)
+    for b, (x, y) in enumerate(zip(xs, ys)):
+        _, trace = forward_reference(net, x)
+        assert all(close(values[c.row[v], b], val) for v, val in trace.values.items())
+        assert all(close(pre[c.row[v], b], p) for v, p in trace.pre.items())
+        ref = backprop_reference(net, x, y)
+        assert all(close(adj[c.row[v], b], a) for v, a in ref.vertex_adjoints.items())
+        for aid, g in ref.weights.items():
+            total[aid] += g
+    assert all(close(dw[k], total[aid]) for k, aid in enumerate(c.arrows))
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_train_matches_reference_loop(activation):
     """200 d4tilde epochs of `train` against per-sample gradient descent on the
