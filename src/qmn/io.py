@@ -99,8 +99,10 @@ def representation_from_json(obj, quiver: Quiver = None) -> Representation:
             mats[aid] = np.asarray(value, dtype=float)
         except (TypeError, ValueError) as exc:
             raise QmnError(f"malformed representation file: weight of arrow {aid!r}: {exc}") from exc
-        if any(isinstance(x, bool) for x in np.asarray(value, dtype=object).flat):
-            raise QmnError(f"malformed representation file: weight of arrow {aid!r} holds a boolean")
+        for x in np.asarray(value, dtype=object).flat:  # JSON numbers only: numpy also reads strings and booleans
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                kind = "a boolean" if isinstance(x, bool) else f"{x!r}, not a number"
+                raise QmnError(f"malformed representation file: weight of arrow {aid!r} holds {kind}")
         if not np.all(np.isfinite(mats[aid])):
             raise QmnError(f"malformed representation file: weight of arrow {aid!r} is not finite")
     return Representation(quiver, dict(dims), mats)

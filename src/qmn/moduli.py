@@ -15,14 +15,13 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError, ShapeMismatch
 from .quiver import Quiver, all_hidden_paths, check_path_cap, framing_data, weakly_connected
-from .rep import DoubleFramedTriple, Sides, deframe, dual, gauge_dim, memoised, rep_space_dim
+from .rep import DoubleFramedTriple, Sides, block_plan, deframe, dual, gauge_dim, memoised, rep_space_dim
 
 
 @dataclass(frozen=True)
@@ -31,18 +30,14 @@ class ModuliPoint:
     quiver, dims and framing; spans, ranks and the closed orbit are read from
     its sweeps, which are memoised on it, and enumerate no path.
 
-    The coordinates h_j V_w f_i of the hidden paths w ending at a framed-out
-    vertex j are the column slots of one row matrix h_j C_j (C_j the stacked
-    path images at j), computed on first read and kept on the point.
-    `assembled` sums those rows; blocks[w] (shape (w_end, u_start)) is a view
-    of w's slot, and assigning to it writes into the row, so `assembled`
-    follows the edit.  `rank_vector`, `vertex_block`, the closed orbit and the
-    resolution helpers do not: they read the uncut path sweeps of the triple
-    and of its dual, whose slots come in one order: the lazy path first, then
-    one slot per arrow in `arrows_into` order, recursively.  The slot paths
-    and columns of that order are `_slot_layout`'s, built once per layout
-    from the one path table of `all_hidden_paths`; no other reader here
-    enumerates a path.
+    `assembled` is the sum of the coordinates h_j V_w f_i over the hidden
+    paths w : i ~> j, from one level sweep that reads no path.  blocks[w]
+    (shape (w_end, u_start)) is a read-only view of w's column slot in the
+    row h_j C_j (C_j the stacked path images at j, in `_slot_layout`'s order,
+    the one reader here of the path table), and assigning to it moves
+    `assembled` by the edit; `rank_vector`, `vertex_block`, the closed orbit
+    and the resolution helpers read the triple's sweeps, so they do not
+    follow.
     """
 
     triple: DoubleFramedTriple
@@ -63,32 +58,34 @@ class ModuliPoint:
     def _rows(self) -> dict:
         """h_j C_j at each framed-out vertex j, a fresh array sharing no
         storage with the triple's sweeps."""
-        images, h = _path_images(self.triple), self.triple.h
-        return {j: h[j] @ images[j] for j in _slot_layout(self.triple.layout)}
+        t, images = self.triple, _path_images(self.triple)
+        return {j: t.h[j] @ images[j] for j in t.quiver.hidden if t.framing.w[j]}
 
     @cached_property
     def blocks(self) -> Mapping:
-        """Each slot path, in column order, to a write-through view of its
-        columns in `_rows`."""
-        rows, layout = self._rows, _slot_layout(self.triple.layout)
-        return _Blocks({p: (rows[j], cols) for j, slots in layout.items() for p, cols in slots.columns.items()})
+        """Each slot path, in column order, to a read-only view of its columns
+        in `_rows`; assigning a block writes through."""
+        return _Blocks(self._rows, _slot_layout(self.triple.layout), self._edits)
+
+    @cached_property
+    def _assembled(self) -> np.ndarray:
+        """The sink rows of the `_assembly_plan` sweep from the identity on
+        its source rows."""
+        plan = _assembly_plan(self.triple.layout)
+        return plan.linear([stack for side in self.triple.stacks for stack in side])[plan.levels[-1].start :]
+
+    @cached_property
+    def _edits(self) -> np.ndarray:
+        """What assignments to `blocks` added to `assembled`, cell by cell."""
+        return np.zeros((sum(self.framing.w.values()), sum(self.framing.u.values())))
 
     # --- views ----------------------------------------------------------
 
     def assembled(self):
-        """Single operator from stacked framing-in spaces to stacked framing-out
-        spaces; each (start, end) pair is written once, with the sum of the
-        blocks of its parallel paths, and pairs without a path stay zero.  The
-        row at j is summed into its start columns by one np.add.reduceat."""
-        u, w = self.framing.u, self.framing.w
-        layout, rows = _slot_layout(self.triple.layout), self._rows
-        m = np.zeros((sum(w.values()), sum(u.values())))
-        r = 0
-        for j, slots in layout.items():
-            if slots.columns:
-                m[r : r + w[j], slots.targets] = np.add.reduceat(rows[j][:, slots.order], slots.starts, axis=1)
-            r += w[j]
-        return m
+        """A fresh operator from stacked framing-in spaces to stacked
+        framing-out spaces: the sum of the blocks over all paths, with the
+        edits of `blocks`."""
+        return self._assembled + self._edits
 
     def vertex_block(self, i):
         """q^(i) = H_i C_i: all coordinates of paths through i, columns by the
@@ -231,66 +228,71 @@ def _index(rows):
     return slice(first, first + n) if list(rows) == list(range(first, first + n)) else np.array(rows, dtype=np.intp)
 
 
-class _Slots(NamedTuple):
-    """The slots of `_path_images` at one hidden vertex."""
-
-    columns: dict  # each slot's path to the index of its columns, (slice(None), slice(lo, hi)), in column order
-    order: np.ndarray  # slot columns grouped by start column, each group in slot order
-    starts: np.ndarray  # where each group begins in `order`
-    targets: np.ndarray  # the start column of each group in `assembled`
-
-
 class _Blocks(Mapping):
     """The coordinate blocks of a point: each slot path, in column order, to a
-    view of its columns in its row.  Assigning an array of a block's shape
-    writes it into the row; nothing else changes a block."""
+    read-only view of its columns in its row.  Assigning an array of a
+    block's shape adds the change into the path's cell of the point's
+    `_edits`, then writes it into the row; nothing else changes a block,
+    and an in-place edit of a view (`+=`, an entry) raises."""
 
-    def __init__(self, slots):
-        self._slots = slots  # path -> (row, columns)
+    def __init__(self, rows, layout, edits):
+        self._rows, self._layout, self._edits = rows, layout, edits
+        self._views = {j: row.view() for j, row in rows.items()}
+        for view in self._views.values():
+            view.flags.writeable = False  # and so is every block sliced from it
 
     def __getitem__(self, p):
-        row, cols = self._slots[p]
-        return row[cols]
+        j, cols, _ = self._layout[p]
+        return self._views[j][cols]
 
     def __setitem__(self, p, value):
-        block, value = self[p], np.asarray(value)
-        if value.shape != block.shape:
-            raise ShapeMismatch(f"block {p} has shape {block.shape}, got {value.shape}")
-        block[...] = value
+        (j, cols, cell), value = self._layout[p], np.asarray(value)
+        if value.shape != self[p].shape:
+            raise ShapeMismatch(f"block {p} has shape {self[p].shape}, got {value.shape}")
+        self._edits[cell] += value - self._rows[j][cols]
+        self._rows[j][cols] = value
 
     def __iter__(self):
-        return iter(self._slots)
+        return iter(self._layout)
 
     def __len__(self):
-        return len(self._slots)
+        return len(self._layout)
 
 
 @memoised
 def _slot_layout(lay) -> dict:
-    """`_Slots` of the framed-out vertices (w > 0) of the hidden quiver of a
-    `rep.Layout`, built once per layout.  Its slot paths are those of
-    `all_hidden_paths` that start where u > 0, in table order, and the paths
-    of one start column sum in that order."""
-    hq, width, w = lay.quiver.hidden_quiver(), lay.framing.u, lay.framing.w
-    offset, c = {}, 0
-    for i in hq.vertices:
-        offset[i], c = c, c + width[i]
-    every, table, layout = slice(None), all_hidden_paths(hq), {}
-    for i in hq.vertices:
-        if not w[i]:
-            continue
-        paths = [p for p in table[i] if width[p.start]]
-        widths = np.array([width[p.start] for p in paths], dtype=int)
-        bounds = np.concatenate(([0], np.cumsum(widths)))
-        first = np.array([offset[p.start] for p in paths], dtype=int)
-        column = np.repeat(first - bounds[:-1], widths) + np.arange(bounds[-1])
-        order = np.argsort(column, kind="stable")
-        grouped = column[order]
-        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-        spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        columns = {p: (every, slice(lo, hi)) for p, (lo, hi) in zip(paths, spans)}
-        layout[i] = _Slots(columns, order, starts, grouped[starts])
+    """Each slot path of a `rep.Layout`'s hidden quiver, in column order, to
+    its end j, its columns in the row h_j C_j and its cell in `assembled`
+    (the `_assembly_plan` rows of ("h", j) and ("f", start)), built once per
+    layout.  The slot paths into a framed-out j (w > 0) are the
+    `all_hidden_paths` into j that start where u > 0, in table order."""
+    hq, u, w = lay.quiver.hidden_quiver(), lay.framing.u, lay.framing.w
+    plan, table, layout = _assembly_plan(lay), all_hidden_paths(hq), {}
+    for j in (j for j in hq.vertices if w[j]):
+        r, c = plan.row["h", j] - plan.levels[-1].start, 0
+        for p in (p for p in table[j] if u[p.start]):
+            s = plan.row["f", p.start]
+            layout[p] = j, (slice(None), slice(c, c + u[p.start])), (slice(r, r + w[j]), slice(s, s + u[p.start]))
+            c += u[p.start]
     return layout
+
+
+@memoised
+def _assembly_plan(lay):
+    """The `rep.block_plan` of `assembled` on a `rep.Layout`'s hidden quiver
+    plus a source ("f", i) of dim u_i and a sink ("h", i) of dim w_i at each
+    hidden vertex i, built once per layout.  Its arrows (hidden, then f_i,
+    then h_i) run in the layout's shape-group order, as the stacks do."""
+    hq, fr = lay.quiver.hidden_quiver(), lay.framing
+    dims = dict(zip(lay.quiver.vertices, lay.dims))
+    for i in hq.vertices:
+        dims["f", i], dims["h", i] = fr.u[i], fr.w[i]
+    ends = {a.id: (a.source, a.target) for a in hq.arrows}
+    arrows = [ends[k] for keys, *_ in lay.moves.arrows.groups for k in keys]
+    arrows += [(("f", i), i) for keys, *_ in lay.moves.f.groups for i in keys]
+    arrows += [(i, ("h", i)) for keys, *_ in lay.moves.h.groups for i in keys]
+    ins, outs = tuple(("f", i) for i in hq.vertices), tuple(("h", i) for i in hq.vertices)
+    return block_plan((ins, *hq.levels, outs), dims, arrows)
 
 
 def is_semistable(t: DoubleFramedTriple) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ShapeMismatch, SingularPreActivation, UnframableArrow
 from .moduli import ModuliPoint
 from .quiver import Quiver
-from .rep import DoubleFramedTriple, Representation, join, layout
+from .rep import DoubleFramedTriple, Representation, block_plan, join, layout, memoised
 from .thincat import ThinRep
 
 PREACT_TOL = 1e-12
@@ -100,25 +100,17 @@ class NeuralNetwork:
         return self.compiled.level_blocks(self.compiled.weight_vector(self.weights.weights))
 
 
-@dataclass(frozen=True)
-class _Level:
-    lo: int  # the level reads value rows lo:start
-    start: int  # and writes rows start:stop
-    stop: int
-    block: slice  # its (stop - start, start - lo) weight block in the flat weight buffer
-    groups: tuple  # (activation, first row, end row) per run of one non-identity activation
-
-
 class CompiledNetwork:
     """Index arrays of a network's structure: its quiver, activations and bias
     set, never its weights.
 
     Vertices are ordered by longest-path level: the inputs, then the bias
     vertices, then each later level with its vertices grouped by activation.
-    Values of a batch are (vertices, batch) arrays in that order; `row` maps a
-    vertex to its row and `outputs` holds the sink rows in declaration order.
-    The level weight blocks lie back to back in one buffer of `size` floats,
-    and `at` holds each arrow's entry in it.
+    Values of a batch are (vertices, batch) arrays in that order, and
+    `outputs` are the sink rows in declaration order.  `plan` is the
+    `rep.block_plan` of the levels, whose sweep `forward` runs; `groups`
+    holds per level the (activation, first row, end row) of each
+    non-identity run.
     """
 
     def __init__(self, net: NeuralNetwork):
@@ -127,30 +119,19 @@ class CompiledNetwork:
         later = [sorted(vertices, key=tag.get) for vertices in q.levels[1:]]
         inputs = net.input_vertices
         bias = tuple(v for v in q.sources if v in net.bias)
-        self.vertices = inputs + bias + tuple(v for members in later for v in members)
-        self.row = {v: r for r, v in enumerate(self.vertices)}
+        arrows = [(a.source, a.target) for a in q.arrows]
+        self.plan = block_plan((inputs + bias, *later), dict.fromkeys(q.vertices, 1), arrows)
+        row = self.plan.row
+        self.vertices = tuple(row)
         self.n_inputs = len(inputs)
         self.n_sources = len(inputs) + len(bias)
         self.arrows = tuple(a.id for a in q.arrows)
-        self.arrow_sources = np.array([self.row[a.source] for a in q.arrows], dtype=np.intp)
-        self.outputs = np.array([self.row[v] for v in q.sinks], dtype=np.intp)
-
-        # the arrow from row s into row r has entry base[r] + s in the buffer
-        levels, base, start, size = [], np.zeros(len(self.vertices), dtype=np.intp), self.n_sources, 0
+        self.arrow_sources = np.array([row[a.source] for a in q.arrows], dtype=np.intp)
+        self.outputs = np.array([row[v] for v in q.sinks], dtype=np.intp)
+        self.groups = []
         for members in later:
-            stop = start + len(members)
-            lo = min(self.row[a.source] for v in members for a in q.arrows_into(v))
-            groups = []
-            for name, run in groupby(range(start, stop), key=lambda r: tag[self.vertices[r]]):
-                rows = list(run)
-                if name != "identity":
-                    groups.append((ACTIVATIONS[name], rows[0], rows[-1] + 1))
-            base[start:stop] = size - lo + (start - lo) * np.arange(stop - start)
-            end = size + (stop - start) * (start - lo)
-            levels.append(_Level(lo, start, stop, slice(size, end), tuple(groups)))
-            start, size = stop, end
-        self.levels, self.size = tuple(levels), size
-        self.at = base[[self.row[a.target] for a in q.arrows]] + self.arrow_sources
+            runs = [(k, [row[v] for v in run]) for k, run in groupby(members, key=tag.get)]
+            self.groups.append([(ACTIVATIONS[k], rows[0], rows[-1] + 1) for k, rows in runs if k != "identity"])
 
     def weight_vector(self, weights: dict) -> np.ndarray:
         """Arrow weights in declaration order."""
@@ -159,9 +140,7 @@ class CompiledNetwork:
     def level_blocks(self, w) -> list:
         """One dense weight block per level from a weight vector: views of one
         fresh buffer."""
-        buffer = np.zeros(self.size)
-        buffer[self.at] = w
-        return [buffer[lv.block].reshape(lv.stop - lv.start, lv.start - lv.lo) for lv in self.levels]
+        return self.plan.blocks([w])
 
     def forward(self, blocks, x) -> tuple:
         """Evaluate the (inputs, batch) array x.  Returns (values, pre), both
@@ -170,10 +149,9 @@ class CompiledNetwork:
         pre = np.zeros_like(values)
         values[: self.n_inputs] = x
         values[self.n_inputs : self.n_sources] = 1.0
-        for lv, m in zip(self.levels, blocks):
-            np.matmul(m, values[lv.lo : lv.start], out=pre[lv.start : lv.stop])
-            values[lv.start : lv.stop] = pre[lv.start : lv.stop]
-            for act, a, b in lv.groups:
+        for lv, groups in zip(self.plan.sweep(blocks, values), self.groups):
+            pre[lv.start : lv.stop] = values[lv.start : lv.stop]
+            for act, a, b in groups:
                 values[a:b] = act.fn(pre[a:b])
         return values, pre
 
@@ -183,14 +161,14 @@ class CompiledNetwork:
         (vertices, batch) adjoints of the vertex values."""
         adj = np.zeros_like(values)
         adj[self.outputs] = d_out
-        grad = np.empty(self.size)
-        for lv, m in zip(reversed(self.levels), reversed(blocks)):
+        grad = np.empty(self.plan.size)
+        for lv, m, groups in zip(reversed(self.plan.levels), reversed(blocks), reversed(self.groups)):
             dz = adj[lv.start : lv.stop].copy()
-            for act, a, b in lv.groups:
+            for act, a, b in groups:
                 dz[a - lv.start : b - lv.start] *= act.dfn(pre[a:b])
             adj[lv.lo : lv.start] += m.T @ dz
             np.matmul(dz, values[lv.lo : lv.start].T, out=grad[lv.block].reshape(m.shape))
-        return grad[self.at], adj
+        return grad[self.plan.at], adj
 
 
 def columns(vectors, n, what="inputs") -> np.ndarray:
@@ -225,22 +203,22 @@ def forward(net: NeuralNetwork, x) -> tuple:
 
 
 def linear_map(rep: Representation) -> np.ndarray:
-    """The activation-free input-to-output map of a representation, from the
-    stacked source spaces (in `q.sources` order) to the stacked sink spaces,
-    in one sweep over `q.topological`: a source holds its identity slot and
-    every other vertex v the sum of M_a T_x over its arrows a : x -> v.  Works
-    for any dimension vector, parallel and source->sink arrows; reads no path."""
-    q, dims = rep.quiver, rep.dims
-    slot, n = {}, 0
-    for s in q.sources:
-        slot[s], n = n, n + dims[s]
-    t = {}
-    for v in q.topological:
-        if v in q.source_set:
-            t[v] = np.eye(dims[v], n, slot[v])
-        else:
-            t[v] = sum((rep.matrices[a.id] @ t[a.source] for a in q.arrows_into(v)), np.zeros((dims[v], n)))
-    return np.vstack([t[v] for v in q.sinks]) if q.sinks else np.zeros((0, n))
+    """The activation-free map from the stacked source spaces (`q.sources`
+    order) to the stacked sink spaces: the sink rows of one `rep.block_plan`
+    sweep over `q.levels` from the identity on the source rows.  Works for
+    any dimension vector, parallel and source->sink arrows; reads no path."""
+    q = rep.quiver
+    plan, sinks = _linear_plan(q, tuple(rep.dims[v] for v in q.vertices))
+    return plan.linear([rep.matrices[a.id] for a in q.arrows])[sinks]
+
+
+@memoised
+def _linear_plan(q: Quiver, dims):
+    """`linear_map`'s plan on q under dims, a tuple in q.vertices order, and
+    its sink rows; built once per quiver and dims."""
+    dim = dict(zip(q.vertices, dims))
+    plan = block_plan((q.sources, *q.levels[1:]), dim, [(a.source, a.target) for a in q.arrows])
+    return plan, np.array([r for v in q.sinks for r in range(plan.row[v], plan.row[v] + dim[v])], dtype=np.intp)
 
 
 def in_matrix(q: Quiver, dims: dict, framing) -> np.ndarray:

@@ -273,8 +273,8 @@ class Layout:
     stacked by, and how `act` moves them (the hidden vertices of each block
     size, and per shape group the rows of its gauge blocks in their size's
     stack).  `_memo` keeps what `rep.memoised` readers derive from the layout
-    alone for the quiver's life: the two level plans of `qmn.moduli`'s sweeps
-    and the slot layout, with every slot path, of `blocks` and `assembled`."""
+    alone for the quiver's life: the level plans of `qmn.moduli`'s sweeps and
+    of `assembled`, and the slot layout, with every slot path, of `blocks`."""
 
     quiver: Quiver
     dims: tuple
@@ -348,6 +348,74 @@ def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
 
     stacks = Sides(*(tuple(map(moved, side, moves.groups)) for side, moves in zip(t.stacks, plan.moves)))
     return DoubleFramedTriple._built(q, dims, stacks, plan)
+
+
+class Level(NamedTuple):
+    lo: int  # the level reads rows lo:start
+    start: int  # and writes rows start:stop
+    stop: int
+    block: slice  # its (stop - start, start - lo) block in the flat buffer
+
+
+class BlockPlan(NamedTuple):
+    """`block_plan`: each vertex's first row, in row order, a `Level` per
+    level after the first, each matrix entry's place in one flat buffer of
+    `size` floats that holds the level blocks back to back, and the number
+    of rows."""
+
+    row: dict
+    levels: tuple
+    at: np.ndarray
+    size: int
+    n_rows: int
+
+    def blocks(self, arrays) -> list:
+        """The level blocks of the arrows' matrices, raveled from `arrays` in
+        `at` order: views of one fresh buffer, where parallel arrows add up."""
+        buffer = np.bincount(self.at, np.concatenate([np.zeros(0), *map(np.ravel, arrays)]), self.size)
+        return [buffer[lv.block].reshape(lv.stop - lv.start, lv.start - lv.lo) for lv in self.levels]
+
+    def sweep(self, blocks, values):
+        """Write each later level's rows of `values` as its block times the
+        rows it reads, yielding the level once they are written."""
+        for lv, m in zip(self.levels, blocks):
+            np.matmul(m, values[lv.lo : lv.start], out=values[lv.start : lv.stop])
+            yield lv
+
+    def linear(self, arrays) -> np.ndarray:
+        """All rows of the sweep of the arrows' matrices from the identity on
+        the first level's rows."""
+        values = np.eye(self.n_rows, self.levels[0].start if self.levels else self.n_rows)
+        for _ in self.sweep(self.blocks(arrays), values):
+            pass
+        return values
+
+
+def block_plan(levels, dims, arrows) -> BlockPlan:
+    """The level blocks of a linear sweep over `levels`, tuples of vertices
+    whose in-arrows come from earlier levels: v holds dims[v] rows, and a
+    level reads the rows from the lowest source of its nonempty arrows on.
+    `at` places the entries of the (source, target) `arrows`, row by row."""
+    row, bounds = {}, [0]  # level k holds rows bounds[k]:bounds[k + 1]
+    for vertices in levels:
+        stop = bounds[-1]
+        for v in vertices:
+            row[v], stop = stop, stop + dims[v]
+        bounds.append(stop)
+    ends = np.array([(row[x], row[v], dims[x], dims[v]) for x, v in arrows], dtype=np.intp)
+    source, target, width, height = ends.reshape(-1, 4).T
+    count, lows = width * height, np.array(bounds[:-1])
+    np.minimum.at(lows, np.searchsorted(bounds, target[count > 0], "right") - 1, source[count > 0])
+    base, plan, size = [], [], 0  # entry (r, c) of x -> v is at base[row[v] + r] + row[x] + c
+    for k, (lo, start, stop) in enumerate(zip(lows.tolist(), bounds, bounds[1:])):
+        base.append(size - lo + (start - lo) * np.arange(stop - start))
+        if k:
+            plan.append(Level(lo, start, stop, slice(size, size + (stop - start) * (start - lo))))
+            size = plan[-1].block.stop
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # entry k of its arrow's matrix
+    width = np.repeat(width, count)
+    at = np.concatenate(base)[np.repeat(target, count) + k // width] + np.repeat(source, count) + k % width
+    return BlockPlan(row, tuple(plan), at, size, bounds[-1])
 
 
 @dataclass(frozen=True)

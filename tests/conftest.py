@@ -11,7 +11,7 @@ from qmn.errors import NoConvergence, ShapeMismatch, SingularGauge
 from qmn.examples import random_dag_quiver
 from qmn.grad import GradientRep, get_loss
 from qmn.linalg import RANK_TOL, SUBSPACE_TOL, num_rank
-from qmn.moduli import ModuliPoint, project
+from qmn.moduli import ModuliPoint
 from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork, in_matrix, out_matrix
 from qmn.quiver import Arrow, Path, Quiver
 from qmn.relu import BalanceResult
@@ -144,13 +144,28 @@ def path_matrix(t: DoubleFramedTriple, p) -> np.ndarray:
     return m
 
 
+def path_assembled(t):
+    """`ModuliPoint.assembled` summed from `brute_force_paths`: h_j V_w f_i
+    over every path w : i ~> j, V_w multiplied out by `path_matrix`; the
+    independent oracle for its level sweep."""
+    hq = t.quiver.hidden_quiver()
+    rows = np.cumsum([0] + [t.framing.w[j] for j in hq.vertices])
+    cols = np.cumsum([0] + [t.framing.u[i] for i in hq.vertices])
+    out = np.zeros((rows[-1], cols[-1]))
+    for a, j in enumerate(hq.vertices):
+        for b, i in enumerate(hq.vertices):
+            for ws in brute_force_paths(hq, i, j):
+                out[rows[a] : rows[a + 1], cols[b] : cols[b + 1]] += t.h[j] @ path_matrix(t, Path(i, j, ws)) @ t.f[i]
+    return out
+
+
 def path_network_matrix(t: DoubleFramedTriple) -> np.ndarray:
-    """out_matrix @ assembled @ in_matrix: the network map read from the
-    point's path coordinates h_j V_w f_i, the paper's side of the identity
-    that `qmn.network.linear_map` computes by one sweep.  The path form has
-    no slot for a vertex that is both a source and a sink."""
+    """out_matrix @ path_assembled @ in_matrix: the network map read from the
+    path coordinates h_j V_w f_i of enumerated paths, the paper's side of the
+    identity that `qmn.network.linear_map` computes by one sweep.  The path
+    form has no slot for a vertex that is both a source and a sink."""
     q = t.quiver
-    return out_matrix(q, t.dims, t.framing) @ project(t).assembled() @ in_matrix(q, t.dims, t.framing)
+    return out_matrix(q, t.dims, t.framing) @ path_assembled(t) @ in_matrix(q, t.dims, t.framing)
 
 
 def equilibrate(a):

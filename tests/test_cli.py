@@ -405,6 +405,27 @@ def test_boolean_weight_is_invalid_input(capsys, tmp_path, argv, doc, arrow):
     assert f"weight of arrow {arrow!r} holds a boolean" in run_invalid(capsys, *argv, path)
 
 
+@pytest.mark.parametrize(
+    "argv, doc, arrow, leaf",
+    [
+        (
+            ["--format", "json", "moduli", "coords", "--rep"],
+            {"quiver": README_QUIVER, "dims": REP_DIMS, "weights": {"f": "2.5", "h": [["3"]]}},
+            "f",
+            "'2.5'",
+        ),
+        (["net", "eval", "--input", "1", "--net"], {**NET_DOC, "weights": {"f": 2.0, "h": [["3"]]}}, "h", "'3'"),
+        (["net", "eval", "--input", "1", "--net"], {**NET_DOC, "weights": {"f": [[None]], "h": 3.0}}, "f", "None"),
+    ],
+    ids=["rep-string", "net-nested-string", "net-null"],
+)
+def test_non_number_weight_is_invalid_input(capsys, tmp_path, argv, doc, arrow, leaf):
+    """Every leaf of a weight is a JSON number: numpy would read the string
+    "2.5" as 2.5, and no weight is read from a string or a null."""
+    path = write_json(tmp_path, "doc.json", doc)
+    assert f"weight of arrow {arrow!r} holds {leaf}, not a number" in run_invalid(capsys, *argv, path)
+
+
 FUZZ_DOCS = [
     README_QUIVER,
     {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": [[2.0]], "h": 3.0}},

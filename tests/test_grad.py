@@ -102,13 +102,13 @@ def backprop_factored(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
     # the identity evaluation on all ones: every source a bias vertex
     linear = NeuralNetwork(k, dict.fromkeys(q.hidden, "identity"), frozenset(q.sources))
     ones, _ = linear.compiled.forward(linear.weight_blocks(), np.empty((0, 1)))
-    pre = ones[[linear.compiled.row[v] for v in c.vertices]]
+    pre = ones[[linear.compiled.plan.row[v] for v in c.vertices]]
     # vertex values from the pre-activations and the inputs, as forward computes them
     values = pre.copy()
     values[: c.n_inputs] = columns([x], c.n_inputs)
     values[c.n_inputs : c.n_sources] = 1.0
-    for lv in c.levels:
-        for act, a, b in lv.groups:
+    for groups in c.groups:
+        for act, a, b in groups:
             values[a:b] = act.fn(pre[a:b])
     d_out = loss.grad(values[c.outputs], columns([y], len(c.outputs)))
     dw, adj = c.backward(net.weight_blocks(), values, pre, d_out)
@@ -400,10 +400,10 @@ def test_compiled_engine_matches_scalar_oracles(net, batch, seed):
     for b, (x, y) in enumerate(zip(xs, ys)):
         out, trace = forward_reference(net, x)
         assert all(close(got, want) for got, want in zip(z[:, b], out))
-        assert all(close(values[c.row[v], b], val) for v, val in trace.values.items())
-        assert all(close(pre[c.row[v], b], p) for v, p in trace.pre.items())
+        assert all(close(values[c.plan.row[v], b], val) for v, val in trace.values.items())
+        assert all(close(pre[c.plan.row[v], b], p) for v, p in trace.pre.items())
         ref = backprop_reference(net, x, y)
-        assert all(close(adj[c.row[v], b], a) for v, a in ref.vertex_adjoints.items())
+        assert all(close(adj[c.plan.row[v], b], a) for v, a in ref.vertex_adjoints.items())
         per_sample.append(ref.weights)
         kinks = [p for v, p in trace.pre.items() if net.activations.get(v) == "relu"]
         if not kinks or min(map(abs, kinks)) > 1e-3:  # two-sided differences need a smooth point
@@ -451,9 +451,10 @@ def test_compiled_engine_on_deep_narrow_networks(deep, seed):
     (net, depth), rng = deep, np.random.default_rng(seed)
     c = net.compiled
     blocks = net.weight_blocks()
-    assert len(c.levels) == depth + 1
-    assert c.size == sum((lv.stop - lv.start) * (lv.start - lv.lo) for lv in c.levels) == sum(m.size for m in blocks)
-    assert all(m.base is blocks[0].base and m.base.size == c.size for m in blocks)
+    assert len(c.plan.levels) == depth + 1
+    entries = sum((lv.stop - lv.start) * (lv.start - lv.lo) for lv in c.plan.levels)
+    assert c.plan.size == entries == sum(m.size for m in blocks)
+    assert all(m.base is blocks[0].base and m.base.size == c.plan.size for m in blocks)
     xs = [rng.standard_normal(c.n_inputs) for _ in range(3)]
     ys = [rng.standard_normal(len(c.outputs)) for _ in range(3)]
     values, pre = c.forward(blocks, columns(xs, c.n_inputs))
@@ -462,10 +463,10 @@ def test_compiled_engine_on_deep_narrow_networks(deep, seed):
     total = dict.fromkeys(c.arrows, 0.0)
     for b, (x, y) in enumerate(zip(xs, ys)):
         _, trace = forward_reference(net, x)
-        assert all(close(values[c.row[v], b], val) for v, val in trace.values.items())
-        assert all(close(pre[c.row[v], b], p) for v, p in trace.pre.items())
+        assert all(close(values[c.plan.row[v], b], val) for v, val in trace.values.items())
+        assert all(close(pre[c.plan.row[v], b], p) for v, p in trace.pre.items())
         ref = backprop_reference(net, x, y)
-        assert all(close(adj[c.row[v], b], a) for v, a in ref.vertex_adjoints.items())
+        assert all(close(adj[c.plan.row[v], b], a) for v, a in ref.vertex_adjoints.items())
         for aid, g in ref.weights.items():
             total[aid] += g
     assert all(close(dw[k], total[aid]) for k, aid in enumerate(c.arrows))

@@ -37,6 +37,7 @@ from conftest import (
     equilibrate,
     layered_quiver,
     parallel_dag_triples,
+    path_assembled,
     path_matrix,
     path_rank_vector,
     path_vertex_block,
@@ -600,20 +601,6 @@ def test_dual_layout_groups_are_the_transposed_groups(t):
         assert all(np.array_equal(a.swapaxes(1, 2), b) for a, b in zip(side, side_op, strict=True))
 
 
-def path_assembled(t):
-    """`assembled` summed from `brute_force_paths`: h_j V_w f_i over every
-    path w : i ~> j, V_w multiplied out by `path_matrix`."""
-    hq = t.quiver.hidden_quiver()
-    rows = np.cumsum([0] + [t.framing.w[j] for j in hq.vertices])
-    cols = np.cumsum([0] + [t.framing.u[i] for i in hq.vertices])
-    out = np.zeros((rows[-1], cols[-1]))
-    for a, j in enumerate(hq.vertices):
-        for b, i in enumerate(hq.vertices):
-            for ws in brute_force_paths(hq, i, j):
-                out[rows[a] : rows[a + 1], cols[b] : cols[b + 1]] += t.h[j] @ path_matrix(t, Path(i, j, ws)) @ t.f[i]
-    return out
-
-
 @settings(max_examples=200, deadline=None)
 @given(parallel_dag_triples())
 def test_assembled_matches_the_enumerated_path_sum(t):
@@ -705,16 +692,22 @@ def test_block_edits_write_through_to_assembled_alone(t, read_first, data):
 @given(integer_triples(), st.data())
 def test_blocks_refuse_what_they_cannot_hold(t, data):
     """A block takes an array of its exact shape and nothing else: a wrong
-    shape raises ShapeMismatch and leaves it as it was, deletion raises, and
-    a key that is no slot path is not in the mapping."""
+    shape raises ShapeMismatch, an in-place edit of its view (`+=`, one
+    entry) raises ValueError, and each leaves the block and `assembled` as
+    they were; deletion raises, and a key that is no slot path is not in the
+    mapping."""
     m = project(t)
     p = data.draw(st.sampled_from(list(m.blocks)))
     r, c = m.blocks[p].shape
-    kept = m.blocks[p].copy()
+    kept, assembled = m.blocks[p].copy(), m.assembled()
     for shape in {(r + 1, c), (r, c + 1), (c, r), (r * c,), ()} - {(r, c)}:
         with pytest.raises(ShapeMismatch):
             m.blocks[p] = np.ones(shape)
-    assert np.array_equal(m.blocks[p], kept)
+    with pytest.raises(ValueError):
+        m.blocks[p] += 1.0
+    with pytest.raises(ValueError):
+        m.blocks[p][0, 0] = 5.0
+    assert np.array_equal(m.blocks[p], kept) and np.array_equal(m.assembled(), assembled)
     with pytest.raises(AttributeError):
         del m.blocks[p]
     assert p in m.blocks and "x" not in m.blocks
@@ -781,11 +774,11 @@ def test_sweep_factors_one_stack_per_level(monkeypatch):
 
 
 def test_no_moduli_reader_walks_a_path():
-    """`project`, the sweep readers, the network map, `vertex_block` and the
-    resolution helpers build no path table, on the quiver or on its opposite.
-    `blocks` and `assembled` read the hidden quiver's `all_hidden_paths`
-    table through the slot layout: it is built once, and a triple of other
-    dims on the quiver reuses it."""
+    """`project`, the sweep readers, `assembled`, the network map,
+    `vertex_block` and the resolution helpers build no path table, on the
+    quiver or on its opposite.  `blocks` reads the hidden quiver's
+    `all_hidden_paths` table through the slot layout: it is built once, and a
+    triple of other dims on the quiver reuses it."""
     q = random_dag_quiver(np.random.default_rng(5), n_hidden=6)
     quivers = (q, q.hidden_quiver(), q.opposite, q.opposite.hidden_quiver())
 
@@ -803,12 +796,12 @@ def test_no_moduli_reader_walks_a_path():
     for i in q.hidden:
         m.vertex_block(i)
     verify_resolution_point(resolution_data(t), m)
+    m.assembled()
     assert tables() == []
     assert m.blocks
-    m.assembled()
     (table,) = tables()
     assert table is all_hidden_paths(q.hidden_quiver())
-    project(random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(7))).assembled()
+    assert project(random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(7))).blocks
     assert tables()[0] is table and len(tables()) == 1
 
 
@@ -837,7 +830,6 @@ def test_path_space_readers_refuse_past_the_path_cap():
     m = project(t)
     readers = [
         lambda: m.blocks,
-        m.assembled,
         lambda: m.vertex_block(q.hidden[0]),
         lambda: resolution_data(t),
         lambda: verify_resolution_point({}, m),

@@ -2,10 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import layered_quiver, path_network_matrix, rel_err
+from conftest import layered_quiver, parallel_dag_triples, path_network_matrix, rel_err
 from hypothesis import given, settings, strategies as st
 
-from qmn.errors import PathExplosion, ShapeMismatch, SingularPreActivation, UnframableArrow
+from qmn.errors import ShapeMismatch, SingularPreActivation, UnframableArrow
 from qmn.examples import (
     d4tilde_net,
     d4tilde_triple,
@@ -155,10 +155,11 @@ def dag_representations(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(dag_representations())
+@given(st.one_of(dag_representations(), parallel_dag_triples().map(join)))
 def test_linear_map_equals_path_coordinates(r):
     """One sweep gives the paper's out @ assembled @ in, on quivers with no
-    vertex that is both a source and a sink."""
+    vertex that is both a source and a sink, parallel hidden arrows (whose
+    matrices share entries of a level block) included."""
     t = split(r)
     want = path_network_matrix(t)
     assert rel_err(linear_map(r), want) <= 1e-10
@@ -166,8 +167,9 @@ def test_linear_map_equals_path_coordinates(r):
 
 
 def test_network_matrix_past_the_path_cap():
-    """4-16^5-2 has more hidden paths than the cap; the sweep reads none, and
-    equals the product of the layer matrices."""
+    """4-16^5-2 has more hidden paths than the cap; the sweeps read none, and
+    the network map and out @ assembled @ in equal the product of the layer
+    matrices."""
     widths = [4, 16, 16, 16, 16, 16, 2]
     q = layered_quiver(widths)
     t = random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(0))
@@ -178,8 +180,8 @@ def test_network_matrix_past_the_path_cap():
         product = layer @ product
     assert rel_err(network_matrix(t), product) <= 1e-10
     assert rel_err(psi_hat(project(t)), product.sum(axis=1)) <= 1e-10
-    with pytest.raises(PathExplosion):
-        project(t).assembled()
+    in_m, out_m = in_matrix(q, t.dims, t.framing), out_matrix(q, t.dims, t.framing)
+    assert rel_err(out_m @ project(t).assembled() @ in_m, product) <= 1e-10
 
 
 def test_knowledge_map_identity_only_rescales_input_arrows():
