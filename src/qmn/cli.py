@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import examples, grad, io, moduli, network, relu as relu_mod, thincat
+from . import examples, grad, io, linalg, moduli, network, relu as relu_mod, thincat
 from .errors import DivergenceDetected, NoConvergence, QmnError, SingularPreActivation
 from .quiver import validate
 from .rep import join, random_triple, split
@@ -250,7 +250,7 @@ def _fd_worst_err(net, x, y, analytic):
     base = c.weight_vector(net.weights.weights)
 
     def value(w):
-        values, _ = c.forward(c.level_blocks(w), x)
+        values, _ = c.forward(c.plan.blocks([w]), x)
         return loss.value(values[c.outputs, 0], y)
 
     errs = []
@@ -347,7 +347,7 @@ def build_parser():
     p = command(mod, "rank", lambda a: {"rank": moduli.project(_triple(a)).rank_vector(a.tol)})
     p.add_argument("--quiver")
     p.add_argument("--rep", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=linalg.RANK_TOL)
     for name, run in (("dim", _moduli_dim), ("simple-exists", _simple_exists)):
         p = command(mod, name, run)
         p.add_argument("--quiver", required=True)
@@ -364,7 +364,7 @@ def build_parser():
     p = command(thin, "morphism", _morphism)
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=thincat.MORPHISM_TOL)
 
     net = group("net", "network evaluation, knowledge map, training")
     p = command(net, "eval", _net_eval)
@@ -404,7 +404,7 @@ def build_parser():
     p.add_argument("--rep", required=True)
     p.add_argument("--quiver")
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=relu_mod.LEVEL_TOL)
 
     ex = group("example", "bundled worked examples")
     p = command(ex, "d4tilde", _d4tilde)

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DivergenceDetected, ShapeMismatch
 from .network import NeuralNetwork, columns
 from .quiver import Quiver
+from .rep import act, join
 from .thincat import ThinRep
 
 DIVERGENCE_LIMIT = 1e12  # a training loss above this has diverged
@@ -24,8 +25,6 @@ def softmax(z):
 
 
 class Loss:
-    name = ""
-
     def value(self, z, y):
         raise NotImplementedError
 
@@ -34,8 +33,6 @@ class Loss:
 
 
 class SquaredError(Loss):
-    name = "mse"
-
     def value(self, z, y):
         d = np.asarray(z, dtype=float) - np.asarray(y, dtype=float)
         return np.sum(d * d, axis=0)
@@ -47,8 +44,6 @@ class SquaredError(Loss):
 class CrossEntropySoftmax(Loss):
     """Cross entropy evaluated on softmax probabilities; the label is a
     probability vector (one-hot for hard labels)."""
-
-    name = "cross-entropy"
 
     def value(self, z, y):
         p = softmax(z)
@@ -102,17 +97,12 @@ def backprop(net: NeuralNetwork, x, y, loss="mse") -> GradientRep:
 
 
 def gradient_transform(g: dict, dw: GradientRep) -> GradientRep:
-    """Push a gradient along a hidden gauge scaling: each arrow picks up
-    g_source / g_target, with g = 1 off the hidden set (the thin gauge action
-    read on the opposite quiver)."""
-    q = dw.quiver
-    hidden = set(q.hidden)
-
-    def at(v):
-        return float(np.asarray(g[v]).reshape(())) if v in hidden and v in g else 1.0
-
-    out = {a.id: dw.weights[a.id] * at(a.source) / at(a.target) for a in q.arrows}
-    return GradientRep(q, out, vertex_adjoints=dict(dw.vertex_adjoints))
+    """Push a gradient along a hidden gauge scaling: `rep.act` of g on the
+    gradient read as a thin representation of the opposite quiver.  g needs
+    a block at every hidden vertex (else ShapeMismatch), each finite and
+    nonzero (else SingularGauge)."""
+    moved = join(act(g, dw.as_opposite_rep().to_triple())).matrices
+    return GradientRep(dw.quiver, {a: float(m[0, 0]) for a, m in moved.items()}, dict(dw.vertex_adjoints))
 
 
 @dataclass
@@ -169,7 +159,7 @@ def train(
     w = c.weight_vector(net.weights.weights)
     history = []
     for epoch in range(epochs + 1):
-        blocks = c.level_blocks(w)
+        blocks = c.plan.blocks([w])
         values, pre = c.forward(blocks, x)
         z = values[c.outputs]
         value = float(np.mean(loss.value(z, y)))

@@ -31,13 +31,13 @@ class ModuliPoint:
     its sweeps, which are memoised on it, and enumerate no path.
 
     `assembled` is the sum of the coordinates h_j V_w f_i over the hidden
-    paths w : i ~> j, from one level sweep that reads no path.  blocks[w]
-    (shape (w_end, u_start)) is a read-only view of w's column slot in the
-    row h_j C_j (C_j the stacked path images at j, in `_slot_layout`'s order,
-    the one reader here of the path table), and assigning to it moves
-    `assembled` by the edit; `rank_vector`, `vertex_block`, the closed orbit
-    and the resolution helpers read the triple's sweeps, so they do not
-    follow.
+    paths w : i ~> j, from one level sweep that reads no path, kept on the
+    point as its one assembled matrix.  blocks[w] (shape (w_end, u_start))
+    is a read-only view of w's column slot in the row h_j C_j (C_j the
+    stacked path images at j, in `_slot_layout`'s order, the one reader here
+    of the path table), and assigning to it adds the edit into that matrix;
+    `rank_vector`, `vertex_block`, the closed orbit and the resolution
+    helpers read the triple's sweeps, so they do not follow.
     """
 
     triple: DoubleFramedTriple
@@ -65,27 +65,22 @@ class ModuliPoint:
     def blocks(self) -> Mapping:
         """Each slot path, in column order, to a read-only view of its columns
         in `_rows`; assigning a block writes through."""
-        return _Blocks(self._rows, _slot_layout(self.triple.layout), self._edits)
+        return _Blocks(self, _slot_layout(self.triple.layout))
 
     @cached_property
     def _assembled(self) -> np.ndarray:
         """The sink rows of the `_assembly_plan` sweep from the identity on
-        its source rows."""
+        its source rows, plus the edits made through `blocks`."""
         plan = _assembly_plan(self.triple.layout)
         return plan.linear([stack for side in self.triple.stacks for stack in side])[plan.levels[-1].start :]
-
-    @cached_property
-    def _edits(self) -> np.ndarray:
-        """What assignments to `blocks` added to `assembled`, cell by cell."""
-        return np.zeros((sum(self.framing.w.values()), sum(self.framing.u.values())))
 
     # --- views ----------------------------------------------------------
 
     def assembled(self):
         """A fresh operator from stacked framing-in spaces to stacked
-        framing-out spaces: the sum of the blocks over all paths, with the
-        edits of `blocks`."""
-        return self._assembled + self._edits
+        framing-out spaces: a copy of the point's one assembled matrix, the
+        sum of the blocks over all paths with the edits of `blocks`."""
+        return self._assembled.copy()
 
     def vertex_block(self, i):
         """q^(i) = H_i C_i: all coordinates of paths through i, columns by the
@@ -231,13 +226,14 @@ def _index(rows):
 class _Blocks(Mapping):
     """The coordinate blocks of a point: each slot path, in column order, to a
     read-only view of its columns in its row.  Assigning an array of a
-    block's shape adds the change into the path's cell of the point's
-    `_edits`, then writes it into the row; nothing else changes a block,
-    and an in-place edit of a view (`+=`, an entry) raises."""
+    block's shape adds the change into the path's cell of the point's one
+    assembled matrix (the first assignment runs its sweep), then writes it
+    into the row; nothing else changes a block, and an in-place edit of a
+    view (`+=`, an entry) raises."""
 
-    def __init__(self, rows, layout, edits):
-        self._rows, self._layout, self._edits = rows, layout, edits
-        self._views = {j: row.view() for j, row in rows.items()}
+    def __init__(self, point, layout):
+        self._point, self._rows, self._layout = point, point._rows, layout
+        self._views = {j: row.view() for j, row in self._rows.items()}
         for view in self._views.values():
             view.flags.writeable = False  # and so is every block sliced from it
 
@@ -249,7 +245,7 @@ class _Blocks(Mapping):
         (j, cols, cell), value = self._layout[p], np.asarray(value)
         if value.shape != self[p].shape:
             raise ShapeMismatch(f"block {p} has shape {self[p].shape}, got {value.shape}")
-        self._edits[cell] += value - self._rows[j][cols]
+        self._point._assembled[cell] += value - self._rows[j][cols]
         self._rows[j][cols] = value
 
     def __iter__(self):

@@ -33,7 +33,6 @@ PREACT_TOL = 1e-12
 class Activation:
     """`fn` and its derivative `dfn`, both elementwise on floats and arrays."""
 
-    name: str
     fn: object
     dfn: object
 
@@ -45,11 +44,11 @@ def _sigmoid(z):
 
 
 ACTIVATIONS = {
-    "identity": Activation("identity", lambda z: z, np.ones_like),
+    "identity": Activation(lambda z: z, np.ones_like),
     # subgradient 0 at the kink
-    "relu": Activation("relu", lambda z: np.maximum(z, 0.0), lambda z: np.heaviside(z, 0.0)),
-    "tanh": Activation("tanh", np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": Activation("sigmoid", _sigmoid, lambda z: _sigmoid(z) * _sigmoid(-z)),
+    "relu": Activation(lambda z: np.maximum(z, 0.0), lambda z: np.heaviside(z, 0.0)),
+    "tanh": Activation(np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "sigmoid": Activation(_sigmoid, lambda z: _sigmoid(z) * _sigmoid(-z)),
 }
 
 
@@ -97,7 +96,7 @@ class NeuralNetwork:
 
     def weight_blocks(self) -> list:
         """The compiled per-level weight blocks of the current weights."""
-        return self.compiled.level_blocks(self.compiled.weight_vector(self.weights.weights))
+        return self.compiled.plan.blocks([self.compiled.weight_vector(self.weights.weights)])
 
 
 class CompiledNetwork:
@@ -126,7 +125,6 @@ class CompiledNetwork:
         self.n_inputs = len(inputs)
         self.n_sources = len(inputs) + len(bias)
         self.arrows = tuple(a.id for a in q.arrows)
-        self.arrow_sources = np.array([row[a.source] for a in q.arrows], dtype=np.intp)
         self.outputs = np.array([row[v] for v in q.sinks], dtype=np.intp)
         self.groups = []
         for members in later:
@@ -136,11 +134,6 @@ class CompiledNetwork:
     def weight_vector(self, weights: dict) -> np.ndarray:
         """Arrow weights in declaration order."""
         return np.fromiter((weights[a] for a in self.arrows), float, len(self.arrows))
-
-    def level_blocks(self, w) -> list:
-        """One dense weight block per level from a weight vector: views of one
-        fresh buffer."""
-        return self.plan.blocks([w])
 
     def forward(self, blocks, x) -> tuple:
         """Evaluate the (inputs, batch) array x.  Returns (values, pre), both
@@ -262,8 +255,8 @@ def knowledge_map(net: NeuralNetwork, x) -> ThinRep:
     """
     c = net.compiled
     w = c.weight_vector(net.weights.weights)
-    values, pre = c.forward(c.level_blocks(w), columns([x], c.n_inputs))
-    src = c.arrow_sources
+    values, pre = c.forward(c.plan.blocks([w]), columns([x], c.n_inputs))
+    src = c.plan.source_row
     z = pre[src, 0]
     hidden = src >= c.n_sources  # sinks are no arrow's source
     singular = np.flatnonzero(hidden & (np.abs(z) <= PREACT_TOL))

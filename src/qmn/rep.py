@@ -10,6 +10,7 @@ inverses, no arithmetic involved.
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -358,12 +359,13 @@ class Level(NamedTuple):
 
 
 class BlockPlan(NamedTuple):
-    """`block_plan`: each vertex's first row, in row order, a `Level` per
-    level after the first, each matrix entry's place in one flat buffer of
-    `size` floats that holds the level blocks back to back, and the number
-    of rows."""
+    """`block_plan`: each vertex's first row, in row order, the first row of
+    each arrow's source, a `Level` per level after the first, each matrix
+    entry's place in one flat buffer of `size` floats that holds the level
+    blocks back to back, and the number of rows."""
 
     row: dict
+    source_row: np.ndarray
     levels: tuple
     at: np.ndarray
     size: int
@@ -402,8 +404,11 @@ def block_plan(levels, dims, arrows) -> BlockPlan:
         for v in vertices:
             row[v], stop = stop, stop + dims[v]
         bounds.append(stop)
-    ends = np.array([(row[x], row[v], dims[x], dims[v]) for x, v in arrows], dtype=np.intp)
-    source, target, width, height = ends.reshape(-1, 4).T
+    index = dict(zip(row, range(len(row))))
+    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(arrows)), np.intp, 2 * len(arrows)).reshape(-1, 2).T
+    first = np.fromiter(row.values(), np.intp, len(row))  # vertices hold consecutive rows
+    source, target = first[ends]
+    width, height = np.diff(first, append=bounds[-1])[ends]
     count, lows = width * height, np.array(bounds[:-1])
     np.minimum.at(lows, np.searchsorted(bounds, target[count > 0], "right") - 1, source[count > 0])
     base, plan, size = [], [], 0  # entry (r, c) of x -> v is at base[row[v] + r] + row[x] + c
@@ -415,7 +420,7 @@ def block_plan(levels, dims, arrows) -> BlockPlan:
     k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # entry k of its arrow's matrix
     width = np.repeat(width, count)
     at = np.concatenate(base)[np.repeat(target, count) + k // width] + np.repeat(source, count) + k % width
-    return BlockPlan(row, tuple(plan), at, size, bounds[-1])
+    return BlockPlan(row, source, tuple(plan), at, size, bounds[-1])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from .errors import QmnError, QuiverMismatch, ShapeMismatch
 from .quiver import Quiver
 
 ZERO_WEIGHT_TOL = 1e-12
+MORPHISM_TOL = 1e-9  # the largest violation `check_morphism` accepts by default
 
 
 @dataclass
@@ -78,7 +79,7 @@ class MorphismReport:
     max_violation: float
 
 
-def check_morphism(g: dict, a: ThinRep, b: ThinRep, tol=1e-9) -> MorphismReport:
+def check_morphism(g: dict, a: ThinRep, b: ThinRep, tol=MORPHISM_TOL) -> MorphismReport:
     """Verify the boundary condition (g = 1 at sources and sinks) and the
     intertwining relation g_t * a_edge = b_edge * g_s on every arrow.  Raises
     QmnError on a tol that is not a finite number >= 0."""
@@ -99,7 +100,7 @@ def check_morphism(g: dict, a: ThinRep, b: ThinRep, tol=1e-9) -> MorphismReport:
     return MorphismReport(valid=valid, invertible=invertible, max_violation=worst)
 
 
-def solve_morphism(a: ThinRep, b: ThinRep, tol=1e-9) -> dict | None:
+def solve_morphism(a: ThinRep, b: ThinRep, tol=MORPHISM_TOL) -> dict | None:
     """Search for a morphism a -> b.  Starting from g = 1 at sources and
     sinks, the relation g_t a = b g_s fixes g_t from g_s where a != 0
     (forward) and g_s from g_t where b != 0 (backward); both are propagated

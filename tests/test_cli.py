@@ -15,7 +15,7 @@ import pytest
 from conftest import layered_quiver
 from hypothesis import given, settings, strategies as st
 
-from qmn import grad, io, network
+from qmn import grad, io, linalg, moduli, network, relu, thincat
 from qmn.cli import build_parser, main
 from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, single_vertex_net
 from qmn.quiver import Quiver
@@ -101,6 +101,19 @@ def test_thin_commands(capsys, tmp_path):
     assert json.loads(out)["invertible"] is True
     code, out = run(capsys, "--format", "json", "thin", "morphism", a, a)
     assert json.loads(out)["invertible"] is True
+
+
+def test_tol_defaults_are_the_library_constants():
+    """Each `--tol` default is the library constant that the function it
+    feeds takes by default, so the two cannot drift apart."""
+    parse = build_parser().parse_args
+    assert parse(["moduli", "rank", "--rep", "r"]).tol == linalg.RANK_TOL
+    assert parse(["relu", "balance", "--rep", "r", "--target", "0"]).tol == relu.LEVEL_TOL
+    assert parse(["thin", "morphism", "a", "b"]).tol == thincat.MORPHISM_TOL
+    for f in (thincat.check_morphism, thincat.solve_morphism):
+        assert f.__defaults__ == (thincat.MORPHISM_TOL,)
+    assert relu.balance.__defaults__ == (relu.LEVEL_TOL,)
+    assert moduli.ModuliPoint.rank_vector.__defaults__ == (linalg.RANK_TOL,)
 
 
 def test_thin_morphism_propagates_backward(capsys, tmp_path):

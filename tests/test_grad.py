@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn.errors import DivergenceDetected, QmnError, SingularPreActivation
+from qmn.errors import DivergenceDetected, QmnError, ShapeMismatch, SingularGauge, SingularPreActivation
 from qmn.examples import d4tilde_net, random_dag_quiver, random_mlp_net, single_vertex_net
 from qmn.grad import (
     CrossEntropySoftmax,
@@ -226,6 +226,8 @@ def test_literal_mode_differs_on_deeper_nets():
 
 
 def test_gradient_transform_identity_gauge():
+    """`rep.act` of the identity gauge on the opposite triple gives back every
+    gradient weight exactly."""
     rng = np.random.default_rng(7)
     net = random_mlp_net(rng, activation="relu")
     x = rng.standard_normal(len(net.input_vertices))
@@ -233,6 +235,46 @@ def test_gradient_transform_identity_gauge():
     g = backprop(net, x, y)
     gt = gradient_transform({v: 1.0 for v in net.quiver.hidden}, g)
     assert gt.weights == g.weights
+
+
+def hand_transform(g, dw):
+    """The thin gauge action on the opposite quiver written out per arrow:
+    w * g_source / g_target, with g = 1 off the hidden set."""
+    q, hidden = dw.quiver, set(dw.quiver.hidden)
+
+    def at(v):
+        return float(g[v]) if v in hidden else 1.0
+
+    return {a.id: dw.weights[a.id] * at(a.source) / at(a.target) for a in q.arrows}
+
+
+def test_gradient_transform_is_the_hand_rule():
+    """`gradient_transform`, `rep.act` on the opposite triple, agrees with the
+    per-arrow formula to rounding on biased MLPs of three activations and on
+    the d4tilde network, under gauges of either sign."""
+    rng = np.random.default_rng(11)
+    nets = [random_mlp_net(rng, activation=k, with_bias=True) for k in ("relu", "identity", "tanh") for _ in range(5)]
+    nets.append(d4tilde_net(rng=rng, activation="tanh"))
+    for net in nets:
+        x = rng.standard_normal(len(net.input_vertices))
+        y = rng.standard_normal(len(net.output_vertices))
+        dw = backprop(net, x, y)
+        gauge = {v: float(np.exp(rng.uniform(-1, 1)) * rng.choice([-1.0, 1.0])) for v in net.quiver.hidden}
+        got, want = gradient_transform(gauge, dw), hand_transform(gauge, dw)
+        assert got.weights.keys() == want.keys() and got.vertex_adjoints == dw.vertex_adjoints
+        assert all(abs(got.weights[a] - w) <= 1e-14 * abs(w) for a, w in want.items())
+
+
+def test_gradient_transform_checks_the_gauge():
+    """The gauge is checked before anything moves: a hidden vertex without a
+    block raises ShapeMismatch naming it, a zero block SingularGauge."""
+    net = d4tilde_net(rng=np.random.default_rng(12))
+    dw = backprop(net, [1.0, -0.5, 2.0], [0.3, -0.2])
+    gauge = {v: 2.0 for v in net.quiver.hidden}
+    with pytest.raises(ShapeMismatch, match="'v3'"):
+        gradient_transform({v: s for v, s in gauge.items() if v != "v3"}, dw)
+    with pytest.raises(SingularGauge, match="'v4'"):
+        gradient_transform({**gauge, "v4": 0.0}, dw)
 
 
 @pytest.mark.parametrize("activation,positive", [("relu", True), ("identity", False)])

@@ -609,9 +609,9 @@ def test_assembled_matches_the_enumerated_path_sum(t):
 
 
 def test_edited_block_moves_assembled_by_the_edit(ten_arrow_quiver):
-    """`assembled` reads `m.blocks`: adding E to the block of one of two
-    parallel paths h1 ~> h3 moves the (h1, h3) cell by exactly E and nothing
-    else (integer entries, so every sum is exact)."""
+    """Assigning to `m.blocks` moves `assembled`: adding E to the block of one
+    of two parallel paths h1 ~> h3 moves the (h1, h3) cell by exactly E and
+    nothing else (integer entries, so every sum is exact)."""
     q = ten_arrow_quiver
     dims = {"s1": 1, "s2": 2, "h1": 2, "h2": 3, "h3": 2, "t1": 2, "t2": 1}
     rng = np.random.default_rng(9)
@@ -626,6 +626,23 @@ def test_edited_block_moves_assembled_by_the_edit(ten_arrow_quiver):
     want = before.copy()
     want[w["h1"] + w["h2"] :, : u["h1"]] += e
     assert np.array_equal(m.assembled(), want)
+
+
+def test_assembled_returns_a_copy(ten_arrow_quiver):
+    """The point keeps one assembled matrix: writing into what `assembled()`
+    returned changes neither a later `assembled()` nor any block, before or
+    after an edit through `m.blocks`."""
+    q = ten_arrow_quiver
+    dims = {"s1": 1, "s2": 2, "h1": 2, "h2": 3, "h3": 2, "t1": 2, "t2": 1}
+    m = project(random_triple(q, dims, np.random.default_rng(4)))
+    for edit in (False, True):
+        if edit:
+            p = next(iter(m.blocks))
+            m.blocks[p] = m.blocks[p] + 1.0
+        kept, blocks = m.assembled().copy(), {p: b.copy() for p, b in m.blocks.items()}
+        m.assembled()[...] = 7.0
+        assert np.array_equal(m.assembled(), kept)
+        assert all(np.array_equal(m.blocks[p], b) for p, b in blocks.items())
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """The repository's pytest configuration, run in a fresh pytest process on a
-throwaway test file."""
+throwaway test file, and the library's import rule."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,20 @@ def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
     out = proc.stdout + proc.stderr
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out, out
+
+
+def test_library_imports_only_the_standard_library_and_numpy():
+    """qmn runs on numpy alone: every import in src/qmn is relative, numpy, or
+    a module of Python's standard library."""
+    outside = []
+    for path in sorted((ROOT / "src" / "qmn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            top = {name.partition(".")[0] for name in names}
+            outside += [f"{path.name}:{node.lineno} {name}" for name in top - sys.stdlib_module_names - {"numpy"}]
+    assert not outside, outside
