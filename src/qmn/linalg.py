@@ -1,8 +1,9 @@
 """Small dense-matrix helpers: numerical rank, orthonormal bases, subspace algebra.
 
-Everything here works at desk scale (dimensions in the tens) and represents a
-subspace of R^n as an n x k matrix with orthonormal columns; k = 0 is the zero
-subspace.
+Everything here works at desk scale (dimensions in the tens).  A subspace of
+R^n is the column span of an n x k matrix (a row space, that of the
+transpose), held by orthonormal columns where `orth` returns it; k = 0 is the
+zero subspace.
 """
 
 import numpy as np
@@ -18,14 +19,14 @@ def cuts(s, tol):
     return np.add.reduce(s > tol * s[:, :1], axis=1).tolist()
 
 
-def svd(stack, compute_uv=True, full_matrices=False):
-    """np.linalg.svd of a stack of float matrices, matrix by matrix, so each
-    result is the one np.linalg.svd gives that matrix alone: the one SVD call
-    here (`svd_stacks` and the moduli sweeps hand it their stacks)."""
-    return np.linalg.svd(stack, full_matrices=full_matrices, compute_uv=compute_uv)
+def svd(stack, compute_uv=True):
+    """The thin np.linalg.svd of a stack of float matrices, matrix by matrix, so
+    each result is the one np.linalg.svd gives that matrix alone: the one SVD
+    call here (`svd_stacks` and the moduli sweeps hand it their stacks)."""
+    return np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
 
 
-def svd_stacks(mats, compute_uv=True, full_matrices=False):
+def svd_stacks(mats, compute_uv=True):
     """Factor the float matrices `mats` with one `svd` per matrix shape: a
     list of (positions in mats, that svd's result)."""
     by_shape = {}
@@ -34,7 +35,7 @@ def svd_stacks(mats, compute_uv=True, full_matrices=False):
     out = []
     for shape, ks in by_shape.items():
         stack = np.concatenate([mats[k] for k in ks]).reshape(len(ks), *shape)
-        out.append((ks, svd(stack, compute_uv, full_matrices)))
+        out.append((ks, svd(stack, compute_uv)))
     return out
 
 
@@ -57,12 +58,6 @@ def orth(a):
     singular vectors above SUBSPACE_TOL * sigma_max."""
     u, s, _ = svd(np.asarray(a, dtype=float)[None])
     return u[0, :, : cuts(s, SUBSPACE_TOL)[0]]
-
-
-def null(a):
-    """Orthonormal basis of the kernel of a, as columns."""
-    _, s, vt = svd(np.asarray(a, dtype=float)[None], full_matrices=True)
-    return vt[0, cuts(s, SUBSPACE_TOL)[0] :].T
 
 
 def contains(a, b):

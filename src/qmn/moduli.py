@@ -207,7 +207,8 @@ def _level_plan(lay, cut):
                 r, c = np.array(r)[:, None, None], np.array(c)[:, None, None]
                 at = r * d * cols + np.arange(d)[:, None] * cols + c + np.arange(source[1])
                 places = [lay.moves.arrows.at[a] for a in ids]
-                terms.append((places[0][0], _index([row for _, row in places]), source, _index([slot[x] for x in sources]), at))
+                rows = _index([row for _, row in places])
+                terms.append((places[0][0], rows, source, _index([slot[x] for x in sources]), at))
             shape = (d, width[vertices[0]])
             first = stores.get(shape, 0)
             stores[shape] = first + len(vertices)
@@ -340,9 +341,9 @@ def simple_rep_exists(q: Quiver, dims: dict) -> ExistenceReport:
         return ExistenceReport(False, "no hidden vertices", False)
     hq = q.hidden_quiver()
     if _one_point_cycle(q, dims):
-        thin = all(dims[i] == 1 for i in q.hidden)
-        reason = "single-cycle extension: need thin hidden dimensions" if not thin else "single-cycle extension with thin dimensions"
-        return ExistenceReport(thin, reason, True)
+        if any(dims[i] != 1 for i in q.hidden):
+            return ExistenceReport(False, "single-cycle extension: need thin hidden dimensions", True)
+        return ExistenceReport(True, "single-cycle extension with thin dimensions", True)
     if not any(dims[i] * (fr.u[i] + fr.w[i]) != 0 for i in q.hidden):
         return ExistenceReport(False, "no framed hidden vertex with positive dimension", False)
     sides = (("u", fr.u, "in", hq), ("w", fr.w, "out", q.opposite.hidden_quiver()))
@@ -415,57 +416,48 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
 # --- resolution points ------------------------------------------------------
 
 
-def verify_resolution_point(subspaces: dict, m: ModuliPoint) -> bool:
-    """Check a candidate tuple of subspaces against a moduli point: each
-    subspace of the stacked in-path space at i (the column slots of
-    `_path_images`) must have codimension d_i, be carried into its neighbour
-    by every arrow shift, which moves the space at a's source onto a's slot
-    at its target (`linalg.contains`), and lie in the kernel of q^(i), up to
-    linalg.RESIDUAL_TOL relative to q^(i)'s largest entry (floored at 1)."""
-    q = m.quiver
-    images = _path_images(m.triple)
-    bases = {}
-    for i in q.hidden:
-        ambient = images[i].shape[1]
-        if i not in subspaces:
+def verify_resolution_point(annihilators: dict, m: ModuliPoint) -> bool:
+    """Check candidate resolution data against a moduli point.  The candidate
+    at hidden vertex i is the kernel S_i of annihilators[i], a spanning set of
+    its annihilator as rows (a 1-D array is one row) over the stacked in-path
+    space, the column slots of `_path_images`.  S_i must have codimension d_i,
+    the numerical row rank (`linalg.orth`); S_x must shift into S_i along each
+    arrow a : x -> i, which moves the in-path space at x onto a's slot at i,
+    so the rows of annihilators[i] on that slot lie in the row space of
+    annihilators[x]; and S_i must lie in the kernel of q^(i) = H_i C_i, whose
+    row space is that of R_i C_i, R_i = s u^T from the cut thin SVD of H_i^T
+    in the sweep `_images` of the dual.  Both inclusions are
+    `linalg.contains` on orthonormal bases of the row spaces, the second up to
+    linalg.RESIDUAL_TOL relative to R_i C_i's largest entry (floored at 1)."""
+    t = m.triple
+    images, rows = _path_images(t), {}
+    for i in t.quiver.hidden:
+        if i not in annihilators:
             raise CodimensionMismatch(f"no subspace given at {i!r}")
-        v = np.asarray(subspaces[i], dtype=float)
-        if v.ndim == 1:
-            v = v.reshape(-1, 1)
-        if v.shape[0] != ambient:
-            raise CodimensionMismatch(
-                f"subspace at {i!r} lives in dimension {v.shape[0]}, ambient is {ambient}"
-            )
-        b = linalg.orth(v)
-        if ambient - b.shape[1] != m.dims[i]:
-            raise CodimensionMismatch(
-                f"subspace at {i!r} has codimension {ambient - b.shape[1]}, expected {m.dims[i]}"
-            )
-        bases[i] = b
-    hq = q.hidden_quiver()
-    for i in q.hidden:
-        off = m.framing.u[i]
+        given, ambient = np.atleast_2d(np.asarray(annihilators[i], dtype=float)), images[i].shape[1]
+        if given.shape[1] != ambient:
+            raise CodimensionMismatch(f"subspace at {i!r} lives in dimension {given.shape[1]}, ambient is {ambient}")
+        rows[i] = linalg.orth(given.T)
+        if rows[i].shape[1] != t.dims[i]:
+            raise CodimensionMismatch(f"subspace at {i!r} has codimension {rows[i].shape[1]}, expected {t.dims[i]}")
+    hq, coimages = t.quiver.hidden_quiver(), _images(dual(t))
+    for i in hq.vertices:
+        off = t.framing.u[i]
         for a in hq.arrows_into(i):
             n = images[a.source].shape[1]
-            moved = np.zeros((images[i].shape[1], bases[a.source].shape[1]))
-            moved[off : off + n] = bases[a.source]
-            if not linalg.contains(bases[i], moved):
+            if not linalg.contains(rows[a.source], rows[i][off : off + n]):
                 return False
             off += n
-    for i in q.hidden:
-        qi = m.vertex_block(i)
-        if qi.size == 0 or bases[i].shape[1] == 0:
-            continue
-        resid = qi @ bases[i]
-        scale = max(float(np.abs(qi).max()), 1.0)
-        if float(np.abs(resid).max()) > linalg.RESIDUAL_TOL * scale:
-            return False
-    return True
+    return all(linalg.contains(rows[i], images[i].T @ coimages[i][3]) for i in hq.vertices)
 
 
 def resolution_data(t: DoubleFramedTriple) -> dict:
-    """Tautological subspaces for a triple: the kernel of the stacked path
-    images C_i of `_path_images`, whose slot order depends only on the quiver
-    and the framing; codimension d_i if t is semistable."""
-    images = _path_images(t)
-    return {i: linalg.null(images[i]) for i in t.quiver.hidden}
+    """The annihilators of the tautological subspaces of a triple: at each
+    hidden vertex, a read-only view of the stacked path images C_i of
+    `_path_images`, whose slot order depends only on the quiver and the
+    framing.  The subspace is the kernel of C_i, of codimension d_i if t is
+    semistable."""
+    views = {i: c.view() for i, c in _path_images(t).items()}
+    for view in views.values():
+        view.flags.writeable = False
+    return views

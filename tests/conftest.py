@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from qmn.errors import NoConvergence, ShapeMismatch, SingularGauge
+from qmn.errors import CodimensionMismatch, NoConvergence, ShapeMismatch, SingularGauge
 from qmn.examples import random_dag_quiver
 from qmn.grad import GradientRep, get_loss
-from qmn.linalg import RANK_TOL, SUBSPACE_TOL, num_rank
-from qmn.moduli import ModuliPoint
+from qmn.linalg import RANK_TOL, RESIDUAL_TOL, SUBSPACE_TOL, contains, cuts, num_rank, orth
+from qmn.moduli import ModuliPoint, _path_images
 from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork, in_matrix, out_matrix
 from qmn.quiver import Arrow, Path, Quiver
 from qmn.relu import BalanceResult
@@ -240,14 +240,66 @@ def reference_images(t: DoubleFramedTriple, padded=True) -> dict:
     return images
 
 
-def reference_svd_stacks(mats, compute_uv=True, full_matrices=False):
+def reference_svd_stacks(mats, compute_uv=True):
     """`linalg.svd_stacks` with one np.linalg.svd per matrix and no stack:
     each result gets a leading axis of length one."""
     out = []
     for k, a in enumerate(mats):
-        res = np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        res = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
         out.append(([k], tuple(f[None] for f in res) if compute_uv else res[None]))
     return out
+
+
+def null(a):
+    """Orthonormal basis of the kernel of a, as columns: the right singular
+    vectors of a full SVD past the `SUBSPACE_TOL` cut."""
+    _, s, vt = np.linalg.svd(np.asarray(a, dtype=float)[None], full_matrices=True)
+    return vt[0, cuts(s, SUBSPACE_TOL)[0] :].T
+
+
+def reference_verify_resolution_point(subspaces: dict, m: ModuliPoint) -> bool:
+    """`moduli.verify_resolution_point` on the subspaces themselves, each given
+    by a basis of its columns over the stacked in-path space at i (1-D is one
+    column): codimension d_i by `orth`; each arrow shift moves the space at a's
+    source onto a's slot at its target, inside the space there (`contains`);
+    and q^(i) = `m.vertex_block(i)` kills it, up to RESIDUAL_TOL relative to
+    q^(i)'s largest entry (floored at 1).  The kernel-basis form the
+    annihilators replaced, and their oracle."""
+    q = m.quiver
+    images = _path_images(m.triple)
+    bases = {}
+    for i in q.hidden:
+        ambient = images[i].shape[1]
+        if i not in subspaces:
+            raise CodimensionMismatch(f"no subspace given at {i!r}")
+        v = np.asarray(subspaces[i], dtype=float)
+        if v.ndim == 1:
+            v = v.reshape(-1, 1)
+        if v.shape[0] != ambient:
+            raise CodimensionMismatch(f"subspace at {i!r} lives in dimension {v.shape[0]}, ambient is {ambient}")
+        b = orth(v)
+        if ambient - b.shape[1] != m.dims[i]:
+            raise CodimensionMismatch(f"subspace at {i!r} has codimension {ambient - b.shape[1]}, expected {m.dims[i]}")
+        bases[i] = b
+    hq = q.hidden_quiver()
+    for i in q.hidden:
+        off = m.framing.u[i]
+        for a in hq.arrows_into(i):
+            n = images[a.source].shape[1]
+            moved = np.zeros((images[i].shape[1], bases[a.source].shape[1]))
+            moved[off : off + n] = bases[a.source]
+            if not contains(bases[i], moved):
+                return False
+            off += n
+    for i in q.hidden:
+        qi = m.vertex_block(i)
+        if qi.size == 0 or bases[i].shape[1] == 0:
+            continue
+        resid = qi @ bases[i]
+        scale = max(float(np.abs(qi).max()), 1.0)
+        if float(np.abs(resid).max()) > RESIDUAL_TOL * scale:
+            return False
+    return True
 
 
 @st.composite

@@ -36,6 +36,7 @@ from conftest import (
     brute_force_paths,
     equilibrate,
     layered_quiver,
+    null,
     parallel_dag_triples,
     path_assembled,
     path_matrix,
@@ -44,6 +45,7 @@ from conftest import (
     paths_through,
     reference_images,
     reference_svd_stacks,
+    reference_verify_resolution_point,
     rel_err,
 )
 
@@ -349,11 +351,11 @@ def sweep_out_paths(t, i):
 @given(degenerate_triples())
 def test_path_spaces_in_sweep_order(t):
     """q^(i) is the path-matrix oracle with rows and columns in sweep order;
-    resolution_data(t)[i] is an orthonormal basis of the kernel of the
-    stacked in-path images in that order; and a semistable triple's
+    resolution_data(t)[i], the annihilator of the tautological subspace, is
+    the stacked in-path images in that order; and a semistable triple's
     resolution data verify against its own point."""
     m = project(t)
-    subspaces = resolution_data(t)
+    annihilators = resolution_data(t)
     for i in t.quiver.hidden:
         ins, outs = sweep_in_paths(t, i), sweep_out_paths(t, i)
         assert sorted(ins) == sorted(paths_through(t, i)[0])
@@ -362,13 +364,9 @@ def test_path_spaces_in_sweep_order(t):
         assert got.shape == want.shape and rel_err(got, want) <= 1e-12
         images = [path_matrix(t, p) @ t.f[p.start] for p in ins]
         stacked = np.hstack(images) if images else np.zeros((t.dims[i], 0))
-        b = subspaces[i]
-        assert b.shape == (stacked.shape[1], stacked.shape[1] - linalg.num_rank(stacked, linalg.SUBSPACE_TOL))
-        assert np.allclose(b.T @ b, np.eye(b.shape[1]), rtol=0.0, atol=1e-12)
-        if b.size:
-            assert np.abs(stacked @ b).max() <= linalg.RESIDUAL_TOL * max(np.abs(stacked).max(), 1.0)
+        assert annihilators[i].shape == stacked.shape and rel_err(annihilators[i], stacked) <= 1e-12
     if is_semistable(t):
-        assert verify_resolution_point(subspaces, m)
+        assert verify_resolution_point(annihilators, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -743,9 +741,9 @@ def count_factored(monkeypatch):
     factored = {True: 0, False: 0}
     svd = linalg.svd
 
-    def counted(stack, compute_uv=True, full_matrices=False):
+    def counted(stack, compute_uv=True):
         factored[compute_uv] += len(stack)
-        return svd(stack, compute_uv, full_matrices)
+        return svd(stack, compute_uv)
 
     monkeypatch.setattr(linalg, "svd", counted)
     return factored
@@ -962,12 +960,13 @@ def test_resolution_point_shift_violation():
         rng.uniform(0.5, 1.5, size=2),
     )
     m = project(t)
-    subspaces = resolution_data(t)
-    # replace the subspace at v3 by a generic hyperplane: shift compatibility
-    # from v1/v2 fails almost surely
-    amb = subspaces["v3"].shape[0]
-    subspaces["v3"] = linalg.null(rng.standard_normal((1, amb)))
-    assert not verify_resolution_point(subspaces, m)
+    annihilators = resolution_data(t)
+    # replace the subspace at v3 by a generic hyperplane, the kernel of a
+    # random row: shift compatibility from v1/v2 fails almost surely, also
+    # at the zero point, where the kernel conditions hold
+    annihilators["v3"] = rng.standard_normal(annihilators["v3"].shape[1])
+    assert not verify_resolution_point(annihilators, m)
+    assert not verify_resolution_point(annihilators, project(zeroed(t)))
 
 
 def test_resolution_point_zero_moduli_point():
@@ -998,10 +997,10 @@ def test_resolution_point_codimension_check():
         rng.uniform(0.5, 1.5, size=2),
     )
     m = project(t)
-    subspaces = resolution_data(t)
-    subspaces["v5"] = subspaces["v5"][:, :-1]  # drop a basis vector: wrong codim
-    with pytest.raises(CodimensionMismatch):
-        verify_resolution_point(subspaces, m)
+    annihilators = resolution_data(t)
+    annihilators["v5"] = annihilators["v5"][:-1]  # drop an annihilating row: wrong codim
+    with pytest.raises(CodimensionMismatch, match="subspace at 'v5' has codimension 0, expected 1"):
+        verify_resolution_point(annihilators, m)
 
 
 def test_verify_resolution_point_names_a_missing_vertex():
@@ -1010,6 +1009,74 @@ def test_verify_resolution_point_names_a_missing_vertex():
     del subspaces["v4"]
     with pytest.raises(CodimensionMismatch, match="no subspace given at 'v4'"):
         verify_resolution_point(subspaces, project(t))
+
+
+@st.composite
+def dag_triples(draw):
+    """A random triple on a `random_dag_quiver` with 1-6 hidden vertices, every
+    dimension 1-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    return random_triple(q, {v: draw(st.integers(1, 3)) for v in q.vertices}, rng)
+
+
+def resolution_answer(verify, data, m):
+    """verify(data, m), or CodimensionMismatch if it raises that."""
+    try:
+        return verify(data, m)
+    except CodimensionMismatch:
+        return CodimensionMismatch
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(degenerate_triples(), dag_triples()), st.integers(0, 2**32 - 1))
+def test_resolution_point_matches_the_kernel_basis_oracle(t, seed):
+    """The annihilator verifier and the kernel-basis oracle, handed the `null`
+    of the same rows, give the same answer: for the triple's data against its
+    own point and against another point, with one vertex's annihilator
+    replaced by random rows (also against the zero point, where only the
+    shifts can fail), and with one row dropped (wrong codimension)."""
+    rng = np.random.default_rng(seed)
+    m, other = project(t), project(random_triple(t.quiver, t.dims, rng))
+    annihilators = resolution_data(t)
+    i = t.quiver.hidden[rng.integers(len(t.quiver.hidden))]
+    replaced = {**annihilators, i: rng.standard_normal(annihilators[i].shape)}
+    cases = [
+        (annihilators, m),
+        (annihilators, other),
+        (replaced, m),
+        (replaced, project(zeroed(t))),
+        ({**annihilators, i: annihilators[i][:-1]}, m),
+    ]
+    answers = []
+    for data, point in cases:
+        answers.append(resolution_answer(verify_resolution_point, data, point))
+        kernels = {k: null(a) for k, a in data.items()}
+        assert answers[-1] == resolution_answer(reference_verify_resolution_point, kernels, point)
+    assert answers[-1] is CodimensionMismatch
+
+
+def test_resolution_data_on_a_thin_quiver_with_2048_in_paths():
+    """On thin 8-16^3-4 the annihilators are read-only views of the stacked
+    path images, sum of d_i n_i = 16 * (8 + 128 + 2048) floats in all; the
+    verifier accepts them, and rejects them after a change of 1e-3 to one
+    entry."""
+    q = layered_quiver([8, 16, 16, 16, 4])
+    t = random_triple(q, thin_dims(q), np.random.default_rng(0))
+    m = project(t)
+    annihilators, images = resolution_data(t), moduli_module._path_images(t)
+    assert sum(a.size for a in annihilators.values()) == 34_944
+    assert sum(a.nbytes for a in annihilators.values()) == 279_552
+    assert all(np.shares_memory(annihilators[i], images[i]) for i in q.hidden)
+    last = q.hidden[-1]
+    before = project(t).vertex_block(last)
+    with pytest.raises(ValueError):
+        annihilators[last][0, 0] = 5.0
+    assert np.array_equal(project(t).vertex_block(last), before)
+    assert verify_resolution_point(annihilators, m)
+    changed = annihilators[last].copy()
+    changed[0, 0] += 1e-3
+    assert not verify_resolution_point({**annihilators, last: changed}, m)
 
 
 def thin_of(t):

@@ -52,3 +52,15 @@ def test_library_imports_only_the_standard_library_and_numpy():
             top = {name.partition(".")[0] for name in names}
             outside += [f"{path.name}:{node.lineno} {name}" for name in top - sys.stdlib_module_names - {"numpy"}]
     assert not outside, outside
+
+
+def test_library_lines_fit_in_120_characters():
+    """No line of src/qmn is over 120 characters, so the line count of the
+    library measures its size and not how densely it is written."""
+    long = [
+        f"{path.name}:{n} ({len(line)})"
+        for path in sorted((ROOT / "src" / "qmn").glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 120
+    ]
+    assert not long, long
