@@ -419,8 +419,9 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
 def verify_resolution_point(annihilators: dict, m: ModuliPoint) -> bool:
     """Check candidate resolution data against a moduli point.  The candidate
     at hidden vertex i is the kernel S_i of annihilators[i], a spanning set of
-    its annihilator as rows (a 1-D array is one row) over the stacked in-path
-    space, the column slots of `_path_images`.  S_i must have codimension d_i,
+    its annihilator as rows (a 1-D array is one row; anything else that is not
+    a finite matrix raises ShapeMismatch) over the stacked in-path space, the
+    column slots of `_path_images`.  S_i must have codimension d_i,
     the numerical row rank (`linalg.orth`); S_x must shift into S_i along each
     arrow a : x -> i, which moves the in-path space at x onto a's slot at i,
     so the rows of annihilators[i] on that slot lie in the row space of
@@ -435,6 +436,8 @@ def verify_resolution_point(annihilators: dict, m: ModuliPoint) -> bool:
         if i not in annihilators:
             raise CodimensionMismatch(f"no subspace given at {i!r}")
         given, ambient = np.atleast_2d(np.asarray(annihilators[i], dtype=float)), images[i].shape[1]
+        if given.ndim != 2 or not np.isfinite(given).all():
+            raise ShapeMismatch(f"annihilator at {i!r} is not a finite matrix, got shape {given.shape}")
         if given.shape[1] != ambient:
             raise CodimensionMismatch(f"subspace at {i!r} lives in dimension {given.shape[1]}, ambient is {ambient}")
         rows[i] = linalg.orth(given.T)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, QmnError, ShapeMismatch
-from .rep import DoubleFramedTriple, act, dual
+from .rep import DoubleFramedTriple, act_stacked, dual
 
 EPS = np.finfo(float).eps
 # |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i is rounding, with M_i the sum of
@@ -28,12 +28,9 @@ class MomentumValue:
     values: dict  # hidden vertex -> symmetric (d_i, d_i) matrix
 
     def scalars(self):
-        out = {}
-        for i, m in self.values.items():
-            if m.shape != (1, 1):
-                raise ShapeMismatch("scalar view needs thin hidden dimensions")
-            out[i] = float(m[0, 0])
-        return out
+        if any(m.shape != (1, 1) for m in self.values.values()):
+            raise ShapeMismatch("scalar view needs thin hidden dimensions")
+        return {i: float(m[0, 0]) for i, m in self.values.items()}
 
 
 def _in_squares(t: DoubleFramedTriple) -> dict:
@@ -63,13 +60,8 @@ class LevelSetReport:
 def level_set_membership(t: DoubleFramedTriple, target: float) -> LevelSetReport:
     """Distance of the momentum value to target * identity, per vertex; within
     LEVEL_TOL is membership."""
-    mu = momentum(t)
-    membership, residuals = {}, {}
-    for i, m in mu.values.items():
-        d = m.shape[0]
-        resid = float(np.linalg.norm(m - float(target) * np.eye(d)))
-        residuals[i] = resid
-        membership[i] = resid <= LEVEL_TOL
+    residuals = {i: float(np.linalg.norm(m - float(target) * np.eye(len(m)))) for i, m in momentum(t).values.items()}
+    membership = {i: resid <= LEVEL_TOL for i, resid in residuals.items()}
     return LevelSetReport(membership=membership, residuals=residuals, target=float(target))
 
 
@@ -92,70 +84,80 @@ def balance(t: DoubleFramedTriple, target: float, tol=LEVEL_TOL) -> BalanceResul
     rounding floor |mu_i - target| <= ROUNDING_FLOOR * EPS * M_i, or when a
     full step with every residual below sqrt(EPS) * M_i no longer lowers them,
     and accepts when each is within max(tol, that floor).  Raises NoConvergence
-    after MAX_STEPS steps or when no step makes progress (an unreachable
-    level), and QmnError on a non-finite target or a negative or non-finite tol.
+    after MAX_STEPS steps, when no step makes progress (an unreachable level)
+    and at once when |target| > max(tol, ROUNDING_FLOOR * EPS) at a vertex
+    without weights (mu_i = 0 there); QmnError on a non-finite target or a
+    negative or non-finite tol.  An overflow, under one np.errstate, makes a
+    residual inf, not a warning.
     """
-    q = t.quiver
-    if any(t.dims[i] != 1 for i in q.hidden):
+    plan, stacks, n = t.layout, t.stacks, len(t.quiver.hidden)
+    if any(d != 1 for d, _ in plan.sizes):
         raise ShapeMismatch("balancing is implemented for thin hidden dimensions")
     target, tol = float(target), float(tol)
     if not (math.isfinite(target) and math.isfinite(tol) and tol >= 0.0):
         raise QmnError(f"balance needs a finite target and a finite tol >= 0, got {target}, {tol}")
-    hidden, plan, stacks = q.hidden, t.layout, t.stacks
-    n = len(hidden)
-    # thin: every hidden arrow is in one (1, 1) group, whose gauge rows are
-    # the rows of its target (x) and source (y) in q.hidden order
+    # thin: one (1, 1) group of hidden arrows, gauge rows x (targets) and y (sources) in q.hidden order
     arrows = [(g[3], g[4], stack[:, 0, 0]) for g, stack in zip(plan.moves.arrows.groups, stacks.arrows)]
     tgt, src, weights = arrows[0] if arrows else (np.zeros(0, dtype=np.intp),) * 3
-    # each weight squared as a scalar: an array square differs in the last bit
-    w2 = np.fromiter((v**2 for v in weights), float, len(weights))
-    # |f_i|^2 and |h_i|^2 as row sums of each shape group's stack, which add
-    # in np.sum's order, so each is bit for bit np.sum(f_i ** 2) (a BLAS dot
-    # product is not)
-    fw, hw = np.zeros(n), np.zeros(n)
-    for norms, side, moves in ((fw, stacks.f, plan.moves.f), (hw, stacks.h, plan.moves.h)):
-        for stack, (_, r, c, xs, ys) in zip(side, moves.groups):
-            norms[ys if xs is None else xs] = np.square(stack.reshape(len(stack), r * c)).sum(axis=1)
-    weighted = fw + hw + np.bincount(tgt, w2, n) + np.bincount(src, w2, n) > 0.0
+    with np.errstate(all="ignore"):
+        try:  # each weight squared as a scalar: an array square differs in the last bit
+            w2 = np.fromiter((v**2.0 for v in weights.tolist()), float, len(weights))
+        except OverflowError:  # a square past the float range: numpy's scalar one is inf
+            w2 = np.fromiter((v**2.0 for v in weights), float, len(weights))
+        # |f_i|^2, |h_i|^2: row sums of each nonempty group's stack, bit for bit np.sum(f_i ** 2) (a dot is not)
+        fw, hw = np.zeros(n), np.zeros(n)
+        for norms, side, moves in ((fw, stacks.f, plan.moves.f), (hw, stacks.h, plan.moves.h)):
+            for stack, (_, r, c, xs, ys) in zip(side, moves.groups):
+                if r * c:
+                    norms[ys if xs is None else xs] = np.square(stack.reshape(len(stack), r * c)).sum(axis=1)
+        weighted = fw + hw + np.bincount(tgt, w2, n) + np.bincount(src, w2, n) > 0.0
+        if not weighted.all() and abs(target) > max(tol, ROUNDING_FLOOR * EPS):
+            raise NoConvergence(0, abs(target))  # mu_i = 0 at a vertex with no weights
+        pairs = src * n + tgt
 
-    @np.errstate(all="ignore")
-    def point(x):
-        # x, Phi, mu - target, c, M and the worst |mu_i - target| / M_i; M = 1
-        # where a vertex has no weights, an underflowed M elsewhere gives nan
-        s = np.exp(x)
-        c = w2 * np.exp(x[tgt] - x[src])
-        fs, hs = fw * s, hw / s
-        cin, cout = np.bincount(tgt, c, n), np.bincount(src, c, n)
-        mass = np.where(weighted, fs + hs + cin + cout, 1.0)
-        grad = fs - hs + cin - cout - target
-        phi = fs.sum() + hs.sum() + c.sum() - target * x.sum()
-        return x, phi, grad, c, mass, float(np.max(np.abs(grad) / mass, initial=0.0))
+        def point(x):
+            # x, mu - target, c, M, the worst |mu_i - target| / M_i, and the f and h terms of
+            # Phi; M = 1 where a vertex has no weights, an underflowed M elsewhere gives nan
+            s = np.exp(x)
+            c = w2 * np.exp(x[tgt] - x[src])
+            fs, hs = fw * s, hw / s
+            cin, cout = np.bincount(tgt, c, n), np.bincount(src, c, n)
+            mass = np.where(weighted, fs + hs + cin + cout, 1.0)
+            grad = fs - hs + cin - cout - target
+            return x, grad, c, mass, float((np.abs(grad) / mass).max(initial=0.0)), fs, hs
 
-    def residual():
-        return float(np.max(np.abs(cur[2]), initial=0.0))
+        def phi(p):  # Phi at a point
+            return p[5].sum() + p[6].sum() + p[2].sum() - target * p[0].sum()
 
-    cur, steps = point(np.zeros(n)), 0
-    while not cur[5] <= ROUNDING_FLOOR * EPS:
-        x, phi, grad, c, mass, worst = cur
-        if steps == MAX_STEPS:
-            raise NoConvergence(steps, residual())
-        off = np.bincount(src * n + tgt, c, n * n).reshape(n, n)
-        try:
-            dx = np.linalg.solve(np.diag(mass) - off - off.T, -grad)
-        except np.linalg.LinAlgError:
-            raise NoConvergence(steps, residual()) from None
-        step, new = 1.0, point(x + dx)
-        if worst <= math.sqrt(EPS) and not new[5] < worst:
-            break  # quadratic phase at the rounding floor: the step cannot help
-        # a full step that lowers the residual is kept without Armijo: near the
-        # minimum the decrease of Phi falls below Phi's own rounding
-        while not (step == 1.0 and new[5] < worst or new[1] <= phi + 1e-4 * step * (grad @ dx)):
-            step *= 0.5
-            if step < 1e-12:
+        def residual():
+            return float(np.abs(cur[1]).max(initial=0.0))
+
+        cur, steps = point(np.zeros(n)), 0
+        while not cur[4] <= ROUNDING_FLOOR * EPS:
+            x, grad, c, mass, worst, _, _ = cur
+            if steps == MAX_STEPS:
                 raise NoConvergence(steps, residual())
-            new = point(x + step * dx)
-        cur, steps = new, steps + 1
-    if not np.all(np.abs(cur[2]) <= np.maximum(tol, ROUNDING_FLOOR * EPS * cur[4])):
-        raise NoConvergence(steps, residual())
-    gauge = {i: np.array([[math.exp(0.5 * xi)]]) for i, xi in zip(hidden, cur[0])}
-    return BalanceResult(gauge=gauge, triple=act(gauge, t), sweeps=steps, residual=residual())
+            # Hessian: -c_a at (s, t) and (t, s), M on the loop-free diagonal; float (bincount of no arrows is int)
+            off = np.bincount(pairs, c, n * n).reshape(n, n)
+            hess = np.negative(off + off.T, dtype=float)
+            hess.flat[:: n + 1] = mass
+            try:
+                dx = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                raise NoConvergence(steps, residual()) from None
+            step, new = 1.0, point(x + dx)
+            if worst <= math.sqrt(EPS) and not new[4] < worst:
+                break  # quadratic phase at the rounding floor: the step cannot help
+            # a full step that lowers the residual is kept without Armijo: near
+            # the minimum the decrease of Phi falls below Phi's own rounding
+            while not (step == 1.0 and new[4] < worst or phi(new) <= phi(cur) + 1e-4 * step * (grad @ dx)):
+                step *= 0.5
+                if step < 1e-12:
+                    raise NoConvergence(steps, residual())
+                new = point(x + step * dx)
+            cur, steps = new, steps + 1
+        if not np.all(np.abs(cur[1]) <= np.maximum(tol, ROUNDING_FLOOR * EPS * cur[3])):
+            raise NoConvergence(steps, residual())
+    stack = np.array([math.exp(0.5 * xi) for xi in cur[0].tolist()]).reshape(n, 1, 1)
+    gauge = dict(zip(t.quiver.hidden, stack))  # views of the stack `act_stacked` moves t by
+    return BalanceResult(gauge=gauge, triple=act_stacked({1: stack}, t), sweeps=steps, residual=residual())

@@ -329,21 +329,26 @@ def act(g: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
     Every block is checked before anything is computed: a missing block or
     one of the wrong size raises ShapeMismatch, a non-finite or numerically
     singular one SingularGauge, each naming the vertex.  The blocks of one
-    size are checked and inverted as one stack, and each of t's stacks is
-    moved by one stacked product, the gauge blocks gathered by index; which
-    blocks go where is t's `layout`."""
+    size are stacked in t's `layout.sizes` order and moved by `act_stacked`."""
+    blocks = {i: _gauge_block(g.get(i), i, t.dims[i]) for i in t.quiver.hidden}
+    gauge = {d: np.concatenate([blocks[i] for i in vs]).reshape(len(vs), d, d) for d, vs in t.layout.sizes}
+    return act_stacked(gauge, t)
+
+
+def act_stacked(gauge: dict, t: DoubleFramedTriple) -> DoubleFramedTriple:
+    """`act` on gauge blocks already stacked: size d to a float (n, d, d)
+    stack in t's `layout.sizes` order, not coerced again.  Each stack is
+    checked and inverted at once, and each of t's nonempty stacks is moved by
+    one stacked product, the gauge blocks gathered by index; which blocks go
+    where is t's `layout`."""
     q, dims, plan = t.quiver, t.dims, t.layout
-    blocks = {i: _gauge_block(g.get(i), i, dims[i]) for i in q.hidden}
-    gauge, inverse = {}, {}
-    for d, vertices in plan.sizes:
-        gauge[d] = np.concatenate([blocks[i] for i in vertices]).reshape(len(vertices), d, d)
-        inverse[d] = _inverted(gauge[d], vertices)
+    inverse = {d: _inverted(gauge[d], vertices) for d, vertices in plan.sizes}
 
     def moved(prod, group):
         _, r, c, xs, ys = group
-        if xs is not None:
+        if xs is not None and prod.size:
             prod = gauge[r][xs] @ prod
-        if ys is not None:
+        if ys is not None and prod.size:
             prod = prod @ inverse[c][ys]
         return prod
 

@@ -213,6 +213,17 @@ def test_relu_balance_numeric_failure_exit_code(capsys, tmp_path):
         assert code == 3
 
 
+def test_relu_balance_without_weights(capsys, tmp_path):
+    """f = h = 0: no target but 0 is reachable, so --target 1 exits 3 before
+    any step, and --target 0 passes with 0 sweeps."""
+    rpath = write_json(tmp_path, "rep.json", io.thin_to_json(single_vertex_net(0.0, 0.0).weights))
+    code, _, err = run_quietly(["relu", "balance", "--rep", rpath, "--target", "1"])
+    assert code == 3 and "no convergence after 0 steps, residual 1.000e+00" in err
+    code, out = run(capsys, "--format", "json", "relu", "balance", "--rep", rpath, "--target", "0")
+    assert code == 0
+    assert json.loads(out) == {"gauge": {"v": 1.0}, "sweeps": 0, "residual": 0.0}
+
+
 @pytest.mark.parametrize(
     "numbers",
     [["--target", "nan"], ["--target", "inf"], ["--target", "0", "--tol", "-1"], ["--target", "0", "--tol", "nan"]],

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 from pathlib import Path as FilePath
 
@@ -1001,6 +1002,21 @@ def test_resolution_point_codimension_check():
     annihilators["v5"] = annihilators["v5"][:-1]  # drop an annihilating row: wrong codim
     with pytest.raises(CodimensionMismatch, match="subspace at 'v5' has codimension 0, expected 1"):
         verify_resolution_point(annihilators, m)
+
+
+def test_verify_resolution_point_rejects_an_annihilator_that_is_not_a_finite_matrix():
+    """A nan entry and a 3-D array are refused by name, not passed on to
+    numpy's SVD or to the slicing of the shift check."""
+    t = d4tilde_triple(1, 1, 1, 1, 1, [1, 1], [1, 1], [1, 1], [1, 1])
+    m = project(t)
+    good = resolution_data(t)
+    with_nan = np.array(good["v5"])
+    with_nan[0, 0] = np.nan
+    for bad, shape in ((with_nan, with_nan.shape), (good["v5"][:, :, None], (*good["v5"].shape, 1))):
+        message = f"annihilator at 'v5' is not a finite matrix, got shape {shape}"
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            verify_resolution_point({**good, "v5": bad}, m)
+    assert verify_resolution_point(good, m)
 
 
 def test_verify_resolution_point_names_a_missing_vertex():

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import balance_reference, layered_quiver
+from conftest import balance_reference, layered_quiver, reference_act
 from hypothesis import given, settings, strategies as st
 
 from qmn.errors import NoConvergence, ShapeMismatch
@@ -100,11 +101,29 @@ def test_balance_tol_bounds_a_stalled_residual():
         balance(sv_triple(0.0, 0.0), 1e-9, tol=0.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_balance_non_finite_residual_is_not_converged():
-    """|f|^2 overflows: the residual is not finite and must not pass as zero."""
-    with pytest.raises(NoConvergence):
-        balance(sv_triple(1e200, 1.0), 0.0)
+    """|f|^2 or an arrow's square overflows: the residual is inf, not passed
+    as zero, and the overflow is no warning (a finite weight is valid input)."""
+    q = layered_quiver([1, 1, 1, 1])
+    deep = ThinRep(q, {a.id: 1e200 if a.id == "L1_0>L2_0" else 1.0 for a in q.arrows}).to_triple()
+    for t in (sv_triple(1e200, 1.0), deep):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence) as failed:
+                balance(t, 0.0)
+        assert failed.value.residual == math.inf
+
+
+def test_balance_fails_fast_at_a_vertex_without_weights():
+    """Without weights mu_i stays 0: a target beyond tol and the rounding
+    floor fails before the first step, with |target| as the residual; a
+    target within them passes with no step."""
+    for target in (1.0, -1e-6):
+        with pytest.raises(NoConvergence) as failed:
+            balance(sv_triple(0.0, 0.0), target)
+        assert (failed.value.iterations, failed.value.residual) == (0, abs(target))
+    res = balance(sv_triple(0.0, 0.0), 0.0)
+    assert (res.sweeps, res.residual, float(res.gauge["v"][0, 0])) == (0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("target", [0.0, 1.0])
@@ -204,6 +223,15 @@ def test_balance_matches_coordinate_descent_reference(t, target):
     for i in t.quiver.hidden:
         g, want = float(res.gauge[i][0, 0]), float(ref.gauge[i][0, 0])
         assert g > 0.0 and abs(g - want) <= 1e-7 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_thin_triples(), st.sampled_from([0.0, 1.0]))
+def test_balanced_triple_is_its_gauge_acting_bit_for_bit(t, target):
+    """`balance` moves t by its own stacked gauge; that is `act` on the gauge
+    dict it returns, and the per-arrow reference, to the last bit."""
+    res = balance(t, target)
+    assert res.triple == act(res.gauge, t) == reference_act(res.gauge, t)
 
 
 def test_balance_badly_scaled_weights():
