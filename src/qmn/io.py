@@ -40,6 +40,14 @@ def _list_of(value, kind):
     return isinstance(value, list) and all(isinstance(x, kind) for x in value)
 
 
+def _no_stray(mapping, names, message):
+    """Refuse a key the quiver has no place for, which would be silently
+    ignored; message is formatted with the first such key."""
+    for key in mapping:
+        if key not in names:
+            raise QmnError(message.format(key))
+
+
 def _embedded_quiver(obj, kind):
     """The quiver mapping embedded in a representation or network file; only
     a top-level argument is ever opened as a path."""
@@ -87,9 +95,13 @@ def representation_from_json(obj, quiver: Quiver = None) -> Representation:
         dims, weights = obj["dims"], obj["weights"]
     except KeyError as exc:
         raise QmnError(f"malformed representation file: missing key {exc}") from exc
-    for key, value in (("dims", dims), ("weights", weights)):
+    for key, value, names, kind in (
+        ("dims", dims, set(quiver.vertices), "a vertex"),
+        ("weights", weights, quiver.arrow_by_id, "an arrow"),
+    ):
         if not isinstance(value, dict):
             raise QmnError(f"malformed representation file: {key!r} is a {type(value).__name__}, not a mapping")
+        _no_stray(value, names, f"malformed representation file: {key!r} names {{!r}}, not {kind} of the quiver")
     for v, d in dims.items():
         if not isinstance(d, int) or isinstance(d, bool):
             raise QmnError(f"malformed representation file: dimension of vertex {v!r} is {d!r}, not an integer")
@@ -138,6 +150,7 @@ def network_from_json(obj, quiver: Quiver = None) -> NeuralNetwork:
     activations, bias = obj.get("activations", {}), obj.get("bias", [])
     if not isinstance(activations, dict) or not all(isinstance(t, str) for t in activations.values()):
         raise QmnError("malformed network file: 'activations' is not a mapping of vertices to tags")
+    _no_stray(activations, set(quiver.hidden), "malformed network file: 'activations' names {!r}, not a hidden vertex")
     if not isinstance(bias, list) or not all(isinstance(v, str) for v in bias):
         raise QmnError("malformed network file: 'bias' is not a list of vertex names")
     bias = set(bias) | {v for v, r in quiver.roles.items() if r == "bias"}

@@ -33,11 +33,10 @@ class ModuliPoint:
     `assembled` is the sum of the coordinates h_j V_w f_i over the hidden
     paths w : i ~> j, from one level sweep that reads no path, kept on the
     point as its one assembled matrix.  blocks[w] (shape (w_end, u_start))
-    is a read-only view of w's column slot in the row h_j C_j (C_j the
-    stacked path images at j, in `_slot_layout`'s order, the one reader here
-    of the path table), and assigning to it adds the edit into that matrix;
-    `rank_vector`, `vertex_block`, the closed orbit and the resolution
-    helpers read the triple's sweeps, so they do not follow.
+    is read-only, first a view of w's column slot in the row h_j C_j, and
+    assigning to it adds the edit into that matrix; `rank_vector`,
+    `vertex_block`, the closed orbit and the resolution helpers read the
+    triple's sweeps, so they do not follow.
     """
 
     triple: DoubleFramedTriple
@@ -55,17 +54,20 @@ class ModuliPoint:
         return self.triple.framing
 
     @cached_property
-    def _rows(self) -> dict:
-        """h_j C_j at each framed-out vertex j, a fresh array sharing no
-        storage with the triple's sweeps."""
-        t, images = self.triple, _path_images(self.triple)
-        return {j: t.h[j] @ images[j] for j in t.quiver.hidden if t.framing.w[j]}
-
-    @cached_property
     def blocks(self) -> Mapping:
-        """Each slot path, in column order, to a read-only view of its columns
-        in `_rows`; assigning a block writes through."""
-        return _Blocks(self, _slot_layout(self.triple.layout))
+        """Each slot path to its block, from one walk of the path table, the
+        one reader here of it: at each framed-out j in `hq.vertices` order,
+        the fresh row h_j C_j (C_j from `_path_images`), read-only, and for
+        each path into j that starts where u > 0, in table order, a view of
+        its next u_start columns."""
+        t, views = self.triple, {}
+        u, images, table = t.framing.u, _path_images(t), all_hidden_paths(t.quiver.hidden_quiver())
+        for j in (j for j in table if t.framing.w[j]):
+            row, c = t.h[j] @ images[j], 0
+            row.flags.writeable = False  # and so is every block sliced from it
+            for p in (p for p in table[j] if u[p.start]):
+                views[p], c = row[:, c : c + u[p.start]], c + u[p.start]
+        return _Blocks(self, views)
 
     @cached_property
     def _assembled(self) -> np.ndarray:
@@ -143,8 +145,9 @@ def _rank_vector(t: DoubleFramedTriple, tol):
 def _path_images(t: DoubleFramedTriple):
     """Uncut stacked path images C_i = [f_i | V_a C_x ...] at each hidden
     vertex, arrows a : x -> i in `arrows_into` order: the lazy path's slot at
-    i if u_i > 0, then each slot of x extended by a (`_slot_layout`).  Slot w
-    is u[w.start] columns wide and holds V_w f_start; on `dual(t)`, H_i^T.
+    i if u_i > 0, then each slot of x extended by a, the order of the
+    `all_hidden_paths` table.  Slot w is u[w.start] columns wide and holds
+    V_w f_start; on `dual(t)`, H_i^T.
     Refuses quivers past the path cap, but enumerates no path."""
     check_path_cap(t.quiver.hidden_quiver())
     return _sweep(t, _level_plan(t.layout, False), lambda stack: (stack, stack))
@@ -225,53 +228,35 @@ def _index(rows):
 
 
 class _Blocks(Mapping):
-    """The coordinate blocks of a point: each slot path, in column order, to a
-    read-only view of its columns in its row.  Assigning an array of a
-    block's shape adds the change into the path's cell of the point's one
-    assembled matrix (the first assignment runs its sweep), then writes it
-    into the row; nothing else changes a block, and an in-place edit of a
-    view (`+=`, an entry) raises."""
+    """The coordinate blocks of a point: each slot path, in column order, to
+    its read-only block.  Assigning an array of a block's shape adds the
+    change into the path's cell of the point's one assembled matrix (the
+    `_assembly_plan` rows of ("h", end) and ("f", start); the first
+    assignment runs its sweep), then keeps a read-only float copy as the
+    block; nothing else changes a block, and an in-place edit (`+=`, an
+    entry) raises."""
 
-    def __init__(self, point, layout):
-        self._point, self._rows, self._layout = point, point._rows, layout
-        self._views = {j: row.view() for j, row in self._rows.items()}
-        for view in self._views.values():
-            view.flags.writeable = False  # and so is every block sliced from it
+    def __init__(self, point, views):
+        self._point, self._views = point, views
 
     def __getitem__(self, p):
-        j, cols, _ = self._layout[p]
-        return self._views[j][cols]
+        return self._views[p]
 
     def __setitem__(self, p, value):
-        (j, cols, cell), value = self._layout[p], np.asarray(value)
-        if value.shape != self[p].shape:
-            raise ShapeMismatch(f"block {p} has shape {self[p].shape}, got {value.shape}")
-        self._point._assembled[cell] += value - self._rows[j][cols]
-        self._rows[j][cols] = value
+        block, value = self._views[p], np.asarray(value)
+        if value.shape != block.shape:
+            raise ShapeMismatch(f"block {p} has shape {block.shape}, got {value.shape}")
+        (r, c), plan = block.shape, _assembly_plan(self._point.triple.layout)
+        top, left = plan.row["h", p.end] - plan.levels[-1].start, plan.row["f", p.start]
+        self._point._assembled[top : top + r, left : left + c] += value - block
+        self._views[p] = value.astype(float)
+        self._views[p].flags.writeable = False
 
     def __iter__(self):
-        return iter(self._layout)
+        return iter(self._views)
 
     def __len__(self):
-        return len(self._layout)
-
-
-@memoised
-def _slot_layout(lay) -> dict:
-    """Each slot path of a `rep.Layout`'s hidden quiver, in column order, to
-    its end j, its columns in the row h_j C_j and its cell in `assembled`
-    (the `_assembly_plan` rows of ("h", j) and ("f", start)), built once per
-    layout.  The slot paths into a framed-out j (w > 0) are the
-    `all_hidden_paths` into j that start where u > 0, in table order."""
-    hq, u, w = lay.quiver.hidden_quiver(), lay.framing.u, lay.framing.w
-    plan, table, layout = _assembly_plan(lay), all_hidden_paths(hq), {}
-    for j in (j for j in hq.vertices if w[j]):
-        r, c = plan.row["h", j] - plan.levels[-1].start, 0
-        for p in (p for p in table[j] if u[p.start]):
-            s = plan.row["f", p.start]
-            layout[p] = j, (slice(None), slice(c, c + u[p.start])), (slice(r, r + w[j]), slice(s, s + u[p.start]))
-            c += u[p.start]
-    return layout
+        return len(self._views)
 
 
 @memoised

@@ -275,7 +275,7 @@ class Layout:
     size, and per shape group the rows of its gauge blocks in their size's
     stack).  `_memo` keeps what `rep.memoised` readers derive from the layout
     alone for the quiver's life: the level plans of `qmn.moduli`'s sweeps and
-    of `assembled`, and the slot layout, with every slot path, of `blocks`."""
+    of `assembled`; it keeps no path."""
 
     quiver: Quiver
     dims: tuple

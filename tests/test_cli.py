@@ -450,6 +450,37 @@ def test_non_number_weight_is_invalid_input(capsys, tmp_path, argv, doc, arrow, 
     assert f"weight of arrow {arrow!r} holds {leaf}, not a number" in run_invalid(capsys, *argv, path)
 
 
+REP_DOC = {"quiver": README_QUIVER, "dims": REP_DIMS, "weights": {"f": 2.0, "h": 3.0}}
+REP_COMMANDS = [
+    ["moduli", "coords", "--rep"],
+    ["moduli", "rank", "--rep"],
+    ["relu", "balance", "--target", "0", "--rep"],
+]
+TYPO = {"f": 2.0, "h": 3.0, "typo": 1.0}
+NET_EVAL = ["net", "eval", "--input", "1", "--net"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        *((argv, {**REP_DOC, "weights": TYPO}, "'weights' names 'typo'") for argv in REP_COMMANDS),
+        *((argv, {**REP_DOC, "dims": {**REP_DIMS, "zz": 1}}, "'dims' names 'zz'") for argv in REP_COMMANDS),
+        (NET_EVAL, {**NET_DOC, "weights": TYPO}, "'weights' names 'typo'"),
+        (NET_EVAL, {**NET_DOC, "activations": {"v": "relu", "t": "relu", "ghost": "tanh"}}, "'activations' names 't'"),
+        (NET_EVAL, {**NET_DOC, "activations": {"v": "relu", "ghost": "tanh"}}, "'activations' names 'ghost'"),
+        (NET_EVAL, {**NET_DOC, "activations": {"s": "relu"}}, "'activations' names 's'"),
+    ],
+    ids=[f"{kind}-{argv[1]}" for kind in ("weights", "dims") for argv in REP_COMMANDS]
+    + ["net-weights", "net-sink-activation", "net-ghost-activation", "net-source-activation"],
+)
+def test_keys_the_quiver_lacks_are_invalid_input(capsys, tmp_path, argv, doc, message):
+    """A weight for no arrow, a dim for no vertex or an activation for no
+    hidden vertex would be silently ignored (a relu on the sink would never
+    be applied), so each is refused with its key named."""
+    path = write_json(tmp_path, "doc.json", doc)
+    assert message in run_invalid(capsys, *argv, path)
+
+
 FUZZ_DOCS = [
     README_QUIVER,
     {"quiver": README_QUIVER, "dims": {"s": 1, "v": 1, "t": 1}, "weights": {"f": [[2.0]], "h": 3.0}},

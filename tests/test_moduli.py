@@ -677,8 +677,8 @@ def test_block_edits_write_through_to_assembled_alone(t, read_first, data):
     """Assigning to blocks, before or after the first `assembled`, moves each
     (start, end) cell of `assembled` by exactly the edits of its paths; the
     block reads back the assigned value.  The rank vector, the vertex blocks
-    and a fresh projection of the triple do not follow, and the rows share no
-    storage with the triple's memoised sweeps."""
+    and a fresh projection of the triple do not follow, and no block, edited
+    or not, shares storage with the triple's memoised sweeps."""
     m = project(t)
     hidden = t.quiver.hidden
     ranks = m.rank_vector()
@@ -701,14 +701,15 @@ def test_block_edits_write_through_to_assembled_alone(t, read_first, data):
     fresh = project(t)
     assert np.array_equal(fresh.assembled(), path_assembled(t))
     sweeps = memo_arrays(t._memo) + memo_arrays(dual(t)._memo)
-    assert not any(np.shares_memory(r, a) for r in m._rows.values() for a in sweeps)
+    assert not any(np.shares_memory(b, a) for b in m.blocks.values() for a in sweeps)
 
 
 @settings(max_examples=100, deadline=None)
 @given(integer_triples(), st.data())
 def test_blocks_refuse_what_they_cannot_hold(t, data):
-    """A block takes an array of its exact shape and nothing else: a wrong
-    shape raises ShapeMismatch, an in-place edit of its view (`+=`, one
+    """A block takes a real array of its exact shape and nothing else: a
+    wrong shape raises ShapeMismatch, a complex block raises rather than
+    losing its imaginary part, an in-place edit of its view (`+=`, one
     entry) raises ValueError, and each leaves the block and `assembled` as
     they were; deletion raises, and a key that is no slot path is not in the
     mapping."""
@@ -719,6 +720,8 @@ def test_blocks_refuse_what_they_cannot_hold(t, data):
     for shape in {(r + 1, c), (r, c + 1), (c, r), (r * c,), ()} - {(r, c)}:
         with pytest.raises(ShapeMismatch):
             m.blocks[p] = np.ones(shape)
+    with pytest.raises(TypeError):
+        m.blocks[p] = kept + 1j
     with pytest.raises(ValueError):
         m.blocks[p] += 1.0
     with pytest.raises(ValueError):
@@ -734,6 +737,25 @@ def test_blocks_refuse_what_they_cannot_hold(t, data):
         with pytest.raises(KeyError):
             m.blocks[unknown] = kept
     assert len(m.blocks) == len(list(m.blocks)) == len(set(m.blocks))
+
+
+def test_blocks_leave_every_memo_as_it_was(ten_arrow_quiver):
+    """Once `assembled` and `resolution_data` have memoised the path images,
+    their plan and the assembly plan, reading the blocks and assigning one
+    add no entry to the memo of the layout, the triple, its dual or the
+    quiver: the blocks live on the point alone."""
+    q = ten_arrow_quiver
+    dims = {"s1": 1, "s2": 2, "h1": 2, "h2": 3, "h3": 2, "t1": 2, "t2": 1}
+    t = random_triple(q, dims, np.random.default_rng(11))
+    m = project(t)
+    m.assembled()
+    resolution_data(t)
+    all_hidden_paths(q.hidden_quiver())
+    memos = (t.layout._memo, t._memo, dual(t)._memo, q._memo, q.hidden_quiver()._memo)
+    before = [list(memo) for memo in memos]
+    p = next(iter(m.blocks))
+    m.blocks[p] = m.blocks[p] + 1.0
+    assert [list(memo) for memo in memos] == before
 
 
 def count_factored(monkeypatch):
@@ -792,9 +814,9 @@ def test_sweep_factors_one_stack_per_level(monkeypatch):
 def test_no_moduli_reader_walks_a_path():
     """`project`, the sweep readers, `assembled`, the network map,
     `vertex_block` and the resolution helpers build no path table, on the
-    quiver or on its opposite.  `blocks` reads the hidden quiver's
-    `all_hidden_paths` table through the slot layout: it is built once, and a
-    triple of other dims on the quiver reuses it."""
+    quiver or on its opposite.  `blocks` walks the hidden quiver's
+    `all_hidden_paths` table once: it is built once, and a triple of other
+    dims on the quiver reuses it."""
     q = random_dag_quiver(np.random.default_rng(5), n_hidden=6)
     quivers = (q, q.hidden_quiver(), q.opposite, q.opposite.hidden_quiver())
 
