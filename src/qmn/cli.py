@@ -36,12 +36,16 @@ class Parser(argparse.ArgumentParser):
 
 
 def _finite(obj):
-    """No NaN or infinite number anywhere in a payload."""
+    """No NaN or infinite number anywhere in a payload; a list of lists is
+    checked as the list of their items, a list of floats at C speed."""
     if isinstance(obj, dict):
         obj = list(obj.values())
-    if isinstance(obj, list):
-        return all(_finite(v) for v in obj)
-    return not isinstance(obj, float) or math.isfinite(obj)
+    if not isinstance(obj, list):
+        return not isinstance(obj, float) or math.isfinite(obj)
+    kinds = set(map(type, obj))
+    if kinds == {list}:
+        return _finite([x for row in obj for x in row])
+    return all(map(math.isfinite if kinds <= {float} else _finite, obj))
 
 
 def _check_finite(obj):
@@ -96,9 +100,7 @@ def _emit_table(obj, indent=0):
 
 
 def _is_flat(v):
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    return False
+    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
 
 
 def _fmt_flat(v):

@@ -15,8 +15,8 @@ RESIDUAL_TOL = 1e-8  # relative residual counted as zero by `contains` and resol
 
 def cuts(s, tol):
     """How many of each row of singular values s (descending) exceed tol
-    times the row's largest, as a list."""
-    return np.add.reduce(s > tol * s[:, :1], axis=1).tolist()
+    times the row's largest, as an int array."""
+    return np.add.reduce(s > tol * s[:, :1], axis=1)
 
 
 def svd(stack, compute_uv=True):
@@ -43,7 +43,7 @@ def num_ranks(mats, tol=RANK_TOL):
     """Numerical rank of each of `mats`: singular values above tol * sigma_max."""
     out = [0] * len(mats)
     for ks, s in svd_stacks(mats, compute_uv=False):
-        for k, r in zip(ks, cuts(s, tol)):
+        for k, r in zip(ks, cuts(s, tol).tolist()):
             out[k] = r
     return out
 

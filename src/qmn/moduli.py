@@ -28,16 +28,11 @@ from .rep import DoubleFramedTriple, Sides, block_plan, deframe, dual, gauge_dim
 class ModuliPoint:
     """The gauge orbit of `triple`, a frozen representative that gives the
     quiver, dims and framing; spans, ranks and the closed orbit are read from
-    its sweeps, which are memoised on it, and enumerate no path.
-
-    `assembled` is the sum of the coordinates h_j V_w f_i over the hidden
-    paths w : i ~> j, from one level sweep that reads no path, kept on the
-    point as its one assembled matrix.  blocks[w] (shape (w_end, u_start))
-    is read-only, first a view of w's column slot in the row h_j C_j, and
-    assigning to it adds the edit into that matrix; `rank_vector`,
-    `vertex_block`, the closed orbit and the resolution helpers read the
-    triple's sweeps, so they do not follow.
-    """
+    its sweeps, memoised on it, which enumerate no path.  `assembled` is the
+    sum of the coordinates h_j V_w f_i over the hidden paths w : i ~> j, from
+    one level sweep, kept as the point's one assembled matrix.  blocks[w]
+    (shape (w_end, u_start)) is read-only, and assigning to it adds the edit
+    into that matrix alone: the readers of the sweeps do not follow."""
 
     triple: DoubleFramedTriple
 
@@ -92,10 +87,9 @@ class ModuliPoint:
 
     def rank_vector(self, tol=linalg.RANK_TOL):
         """Numerical rank of each q^(i), which factors through V_i as path
-        co-images (the dual's path images) times path images: the number of
-        cosines of principal angles between the two orthonormal spans above
-        tol times the largest.  Computed once per triple and tol; each call
-        returns a fresh dict."""
+        co-images times path images: the cosines of principal angles between
+        the two spans above tol times the largest, min(r_F, r_H) where one
+        spans V_i or is zero.  Once per triple and tol; a fresh dict."""
         if not 0.0 <= tol < 1.0:
             raise QmnError(f"rank tolerance must lie in [0, 1), got {tol}")
         return dict(_rank_vector(self.triple, tol))
@@ -111,34 +105,44 @@ def project(t: DoubleFramedTriple) -> ModuliPoint:
 
 @memoised
 def _images(t: DoubleFramedTriple):
-    """Cut thin SVDs (u, s, vt) and u * s of the stacked path images V_w f at
-    each hidden vertex, from one sweep over [f_i | V_a P_x ...], arrows
-    a : x -> i: P_x = u * s keeps their Gram matrix at the full thin width
-    k_x of `_level_plan`, singular values below the SUBSPACE_TOL cut zeroed,
-    and vt's columns split by slot (f_i, then k_x per arrow).  On `dual(t)`:
-    the path co-images."""
-    return _sweep(t, _level_plan(t.layout, True), _cut_factors)
+    """The cut ranks r_F of the stacked path images V_w f, an int array in q.hidden
+    order, and per `_level_plan` group its vertices and the thin SVDs (u, s, vt,
+    u * s, r) of [f_i | V_a P_x ...], a : x -> i, P_x = u * s at full width k_x zeroed
+    past the SUBSPACE_TOL cut; on `dual(t)`, r_H of the co-images.  q^(i) has rank
+    min(r_F, r_H) where one spans V_i or is zero, else its core's cosine count."""
+    plan = _level_plan(t.layout, True)
+    groups, ranks = _sweep(t, plan, _cut_factors), np.empty(len(plan[3]), dtype=np.intp)
+    for (*_, at), (_, factors) in zip(plan[2], groups):
+        ranks[at] = factors[4]
+    return ranks, groups
 
 
 def _cut_factors(stack):
-    """The cut factors of each matrix of an (n, d, width) stack (no SVD when
-    it is empty), and the stack of their u * s at full thin width."""
+    """Thin SVD (u, s, vt) of an (n, d, width) stack, u * s zeroed past the cut ranks r, and r; and u * s."""
     n, d, width = stack.shape
     u, s, vt = linalg.svd(stack) if min(d, width) else (np.zeros((n, d, 0)), np.zeros((n, 0)), np.zeros((n, 0, width)))
-    us, kept = u * s[:, None], []
-    for k, r in enumerate(linalg.cuts(s, linalg.SUBSPACE_TOL)):
-        if r < s.shape[1]:
-            us[k, :, r:] = 0.0
-        kept.append((u[k, :, :r], s[k, :r], vt[k, :r], us[k, :, :r]))
-    return kept, us
+    us, r = u * s[:, None], linalg.cuts(s, linalg.SUBSPACE_TOL)
+    if r.min() < s.shape[1]:
+        np.copyto(us, 0.0, where=np.arange(s.shape[1]) >= r[:, None, None])
+    return (u, s, vt, us, r), us
+
+
+@memoised
+def _views(t: DoubleFramedTriple):
+    """Each hidden vertex's (u, s, vt, u * s), its `_images` views cut at r_i."""
+    return {i: (u[k, :, :n], s[k, :n], vt[k, :n], us[k, :, :n])
+            for vertices, (u, s, vt, us, r) in _images(t)[1] for k, (i, n) in enumerate(zip(vertices, r.tolist()))}
 
 
 @memoised
 def _rank_vector(t: DoubleFramedTriple, tol):
-    """The ranks `ModuliPoint.rank_vector` hands out copies of."""
-    images, coimages = _images(t), _images(dual(t))
-    hidden = t.quiver.hidden
-    return dict(zip(hidden, linalg.num_ranks([coimages[i][0].T @ images[i][0] for i in hidden], tol)))
+    """The ranks `rank_vector` copies: min(r_F, r_H) of `_images` on t and dual(t), or where
+    both are deficient (r < d_i) and nonzero, the rank of the core U_H^T U_F."""
+    (forward, _), (reverse, _) = _images(t), _images(dual(t))
+    ranks, hidden = np.minimum(forward, reverse), t.quiver.hidden
+    cores = np.flatnonzero((np.maximum(forward, reverse) < _level_plan(t.layout, True)[3]) & (ranks > 0)).tolist()
+    ranks[cores] = linalg.num_ranks([_views(dual(t))[hidden[k]][0].T @ _views(t)[hidden[k]][0] for k in cores], tol)
+    return dict(zip(hidden, ranks.tolist()))
 
 
 @memoised
@@ -147,48 +151,47 @@ def _path_images(t: DoubleFramedTriple):
     vertex, arrows a : x -> i in `arrows_into` order: the lazy path's slot at
     i if u_i > 0, then each slot of x extended by a, the order of the
     `all_hidden_paths` table.  Slot w is u[w.start] columns wide and holds
-    V_w f_start; on `dual(t)`, H_i^T.
-    Refuses quivers past the path cap, but enumerates no path."""
+    V_w f_start; on `dual(t)`, H_i^T.  Refuses quivers past the path cap."""
     check_path_cap(t.quiver.hidden_quiver())
-    return _sweep(t, _level_plan(t.layout, False), lambda stack: (stack, stack))
+    groups = _sweep(t, _level_plan(t.layout, False), lambda stack: (stack, stack))
+    return {i: c for vertices, stack in groups for i, c in zip(vertices, stack)}
 
 
 def _sweep(t: DoubleFramedTriple, plan, factor):
     """Both sweeps, group by group of `_level_plan`: the group's (n, d, width)
-    stack gets its f_i, then each term's products V_a P_x from one np.matmul
-    in one scatter; `factor` gives what each vertex keeps and passes on, and
-    what the group passes is written into its consecutive slots of the store
-    of its passed shape, where later terms read their P_x."""
+    stack gets its f_i, then each term's products V_a P_x (one np.matmul, one
+    scatter); `factor` gives what the group keeps, returned with its
+    vertices, and what it passes into its slots of its shape's store."""
     arrows, f = t.stacks.arrows, t.stacks.f
     stores = {shape: np.empty((n, *shape)) for shape, n in plan[1].items()}
-    out = {}
-    for vertices, d, width, framed, terms, shape, slots in plan[2]:
+    out = []
+    for vertices, d, width, framed, terms, shape, slots, _ in plan[2]:
         stack = np.empty((len(vertices), d, width))
         for r, g, rows in framed:
             stack[r, :, : f[g].shape[2]] = f[g][rows]
         for g, rows, source, taken, at in terms:
             stack.put(at, arrows[g][rows] @ stores[source][taken])
         kept, passes = factor(stack)
-        out.update(zip(vertices, kept))
+        out.append((vertices, kept))
         stores[shape][slots] = passes
     return out
 
 
 @memoised
 def _level_plan(lay, cut):
-    """(k, stores, groups) of the sweeps over the hidden quiver of a
+    """(k, stores, groups, dims) of the sweeps over the hidden quiver of a
     `rep.Layout`, built once per layout and cut.  Vertex i passes on k_i =
     min(d_i, u_i + sum of k_x) columns over its arrows a : x -> i if cut,
     else u_i + sum of k_x, into its slot of the store of shape (d_i, k_i);
-    `stores` gives each shape's number of slots.  A group is a level's
-    vertices of one stacked shape (d, width), with consecutive slots in one
-    store: its vertices, d, width, the (stack rows, f group, f rows) of its
-    f_i per f group, its terms, and its store shape and slots.  A term is
-    the products V_a P_x of one source shape (d_x, k_x > 0): the arrow group
-    and rows of the V_a, the store shape and slots of the P_x, and flat
-    indices in the group's stack.  Rows and slots are `_index`es."""
+    `stores` counts each shape's slots.  A group is a level's vertices of
+    one stacked shape (d, width) in consecutive slots of one store: its
+    vertices, d, width, the (stack rows, f group, f rows) of its f_i per f
+    group, its terms, store shape, slots and places in q.hidden, whose d_i
+    are `dims`.  A term is the products V_a P_x of one source shape (d_x,
+    k_x > 0): the V_a's arrow group and rows, the P_x's store shape and
+    slots, and flat indices in the stack.  Rows, slots, places: `_index`es."""
     hq, frame, dim = lay.quiver.hidden_quiver(), lay.framing.u, dict(zip(lay.quiver.vertices, lay.dims))
-    width, slot, stores, groups = {}, {}, {}, []
+    width, slot, stores, groups, place = {}, {}, {}, [], {i: k for k, i in enumerate(hq.vertices)}
     for level in hq.levels:
         shapes = {}
         for i in level:
@@ -217,8 +220,9 @@ def _level_plan(lay, cut):
             stores[shape] = first + len(vertices)
             slot.update(zip(vertices, range(first, stores[shape])))
             framed = tuple((_index(rs), g, _index(rows)) for g, e in framed.items() for rs, rows in [zip(*e)])
-            groups.append((tuple(vertices), d, cols, framed, tuple(terms), shape, slice(first, stores[shape])))
-    return width, stores, groups
+            at, taken = _index([place[i] for i in vertices]), slice(first, stores[shape])
+            groups.append((tuple(vertices), d, cols, framed, tuple(terms), shape, taken, at))
+    return width, stores, groups, np.array([dim[i] for i in hq.vertices], dtype=np.intp)
 
 
 def _index(rows):
@@ -228,13 +232,11 @@ def _index(rows):
 
 
 class _Blocks(Mapping):
-    """The coordinate blocks of a point: each slot path, in column order, to
-    its read-only block.  Assigning an array of a block's shape adds the
-    change into the path's cell of the point's one assembled matrix (the
-    `_assembly_plan` rows of ("h", end) and ("f", start); the first
-    assignment runs its sweep), then keeps a read-only float copy as the
-    block; nothing else changes a block, and an in-place edit (`+=`, an
-    entry) raises."""
+    """Each slot path of a point, in column order, to its read-only block.
+    Assigning an array of a block's shape adds the change into the path's
+    cell of the point's assembled matrix (`_assembly_plan` rows ("h", end),
+    columns ("f", start)) and keeps a read-only float copy as the block;
+    nothing else changes a block, and an in-place edit (`+=`, an entry) raises."""
 
     def __init__(self, point, views):
         self._point, self._views = point, views
@@ -279,8 +281,7 @@ def _assembly_plan(lay):
 
 def is_semistable(t: DoubleFramedTriple) -> bool:
     """True when the framing maps generate the whole hidden representation."""
-    images = _images(t)
-    return all(images[i][1].size == t.dims[i] for i in t.quiver.hidden)
+    return bool((_images(t)[0] == _level_plan(t.layout, True)[3]).all())
 
 
 def is_simple(t: DoubleFramedTriple) -> bool:
@@ -357,12 +358,11 @@ def moduli_dimension(q: Quiver, dims: dict) -> ModuliDimension:
 
 
 def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFramedTriple:
-    """Canonical triple with a closed orbit projecting to m.
-
-    The image of each q^(i) in the stacked out-path space carries an induced
+    """Canonical triple with a closed orbit projecting to m.  The image of
+    each q^(i) in the stacked out-path space carries an induced
     representation by path shifts; the representative takes orthonormal
-    coordinates on it, padded with zeros up to d_i, read from the sweeps
-    `_images` of m.triple (forward) and of its dual (reverse).  With
+    coordinates on it, padded with zeros up to d_i, read from the cut
+    factors `_views` of m.triple (forward) and of its dual (reverse).  With
     R_i = s u^T (reverse) and S_i = u s (forward), q^(i) = Y_i R_i S_i Z_i^T
     for Y_i, Z_i with orthonormal columns, and the rows of Y_i on the
     out-paths through a : i -> j are Y_j times the slot-a rows of the reverse
@@ -371,13 +371,11 @@ def closed_orbit_representative(m: ModuliPoint, tol=linalg.RANK_TOL) -> DoubleFr
     are Y_i U_i, so h_i = (h-slot rows) U_i, V_a = U_j^T (slot-a rows) U_i
     (the first r_j of the plan's k_j) and f_i = U_i^T R_i f_i, each written
     into zero stacks of t's layout.  The cores of one shape are factored as
-    one stack (`linalg.svd_stacks`).
-    """
+    one stack (`linalg.svd_stacks`)."""
     t = m.triple
     hq, lay, w = t.quiver.hidden_quiver(), t.layout, t.framing.w
-    images, coimages = _images(t), _images(dual(t))
-    slot = _level_plan(dual(t).layout, True)[0]
-    ranks = m.rank_vector(tol)
+    images, coimages = _views(t), _views(dual(t))
+    slot, ranks = _level_plan(dual(t).layout, True)[0], m.rank_vector(tol)
     basis, cores = {}, [coimages[i][3].T @ images[i][3] for i in hq.vertices]
     for ks, (left, _, _) in linalg.svd_stacks(cores):
         basis.update((hq.vertices[k], left[n, :, : ranks[hq.vertices[k]]]) for n, k in enumerate(ks))
@@ -412,7 +410,7 @@ def verify_resolution_point(annihilators: dict, m: ModuliPoint) -> bool:
     so the rows of annihilators[i] on that slot lie in the row space of
     annihilators[x]; and S_i must lie in the kernel of q^(i) = H_i C_i, whose
     row space is that of R_i C_i, R_i = s u^T from the cut thin SVD of H_i^T
-    in the sweep `_images` of the dual.  Both inclusions are
+    in the dual's `_views`.  Both inclusions are
     `linalg.contains` on orthonormal bases of the row spaces, the second up to
     linalg.RESIDUAL_TOL relative to R_i C_i's largest entry (floored at 1)."""
     t = m.triple
@@ -428,7 +426,7 @@ def verify_resolution_point(annihilators: dict, m: ModuliPoint) -> bool:
         rows[i] = linalg.orth(given.T)
         if rows[i].shape[1] != t.dims[i]:
             raise CodimensionMismatch(f"subspace at {i!r} has codimension {rows[i].shape[1]}, expected {t.dims[i]}")
-    hq, coimages = t.quiver.hidden_quiver(), _images(dual(t))
+    hq, coimages = t.quiver.hidden_quiver(), _views(dual(t))
     for i in hq.vertices:
         off = t.framing.u[i]
         for a in hq.arrows_into(i):

@@ -15,7 +15,7 @@ from qmn.moduli import ModuliPoint, _path_images
 from qmn.network import ACTIVATIONS, ForwardTrace, NeuralNetwork, in_matrix, out_matrix
 from qmn.quiver import Arrow, Path, Quiver
 from qmn.relu import BalanceResult
-from qmn.rep import GAUGE_DET_TOL, DoubleFramedTriple, act, random_triple
+from qmn.rep import GAUGE_DET_TOL, DoubleFramedTriple, act, dual, random_triple
 from qmn.thincat import ThinRep
 
 ACCEPTANCE_LINES = []
@@ -238,6 +238,17 @@ def reference_images(t: DoubleFramedTriple, padded=True) -> dict:
         images[i] = (u[:, :r], s[:r], vt[:r], u[:, :r] * s[:r])
         passed[i] = u * np.where(np.arange(s.size) < r, s, 0.0) if padded else images[i][3]
     return images
+
+
+def core_rank_vector(t: DoubleFramedTriple, tol=RANK_TOL) -> dict:
+    """The rank of each vertex block q^(i) as the number of cosines of
+    principal angles above tol times the largest between the cut path
+    co-image and path image spans of `reference_images`: `num_rank` of the
+    core U_H^T U_F at every hidden vertex, with no shortcut where one side
+    spans V_i or is zero.  The oracle of that shortcut in
+    `ModuliPoint.rank_vector`."""
+    images, coimages = reference_images(t), reference_images(dual(t))
+    return {i: num_rank(coimages[i][0].T @ images[i][0], tol) for i in t.quiver.hidden}
 
 
 def reference_svd_stacks(mats, compute_uv=True):

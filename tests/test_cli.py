@@ -15,7 +15,7 @@ import pytest
 from conftest import layered_quiver
 from hypothesis import given, settings, strategies as st
 
-from qmn import grad, io, linalg, moduli, network, relu, thincat
+from qmn import cli, grad, io, linalg, moduli, network, relu, thincat
 from qmn.cli import build_parser, main
 from qmn.examples import quiver_a3, quiver_d4tilde, quiver_single_vertex, single_vertex_net
 from qmn.quiver import Quiver
@@ -837,6 +837,37 @@ def test_non_finite_result_is_numeric_failure(capsys, recwarn, tmp_path, argv, f
     assert code == 3 and captured.out == ""
     assert captured.err == "numeric failure: the result holds a NaN or an infinite number\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"blocks": {"a": [[1.0, 2.0], [3.0, math.nan]]}},
+        {"matrix": [[[0.5], [math.inf]]]},
+        {"rows": [{"x": [1.0, {"y": -math.inf}]}]},
+        {"labels": ["a", 1.0, math.nan, "b"]},
+        {"mixed": [[1.0, "a"], [2, None, [math.nan]]]},
+        {"first": [math.inf, "a"]},
+        {"deep": [[[[[1.0]]], [[[math.nan]]]]]},
+    ],
+    ids=["nested", "three-deep", "in-a-dict", "among-strings", "in-a-mixed-list", "before-a-string", "five-deep"],
+)
+def test_non_finite_anywhere_in_a_payload_is_numeric_failure(capsys, tmp_path, monkeypatch, payload):
+    """A NaN or an infinity is found at any depth, inside a dict, and in a
+    list that mixes it with strings, ints, None and lists."""
+    path = write_json(tmp_path, "q.json", README_QUIVER)
+    monkeypatch.setattr(cli, "_validate", lambda args: payload)
+    assert main(["--format", "json", "validate", "--quiver", path]) == 3
+    assert capsys.readouterr().err == "numeric failure: the result holds a NaN or an infinite number\n"
+
+
+def test_finite_payloads_of_every_kind_pass_the_check(capsys, tmp_path, monkeypatch):
+    """Strings, ints, bools, None, empty lists and numpy floats are finite."""
+    payload = {"a": [[1.0, 2], [True, None]], "b": [], "c": ["x", [np.float64(3.0)]], "d": [[], [[]]], "e": 10**400}
+    path = write_json(tmp_path, "q.json", README_QUIVER)
+    monkeypatch.setattr(cli, "_validate", lambda args: payload)
+    assert main(["--format", "json", "validate", "--quiver", path]) == 0
+    assert json.loads(capsys.readouterr().out)["c"] == ["x", [3.0]]
 
 
 def test_non_finite_knowledge_writes_no_file(capsys, tmp_path):

@@ -35,6 +35,7 @@ from qmn.thincat import ThinRep, solve_morphism
 
 from conftest import (
     brute_force_paths,
+    core_rank_vector,
     equilibrate,
     layered_quiver,
     null,
@@ -333,6 +334,45 @@ def test_rank_vector_matches_path_rank_oracle(t):
     assert m.rank_vector() == path_rank_vector(m)
 
 
+@st.composite
+def sparse_triples(draw):
+    """Triples on a random DAG whose entries are 0, 0, 1 or -1, hidden dims
+    1-4 and framing dims 1-2: path images and co-images often meet at a
+    right angle, so a core has a rank below min(r_F, r_H)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_dag_quiver(rng, n_hidden=draw(st.integers(1, 6)))
+    hidden = set(q.hidden)
+    dims = {v: draw(st.integers(1, 4) if v in hidden else st.integers(1, 2)) for v in q.vertices}
+    mats = {a.id: rng.choice([0.0, 0.0, 1.0, -1.0], size=(dims[a.target], dims[a.source])) for a in q.arrows}
+    return split(Representation(q, dims, mats))
+
+
+def test_rank_shortcut_matches_the_core_rank_at_every_vertex():
+    """Where one side spans V_i or is zero, `rank_vector` reads min(r_F, r_H)
+    off the cut ranks instead of factoring a core; at tol 1e-8 and 1e-3 it
+    equals `core_rank_vector`, which factors the core at every vertex.  The
+    draws reach all three cases (one side full, both deficient, a zero side)
+    and a deficient vertex whose core rank is below min(r_F, r_H)."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(degenerate_triples(), parallel_dag_triples(), sparse_triples()))
+    def check(t):
+        m = project(t)
+        for tol in (1e-8, 1e-3):
+            want = core_rank_vector(t, tol)
+            assert m.rank_vector(tol) == want
+        images, coimages = reference_images(t), reference_images(dual(t))
+        for i in t.quiver.hidden:
+            r_f, r_h = images[i][1].size, coimages[i][1].size
+            seen.add("zero" if min(r_f, r_h) == 0 else "full" if max(r_f, r_h) == t.dims[i] else "deficient")
+            if want[i] < min(r_f, r_h):
+                seen.add("below")
+
+    check()
+    assert seen == {"zero", "full", "deficient", "below"}
+
+
 def sweep_in_paths(t, i):
     """In-path slots of i in sweep order: the lazy path if u_i > 0, then the
     slots of each arrow a : x -> i in `arrows_into` order, x's extended by a."""
@@ -459,19 +499,22 @@ def test_memoised_readings_independent_of_call_order(t, order):
 @settings(max_examples=200, deadline=None)
 @given(parallel_dag_triples())
 def test_stacked_sweeps_match_the_per_vertex_reference(t):
-    """The level-stacked sweeps are bit-equal to `reference_images` in both
-    directions, and the ranks and the closed orbit to those read with every
-    SVD taken alone (`reference_svd_stacks`) on the reference sweeps."""
+    """The level-stacked sweeps, cut per vertex by `_views`, are bit-equal to
+    `reference_images` in both directions, the ranks to the cores' ranks on
+    the reference sweeps (`core_rank_vector`, every SVD taken alone), and
+    the closed orbit to the one read with every SVD taken alone
+    (`reference_svd_stacks`) on the reference sweeps."""
     for side in (t, dual(t)):
-        got, want = moduli_module._images(side), reference_images(side)
+        got, want = moduli_module._views(side), reference_images(side)
         assert all(np.array_equal(a, b) for i in t.quiver.hidden for a, b in zip(got[i], want[i], strict=True))
     m = project(t)
     ranks, c = m.rank_vector(), closed_orbit_representative(m)
     fresh = DoubleFramedTriple(t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h))
+    want_ranks = core_rank_vector(fresh)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moduli_module, "_images", reference_images)
+        mp.setattr(moduli_module, "_views", reference_images)
         mp.setattr(linalg, "svd_stacks", reference_svd_stacks)
-        want_ranks, want_c = project(fresh).rank_vector(), closed_orbit_representative(project(fresh))
+        want_c = closed_orbit_representative(project(fresh))
     assert ranks == want_ranks
     for got, want in ((c.hidden_matrices, want_c.hidden_matrices), (c.f, want_c.f), (c.h, want_c.h)):
         assert all(np.array_equal(got[k], want[k]) for k in want)
@@ -491,7 +534,7 @@ def test_padded_sweep_keeps_the_cut_ranks(t):
     recurrence, whose slots are the cut ranks wide."""
     unpadded = {}
     for side in (t, dual(t)):
-        got, unpadded[side.quiver] = moduli_module._images(side), reference_images(side, padded=False)
+        got, unpadded[side.quiver] = moduli_module._views(side), reference_images(side, padded=False)
         into = side.quiver.hidden_quiver().arrows_into
         for i in t.quiver.hidden:
             want, images = unpadded[side.quiver][i][1], unpadded[side.quiver]
@@ -504,9 +547,10 @@ def test_padded_sweep_keeps_the_cut_ranks(t):
     assert block_err(project(c), m) <= 1e-9
     fresh = DoubleFramedTriple(t.quiver, dict(t.dims), dict(t.hidden_matrices), dict(t.f), dict(t.h))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moduli_module, "_images", lambda side: unpadded[side.quiver])
+        mp.setattr(moduli_module, "_views", lambda side: unpadded[side.quiver])
         widths = {q: {i: x[1].size for i, x in images.items()} for q, images in unpadded.items()}
-        mp.setattr(moduli_module, "_level_plan", lambda lay, cut: (widths[lay.quiver],))
+        plan = moduli_module._level_plan
+        mp.setattr(moduli_module, "_level_plan", lambda lay, cut: (widths[lay.quiver], *plan(lay, cut)[1:]))
         cut = closed_orbit_representative(project(fresh))
     assert project(c).rank_vector() == project(cut).rank_vector()
 
@@ -527,7 +571,7 @@ def test_empty_stacks_get_empty_factors_without_an_svd(t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "svd", recorded)
         for side in (t, dual(t)):
-            images, k = moduli_module._images(side), moduli_module._level_plan(side.layout, True)[0]
+            images, k = moduli_module._views(side), moduli_module._level_plan(side.layout, True)[0]
             hq = side.quiver.hidden_quiver()
             for i in hq.vertices:
                 d, width = side.dims[i], side.framing.u[i] + sum(k[a.source] for a in hq.arrows_into(i))
@@ -567,9 +611,9 @@ def test_sweep_plan_gives_each_vertex_one_slot_in_its_shapes_store(t):
     that uses it."""
     for side in (t, dual(t)):
         for cut in (True, False):
-            k, stores, groups = moduli_module._level_plan(side.layout, cut)
+            k, stores, groups, _ = moduli_module._level_plan(side.layout, cut)
             slots = []
-            for vertices, d, _, _, _, shape, taken in groups:
+            for vertices, d, _, _, _, shape, taken, _ in groups:
                 assert isinstance(taken, slice) and taken.stop - taken.start == len(vertices)
                 assert all(shape == (d, k[i]) == (side.dims[i], k[i]) for i in vertices)
                 slots += [(i, shape, s) for i, s in zip(vertices, range(taken.start, taken.stop))]
@@ -793,8 +837,9 @@ def test_sweep_runs_once_per_direction(monkeypatch):
 
 def test_sweep_factors_one_stack_per_level(monkeypatch):
     """On a thin layered quiver every vertex of a level has the same stacked
-    path images' shape, so each direction runs one np.linalg.svd per level,
-    and the ranks and the closed orbit's cores one each."""
+    path images' shape, so each direction runs one np.linalg.svd per level
+    and the closed orbit's cores one; the ranks factor no core, since at a
+    thin vertex one side spans V_i or is zero."""
     calls = []
     svd = np.linalg.svd
 
@@ -808,7 +853,7 @@ def test_sweep_factors_one_stack_per_level(monkeypatch):
     is_semistable(t)
     assert calls == [(4, 1, 3), (4, 1, 4), (4, 1, 4)]
     closed_orbit_representative(project(t))
-    assert calls[3:] == [(4, 1, 2), (4, 1, 4), (4, 1, 4), (12, 1, 1), (12, 1, 1)]
+    assert calls[3:] == [(4, 1, 2), (4, 1, 4), (4, 1, 4), (12, 1, 1)]
 
 
 def test_no_moduli_reader_walks_a_path():
@@ -844,20 +889,34 @@ def test_no_moduli_reader_walks_a_path():
 
 
 def test_rank_vector_is_computed_once_per_tol(monkeypatch):
-    """A second rank_vector, or the closed orbit's own, counts no rank again;
-    another tol does, and an edit to a returned dict reaches no later one."""
-    factored = count_factored(monkeypatch)
+    """A second rank_vector, or the closed orbit's own, runs no sweep and
+    counts no rank again; another tol runs no sweep and factors only the
+    cores of the vertices where both sides are deficient, and an edit to a
+    returned dict reaches no later one."""
+    factored, sweeps, sweep = count_factored(monkeypatch), [], moduli_module._sweep
+    monkeypatch.setattr(moduli_module, "_sweep", lambda *args: sweeps.append(args[0]) or sweep(*args))
     q = random_dag_quiver(np.random.default_rng(7), n_hidden=5)
     t = random_triple(q, {v: 2 for v in q.vertices}, np.random.default_rng(8))
     m = project(t)
     first = m.rank_vector()
-    assert factored[False] == len(q.hidden)
+    assert len(sweeps) == 2 and factored[False] == 0  # both sides span every V_i: no core
     first[q.hidden[0]] = -1
     assert m.rank_vector() == project(t).rank_vector() == {v: 2 for v in q.hidden}
     closed_orbit_representative(m)
-    assert factored[False] == len(q.hidden)
+    assert len(sweeps) == 2 and factored[False] == 0
     m.rank_vector(1e-3)
-    assert factored[False] == 2 * len(q.hidden)
+    assert len(sweeps) == 2 and factored[False] == 0
+    narrow = random_triple(q, {v: 3 if v in q.hidden else 1 for v in q.vertices}, np.random.default_rng(8))
+    images, coimages = reference_images(narrow), reference_images(dual(narrow))
+    both = sum(0 < x[1].size < 3 and 0 < coimages[i][1].size < 3 for i, x in images.items())
+    assert 0 < both < len(q.hidden)
+    project(narrow).rank_vector()
+    assert len(sweeps) == 4 and factored[False] == both
+    project(narrow).rank_vector()
+    closed_orbit_representative(project(narrow))
+    assert len(sweeps) == 4 and factored[False] == both
+    project(narrow).rank_vector(1e-3)
+    assert len(sweeps) == 4 and factored[False] == 2 * both
 
 
 def test_path_space_readers_refuse_past_the_path_cap():
