@@ -144,11 +144,9 @@ def _point_payload(point, assembled=False):
     """The blocks keyed by path label; two paths with one label (an arrow id
     holding '.' or '>') are refused rather than one of them dropped."""
     blocks = {}
-    for label, b in sorted(((p.label(), b) for p, b in point.blocks.items()), key=lambda kv: kv[0]):
+    for label, b in ((p.label(), b) for p, b in point.blocks.items()):
         if label in blocks:
-            raise QmnError(
-                f"two hidden paths share the block label {label!r}; rename arrows whose ids hold '.' or '>'"
-            )
+            raise QmnError(f"two hidden paths share the block label {label!r}; rename arrows whose ids hold '.' or '>'")
         blocks[label] = b.tolist()
     payload = {"blocks": blocks}
     if assembled:

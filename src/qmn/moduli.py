@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CodimensionMismatch, QmnError, ShapeMismatch
-from .quiver import Quiver, all_hidden_paths, check_path_cap, framing_data, weakly_connected
+from .quiver import Quiver, check_path_cap, framing_data, paths_into, weakly_connected
 from .rep import DoubleFramedTriple, Sides, block_plan, deframe, dual, gauge_dim, memoised, rep_space_dim
 
 
@@ -50,17 +50,17 @@ class ModuliPoint:
 
     @cached_property
     def blocks(self) -> Mapping:
-        """Each slot path to its block, from one walk of the path table, the
-        one reader here of it: at each framed-out j in `hq.vertices` order,
-        the fresh row h_j C_j (C_j from `_path_images`), read-only, and for
-        each path into j that starts where u > 0, in table order, a view of
-        its next u_start columns."""
-        t, views = self.triple, {}
-        u, images, table = t.framing.u, _path_images(t), all_hidden_paths(t.quiver.hidden_quiver())
-        for j in (j for j in table if t.framing.w[j]):
+        """Each slot path to its block, the one reader here of paths: at each
+        framed-out j in `hq.vertices` order, the fresh row h_j C_j (C_j from
+        `_path_images`), read-only, and for each path into j that starts
+        where u > 0, in the slot order of `paths_into`, a view of its next
+        u_start columns."""
+        t, views, hq = self.triple, {}, self.quiver.hidden_quiver()
+        u, images = t.framing.u, _path_images(t)
+        for j in (j for j in hq.vertices if t.framing.w[j]):
             row, c = t.h[j] @ images[j], 0
             row.flags.writeable = False  # and so is every block sliced from it
-            for p in (p for p in table[j] if u[p.start]):
+            for p in (p for p in paths_into(hq, j) if u[p.start]):
                 views[p], c = row[:, c : c + u[p.start]], c + u[p.start]
         return _Blocks(self, views)
 
@@ -149,8 +149,8 @@ def _rank_vector(t: DoubleFramedTriple, tol):
 def _path_images(t: DoubleFramedTriple):
     """Uncut stacked path images C_i = [f_i | V_a C_x ...] at each hidden
     vertex, arrows a : x -> i in `arrows_into` order: the lazy path's slot at
-    i if u_i > 0, then each slot of x extended by a, the order of the
-    `all_hidden_paths` table.  Slot w is u[w.start] columns wide and holds
+    i if u_i > 0, then each slot of x extended by a, the order of
+    `paths_into`.  Slot w is u[w.start] columns wide and holds
     V_w f_start; on `dual(t)`, H_i^T.  Refuses quivers past the path cap."""
     check_path_cap(t.quiver.hidden_quiver())
     groups = _sweep(t, _level_plan(t.layout, False), lambda stack: (stack, stack))

@@ -4,9 +4,9 @@ Vertices and arrows are identified by strings.  A vertex with no in-arrows is a
 source, one with no out-arrows is a sink, and the hidden quiver is the full
 subquiver on the remaining vertices.  Framing data counts, per hidden vertex,
 the incoming dimension from sources (u) and the outgoing dimension to sinks
-(w), with slot order fixed by arrow declaration order.  Hidden paths come from
-one loop over the topological order, once per quiver; their total is counted
-in linear time against a cap before any is enumerated.
+(w), with slot order fixed by arrow declaration order.  Hidden paths are
+walked only while they are read, and no quiver keeps them; their total is
+counted in linear time against a cap before any is enumerated.
 """
 
 from collections import deque
@@ -42,8 +42,8 @@ class Quiver:
 
     `network=True` additionally forbids parallel arrows (the convention for
     neural-network quivers).  Incidence, the vertex split and the shape facts
-    are derived here once; the hidden quiver, its path table and `_memo` on
-    first read.
+    are derived here once; the hidden quiver, the path count and `_memo` on
+    first read.  No path is kept: `paths_into` walks them on each read.
     """
 
     def __init__(self, vertices, arrows, roles=None, network=False):
@@ -172,16 +172,6 @@ class Quiver:
             n[i] = 1 + sum(n[a.target] for a in self._out[i])
         return sum(n.values())
 
-    @cached_property
-    def _paths(self):
-        """The table `all_hidden_paths` returns, built on its first call."""
-        paths = {}
-        for v in self.topological:
-            paths[v] = (Path(v, v),) + tuple(
-                Path(p.start, v, p.arrows + (a.id,)) for a in self._into[v] for p in paths[a.source]
-            )
-        return MappingProxyType({v: paths[v] for v in self.vertices})
-
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
@@ -277,15 +267,22 @@ def check_path_cap(hq: Quiver, cap: int = DEFAULT_PATH_CAP):
         raise PathExplosion(hq._path_count, cap)
 
 
+def paths_into(hq: Quiver, v):
+    """Yield the paths of `hq` into v in slot order: the lazy path, then, for each arrow a : x -> v in
+    `arrows_into` order, the paths into x extended by a.  A depth-first walk back along the in-arrows
+    with an explicit stack, so no recursion; it keeps nothing and checks no cap."""
+    stack = [(v, ())]
+    while stack:
+        x, arrows = stack.pop()
+        yield Path(x, v, arrows)
+        stack += [(a.source, (a.id,) + arrows) for a in reversed(hq.arrows_into(x))]
+
+
 def all_hidden_paths(hq: Quiver, cap: int = DEFAULT_PATH_CAP) -> Mapping:
-    """Every path of `hq`, lazy ones included, as a read-only mapping from each
-    vertex (in `hq.vertices` order) to the tuple of paths ending there, in slot
-    order: the lazy path, then, for each arrow a : x -> v in `arrows_into`
-    order, the paths into x extended by a.  Raises PathExplosion when the path
-    count is above the cap, before anything is enumerated.  The table is built
-    by one loop over `hq.topological` on the first call and cached on `hq`;
-    every call checks the count against its own cap, which bounds paths, not
-    the arrow ids they store: n(n+1)/2 paths but about n^3/6 ids (9-12 bytes
-    each) on an n-vertex chain, so a 1,000-vertex chain needs about 1.4 GB."""
+    """Every path of `hq`, lazy ones included: a read-only mapping from each vertex (in `hq.vertices`
+    order) to the tuple of its `paths_into`, built on every call and kept by no quiver.  Raises
+    PathExplosion when the path count is above the cap, before anything is enumerated.  The cap bounds
+    paths, not the arrow ids they store: n(n+1)/2 paths but about n^3/6 ids (9-12 bytes each) on an
+    n-vertex chain, so a 1,000-vertex chain's mapping needs about 1.4 GB while it is held."""
     check_path_cap(hq, cap)
-    return hq._paths
+    return MappingProxyType({v: tuple(paths_into(hq, v)) for v in hq.vertices})

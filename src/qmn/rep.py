@@ -185,12 +185,17 @@ def split(r: Representation) -> DoubleFramedTriple:
 
     Framing maps stack the source-arrow matrices column-blockwise in arrow
     declaration order; coframing maps stack sink-arrow matrices row-blockwise.
+    A matrix of the wrong shape (set after construction) raises ShapeMismatch.
     """
     q = r.quiver
     if q.source_sink_arrows:
         raise UnframableArrow(
             f"arrows {[a.id for a in q.source_sink_arrows]} run source->sink; the framing split has no slot for them"
         )
+    for a in q.arrows:
+        m, shape = r.matrices.get(a.id), (r.dims[a.target], r.dims[a.source])
+        if getattr(m, "shape", None) != shape and np.shape(m) != shape:
+            raise ShapeMismatch(f"arrow {a.id!r}: expected shape {shape}, got {np.shape(m)}")
     fr = layout(q, r.dims).framing
     hq = q.hidden_quiver()
     hidden_mats = {a.id: r.matrices[a.id] for a in hq.arrows}

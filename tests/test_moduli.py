@@ -1,5 +1,8 @@
 import itertools
+import json
 import re
+import tracemalloc
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path as FilePath
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn import io, linalg, moduli as moduli_module
+from qmn import io, linalg, moduli as moduli_module, quiver as quiver_module
 from qmn.errors import CodimensionMismatch, PathExplosion, QmnError, ShapeMismatch
 from qmn.examples import (
     d4tilde_template,
@@ -18,6 +21,7 @@ from qmn.examples import (
     random_dag_quiver,
     thin_dims,
 )
+from qmn.cli import main
 from qmn.moduli import (
     closed_orbit_representative,
     is_semistable,
@@ -29,8 +33,19 @@ from qmn.moduli import (
     verify_resolution_point,
 )
 from qmn.network import network_matrix, psi_hat
-from qmn.quiver import Path, Quiver, all_hidden_paths
-from qmn.rep import DoubleFramedTriple, Representation, act, dual, join, layout, random_gauge, random_triple, split
+from qmn.quiver import Path, Quiver, all_hidden_paths, paths_into
+from qmn.rep import (
+    DoubleFramedTriple,
+    Layout,
+    Representation,
+    act,
+    dual,
+    join,
+    layout,
+    random_gauge,
+    random_triple,
+    split,
+)
 from qmn.thincat import ThinRep, solve_morphism
 
 from conftest import (
@@ -856,18 +871,22 @@ def test_sweep_factors_one_stack_per_level(monkeypatch):
     assert calls[3:] == [(4, 1, 2), (4, 1, 4), (4, 1, 4), (12, 1, 1)]
 
 
-def test_no_moduli_reader_walks_a_path():
+def test_no_moduli_reader_walks_a_path(monkeypatch):
     """`project`, the sweep readers, `assembled`, the network map,
-    `vertex_block` and the resolution helpers build no path table, on the
-    quiver or on its opposite.  `blocks` walks the hidden quiver's
-    `all_hidden_paths` table once: it is built once, and a triple of other
-    dims on the quiver reuses it."""
+    `vertex_block` and the resolution helpers walk no path, on the quiver or
+    on its opposite.  `blocks` walks the paths into each framed-out hidden
+    vertex once per point, and a point of other dims on the quiver walks
+    them again: nothing is kept between the two."""
+    walks = []
+
+    def counted(hq, v):
+        walks.append((hq, v))
+        return walk(hq, v)
+
+    walk = quiver_module.paths_into
+    monkeypatch.setattr(quiver_module, "paths_into", counted)
+    monkeypatch.setattr(moduli_module, "paths_into", counted)
     q = random_dag_quiver(np.random.default_rng(5), n_hidden=6)
-    quivers = (q, q.hidden_quiver(), q.opposite, q.opposite.hidden_quiver())
-
-    def tables():
-        return [vars(x)["_paths"] for x in quivers if "_paths" in vars(x)]
-
     t = random_triple(q, {v: 2 for v in q.vertices}, np.random.default_rng(6))
     m = project(t)
     m.rank_vector()
@@ -880,12 +899,109 @@ def test_no_moduli_reader_walks_a_path():
         m.vertex_block(i)
     verify_resolution_point(resolution_data(t), m)
     m.assembled()
-    assert tables() == []
-    assert m.blocks
-    (table,) = tables()
-    assert table is all_hidden_paths(q.hidden_quiver())
+    assert walks == []
+    assert m.blocks and m.blocks
+    framed_out = [(q.hidden_quiver(), j) for j in q.hidden if t.framing.w[j]]
+    assert walks == framed_out
     assert project(random_triple(q, {v: 1 for v in q.vertices}, np.random.default_rng(7))).blocks
-    assert tables()[0] is table and len(tables()) == 1
+    assert walks == 2 * framed_out
+
+
+def hidden_chain(n, ins=(0,), outs=None):
+    """A thin triple on a hidden chain h0 -> ... -> h{n-1}, with a source
+    into each h_k of `ins` and a sink out of each of `outs` (default: the
+    last)."""
+    outs = (n - 1,) if outs is None else outs
+    hidden = [f"h{k}" for k in range(n)]
+    arrows = [(f"a{k}", hidden[k], hidden[k + 1]) for k in range(n - 1)]
+    arrows += [(f"in{k}", f"s{k}", hidden[k]) for k in ins] + [(f"out{k}", hidden[k], f"t{k}") for k in outs]
+    q = Quiver([*(f"s{k}" for k in ins), *hidden, *(f"t{k}" for k in outs)], arrows)
+    return random_triple(q, thin_dims(q), np.random.default_rng(n))
+
+
+@st.composite
+def hidden_chains(draw):
+    """A thin triple on a hidden chain of 1-30 vertices, framed in at h0 and
+    out at the last vertex and at drawn others."""
+    n = draw(st.integers(1, 30))
+    others = st.lists(st.integers(0, n - 1), unique=True)
+    return hidden_chain(n, sorted({0, *draw(others)}), sorted({n - 1, *draw(others)}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parallel_dag_triples() | hidden_chains())
+def test_paths_into_is_the_slot_order(t):
+    """At every hidden vertex, the walk is `all_hidden_paths`' tuple, and its
+    paths that start where u > 0 are the sweep's in-path slots, in order."""
+    hq, paths = t.quiver.hidden_quiver(), all_hidden_paths(t.quiver.hidden_quiver())
+    for i in hq.vertices:
+        walked = list(paths_into(hq, i))
+        assert tuple(walked) == paths[i]
+        assert [p for p in walked if t.framing.u[p.start]] == sweep_in_paths(t, i)
+
+
+def held_paths(*owners):
+    """Every `Path` reached from the attributes of owners through mappings
+    (keys and values), tuples, lists and sets."""
+    found, todo, seen = [], [vars(x) for x in owners], set()
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Path):
+            found.append(x)
+        elif isinstance(x, Mapping):
+            todo += [*x.keys(), *x.values()]
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            todo += x
+    return found
+
+
+def quivers_and_layouts(q):
+    """q, its hidden quiver, its opposite and that one's hidden quiver, and
+    every layout in their memos."""
+    quivers = (q, q.hidden_quiver(), q.opposite, q.opposite.hidden_quiver())
+    return quivers + tuple(x for quiver in quivers for x in quiver._memo.values() if isinstance(x, Layout))
+
+
+def test_no_quiver_keeps_a_path(ten_arrow_quiver, monkeypatch, tmp_path, capsys):
+    """After `all_hidden_paths`, `m.blocks` or `qmn moduli coords` has run, no
+    attribute or `_memo` entry of the quiver, its hidden quiver, its opposite
+    or their layouts holds a `Path`; the point holds its blocks' paths."""
+    dims = {"s1": 1, "s2": 2, "h1": 2, "h2": 3, "h3": 2, "t1": 2, "t2": 1}
+    t = random_triple(ten_arrow_quiver, dims, np.random.default_rng(12))
+    q, m = t.quiver, project(t)
+    all_hidden_paths(q.hidden_quiver()), all_hidden_paths(q.opposite.hidden_quiver())
+    assert len(m.blocks) == len(held_paths(m)) > 0
+    assert held_paths(*quivers_and_layouts(q)) == []
+    points = []
+    monkeypatch.setattr(moduli_module, "project", lambda t: points.append(project(t)) or points[-1])
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(io.representation_to_json(join(t))))
+    assert main(["--format", "json", "moduli", "coords", "--rep", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["blocks"]
+    (point,) = points
+    assert point.quiver is not q and "blocks" in vars(point)
+    assert held_paths(*quivers_and_layouts(point.quiver)) == []
+
+
+def test_blocks_of_a_long_chain_keep_no_path_table():
+    """On a 300-vertex hidden chain framed at its two ends, reading the one
+    block keeps under 2 MB (tracemalloc; its path images and their plan
+    included): the 45,150 paths of the chain, and the 300 walked into its
+    last vertex, are not kept."""
+    t = hidden_chain(300)
+    m = project(t)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        blocks = m.blocks
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert list(blocks) == [Path("h0", "h299", tuple(f"a{k}" for k in range(299)))]
+    assert kept < 2 * 2**20
 
 
 def test_rank_vector_is_computed_once_per_tol(monkeypatch):
@@ -939,12 +1055,13 @@ def test_path_space_readers_refuse_past_the_path_cap():
 
 def test_memo_belongs_to_its_triple():
     """A sweep memoised on one triple is not read for another on the same
-    quiver, and every triple of a quiver shares its cached paths."""
+    quiver, and every triple of a quiver reads equal paths, slot for slot."""
     t = d4tilde_triple(1, 1, 1, 1, 1, [1, 1], [1, 1], [1, 1], [1, 1])
     z = zeroed(t)
     assert is_simple(t) and not is_simple(z)
     assert project(t).rank_vector() != project(z).rank_vector()
-    assert all_hidden_paths(t.quiver.hidden_quiver()) is all_hidden_paths(z.quiver.hidden_quiver())
+    assert all_hidden_paths(t.quiver.hidden_quiver()) == all_hidden_paths(z.quiver.hidden_quiver())
+    assert list(project(t).blocks) == list(project(z).blocks)
 
 
 def test_simple_rep_exists_a3_single_cycle():

@@ -128,8 +128,9 @@ def small_dags(draw):
     )
 )
 def test_derived_facts_match_brute_force(q):
-    """The facts a quiver derives once equal filters over its arrow list, and
-    the cached ones come back as the same object on every read."""
+    """The facts a quiver derives once equal filters over its arrow list, the
+    cached ones come back as the same object on every read, and the paths,
+    built afresh on each read, come back equal."""
     heads = {a.target for a in q.arrows}
     tails = {a.source for a in q.arrows}
     for v in q.vertices:
@@ -145,7 +146,7 @@ def test_derived_facts_match_brute_force(q):
     assert q.source_sink_arrows == tuple(a for a in q.arrows if a.source not in heads and a.target not in tails)
     hq = q.hidden_quiver()
     assert hq is q.hidden_quiver()
-    assert all_hidden_paths(hq) is all_hidden_paths(hq)
+    assert all_hidden_paths(hq) == all_hidden_paths(hq)
 
 
 def adjacency_power_sum(q):
@@ -197,12 +198,13 @@ def test_path_cap_boundary(q):
 
 
 def test_cached_paths_still_checked_against_the_cap():
-    """Paths are enumerated once per quiver, and a later call with a lower cap
-    still raises with the full count."""
+    """Each call enumerates the paths afresh into an equal read-only mapping
+    of tuples, kept by no quiver, and a later call with a lower cap still
+    raises with the full count."""
     hq = quiver_d4tilde().hidden_quiver()
     paths = all_hidden_paths(hq)
     total = sum(len(ps) for ps in paths.values())
-    assert all_hidden_paths(hq) is paths
+    assert all_hidden_paths(hq) == paths and all_hidden_paths(hq) is not paths
     assert all(isinstance(ps, tuple) for ps in paths.values())
     with pytest.raises(TypeError):
         paths[next(iter(paths))] = ()

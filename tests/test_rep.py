@@ -236,6 +236,17 @@ def test_representation_accepts_scalars_and_checks_shapes():
         Representation(q, thin_dims(q), {"ij": [[1.0, 2.0]], "jk": 1.0})
 
 
+@pytest.mark.parametrize("arrow", ["phi1", "a", "v_1"])
+def test_split_names_the_arrow_of_a_matrix_reshaped_after_construction(arrow):
+    """A framing (phi1), hidden (a) or coframing (v_1) matrix set to the wrong
+    shape after the representation was built is refused by `split` with a
+    ShapeMismatch that names the arrow, not a numpy error."""
+    r = join(d4tilde_triple(1, 2, 3, 4, 5, [6, 7], [8, 9], [10, 11], [12, 13]))
+    r.matrices[arrow] = np.ones((2, 1))
+    with pytest.raises(ShapeMismatch, match=rf"arrow '{arrow}': expected shape \(1, 1\), got \(2, 1\)"):
+        split(r)
+
+
 def _has_directed_cycle(vertices, arrows):
     out = {v: [] for v in vertices}
     for a in arrows:
